@@ -66,17 +66,11 @@ class BucketArray {
   bool put_copy(const K& key, const V& value, unsigned tid) {
     return bucket(key).put_copy(key, value, tid);
   }
-  bool update(const K& key, const V& value, unsigned tid) {
-    return bucket(key).update(key, value, tid);
-  }
   std::optional<V> remove(const K& key, unsigned tid) {
     return bucket(key).remove(key, tid);
   }
   std::optional<V> get(const K& key, unsigned tid) {
     return bucket(key).get(key, tid);
-  }
-  bool contains(const K& key, unsigned tid) {
-    return bucket(key).contains(key, tid);
   }
 
   // ---- freeze-aware variants (kv resharding): false = the key's bucket

@@ -172,16 +172,6 @@ class HmList {
     return was_absent;
   }
 
-  /// Replace-if-present, in place (cell CAS; atomic replace); fails
-  /// (without inserting or writing) when the key is absent.
-  bool update(const K& key, const V& value, unsigned tid) {
-    tracker_.begin_op(tid);
-    bool updated = false;
-    while (!update_impl(key, value, tid, updated)) {}
-    tracker_.end_op(tid);
-    return updated;
-  }
-
   /// Removes key; returns its value if present.
   std::optional<V> remove(const K& key, unsigned tid) {
     tracker_.begin_op(tid);
@@ -199,8 +189,6 @@ class HmList {
     tracker_.end_op(tid);
     return out;
   }
-
-  bool contains(const K& key, unsigned tid) { return get(key, tid).has_value(); }
 
   // ---- freeze-aware entry points (kv resharding): each returns true
   // when the operation completed and false when it observed a freeze bit

@@ -177,9 +177,9 @@ struct KvConfig {
   /// in-flight bucket), larger values let several ops copy distinct
   /// buckets concurrently with the resizer.
   std::size_t resize_freeze_ahead = 8;
-  /// Test/CI knob: freeze EVERY source bucket up front so all traffic
-  /// must take the helping path.  ORed with the WFE_TEST_HELP
-  /// environment variable at construction.
+  /// Test knob: freeze EVERY source bucket up front so all traffic
+  /// must take the helping path (the oracle and reshard stress suites
+  /// set it from their WFE_TEST_HELP environment variable).
   bool resize_force_help = false;
   /// Durability backend (persist::Options.enabled = false keeps the
   /// store purely in-memory).  Requires K and V to be trivially
@@ -228,8 +228,7 @@ class KvStore {
       : cfg_(cfg),
         announce_(cfg.tracker.max_threads),
         counters_(cfg.tracker.max_threads),
-        grow_ticks_(cfg.tracker.max_threads),
-        snap_ticks_(cfg.tracker.max_threads) {
+        write_ticks_(cfg.tracker.max_threads) {
     cfg_.shards = ds::round_up_pow2(std::max<std::size_t>(1, cfg.shards));
     cfg_.buckets_per_shard =
         ds::round_up_pow2(std::max<std::size_t>(1, cfg.buckets_per_shard));
@@ -240,9 +239,6 @@ class KvStore {
             1, cfg.persistence.snapshot_check_interval)));
     cfg_.resize_freeze_ahead =
         std::max<std::size_t>(1, cfg_.resize_freeze_ahead);
-    if (const char* e = std::getenv("WFE_TEST_HELP");
-        e != nullptr && *e != '\0' && *e != '0')
-      cfg_.resize_force_help = true;
     if (cfg_.admission.enabled) {
       // The controller consumes the sampler's time series; admission
       // without metrics would run open-loop.
@@ -251,8 +247,7 @@ class KvStore {
     }
     for (unsigned t = 0; t < cfg_.tracker.max_threads; ++t) {
       announce_[t].store(kIdle, std::memory_order_relaxed);
-      grow_ticks_[t] = 0;
-      snap_ticks_[t] = 0;
+      write_ticks_[t] = 0;
     }
     if (cfg_.metrics.flight && cfg_.metrics.flight_path.empty()) {
       // The black box lives next to the WAL by default; a store with no
@@ -319,19 +314,15 @@ class KvStore {
     if (metrics_) metrics_->stop_sampler();
   }
 
+  // ---- point ops.  Every entry point below is one run_op() call: the
+  // op pipeline (see run_op) owns metrics, watchdog, admission, the
+  // table guard, index hooks, counters and the after-write step; an
+  // entry point supplies only what it does to the table. ----
+
   std::optional<V> get(const K& key, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    std::optional<V> out;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_get(key, tid, out))
-        t = wait_forward(*t, key, tid);
-    }
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kGet, metrics_->op_get, mt0, tid, key);
-    return out;
+    return run_op<obs::OpKind::kGet>(key, 1, tid, [&](Table* t, Effect&) {
+      return lookup(t, key, tid);
+    });
   }
 
   bool contains(const K& key, unsigned tid) {
@@ -341,110 +332,58 @@ class KvStore {
   /// Insert-or-replace, in place (atomic value-cell swap on present
   /// keys); true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool was_absent = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_put(key, value, tid, was_absent))
-        t = wait_forward(*t, key, tid);
-    }
-    index_add(key, tid);
-    if (was_absent) counters_.inc(kNetInserts, tid);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    // End-to-end: an auto-grow or auto-snapshot this write drove is part
-    // of its observed latency (and tags its trace cause).
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kPut, metrics_->op_put, mt0, tid, key);
-    return was_absent;
-  }
-
-  /// Remove+re-insert upsert: the pre-value-cell baseline, kept so the
-  /// bench can put a number on what in-place replacement saves.  The
-  /// "was absent" answer accumulates across forwarded tables.
-  bool put_copy(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool saw_present = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_put_copy(key, value, tid, saw_present))
-        t = wait_forward(*t, key, tid);
-    }
-    index_add(key, tid);
-    if (!saw_present) counters_.inc(kNetInserts, tid);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kPut, metrics_->op_put, mt0, tid, key);
-    return !saw_present;
+    return run_op<obs::OpKind::kPut>(
+        key, 1, tid,
+        [&](Table* t, Effect& fx) {
+          bool was_absent = false;
+          on_key(t, key, tid, [&](ShardT& s) {
+            return s.try_put(key, value, tid, was_absent);
+          });
+          fx.inserted = was_absent;
+          return was_absent;
+        },
+        /*add=*/[&](bool) { index_add(key, tid); });
   }
 
   /// Insert-if-absent; false (no write) when present.
   bool insert(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool inserted = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_insert(key, value, tid, inserted))
-        t = wait_forward(*t, key, tid);
-    }
-    if (inserted) {
-      index_add(key, tid);
-      counters_.inc(kNetInserts, tid);
-    }
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kInsert, metrics_->op_put, mt0, tid, key);
-    return inserted;
+    return run_op<obs::OpKind::kInsert>(
+        key, 1, tid,
+        [&](Table* t, Effect& fx) {
+          bool inserted = false;
+          on_key(t, key, tid, [&](ShardT& s) {
+            return s.try_insert(key, value, tid, inserted);
+          });
+          fx.inserted = inserted;
+          return inserted;
+        },
+        /*add=*/[&](bool inserted) {
+          if (inserted) index_add(key, tid);
+        });
   }
 
   /// Replace-if-present; false (no write) when absent.
   bool update(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool updated = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_update(key, value, tid, updated))
-        t = wait_forward(*t, key, tid);
-    }
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kUpdate, metrics_->op_update, mt0, tid, key);
-    return updated;
+    return run_op<obs::OpKind::kUpdate>(key, 1, tid, [&](Table* t, Effect&) {
+      bool updated = false;
+      on_key(t, key, tid, [&](ShardT& s) {
+        return s.try_update(key, value, tid, updated);
+      });
+      return updated;
+    });
   }
 
   std::optional<V> remove(const K& key, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    // Index entry goes FIRST: dropping it after the primary remove could
-    // race a concurrent re-insert's index_add and delete the LIVE entry
-    // (primary key with no index entry — a key scans would never see).
-    // The other order's worst case is only a transient stale entry,
-    // which scans already self-heal (see index_add).
-    index_drop(key, tid);
-    std::optional<V> out;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_remove(key, tid, out))
-        t = wait_forward(*t, key, tid);
-    }
-    if (out.has_value()) counters_.inc(kNetRemoves, tid);
-    maybe_auto_snapshot(tid);  // removes append WAL bytes too
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kRemove, metrics_->op_remove, mt0, tid, key);
-    return out;
+    return run_op<obs::OpKind::kRemove>(
+        key, 1, tid,
+        [&](Table* t, Effect& fx) {
+          std::optional<V> out;
+          on_key(t, key, tid,
+                 [&](ShardT& s) { return s.try_remove(key, tid, out); });
+          fx.removed = out.has_value();
+          return out;
+        },
+        NoHook{}, /*drop=*/[&] { index_drop(key, tid); });
   }
 
   // ---- cross-shard multi-ops: group a span of keys by shard with one
@@ -454,45 +393,22 @@ class KvStore {
   // Results land at the positions of their keys, so callers see plain
   // positional semantics.  Keys whose bucket is mid-migration are
   // deferred out of the session and re-dispatched — regrouped — against
-  // the forwarded table. ----
+  // the forwarded table (dispatch_grouped). ----
 
   /// Point lookups for keys[0..n); out[i] receives the result for
   /// keys[i].  Keys may repeat and may hit any mix of shards.
   void multi_get(const K* keys, std::size_t n, std::optional<V>* out,
                  unsigned tid) {
     if (n == 0) return;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, keys[i]);
-        });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            t->shards[s]->multi_get(keys, plan.order.data() + b, e - b, out,
-                                    tid, defer);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(*t, keys, defer, tid);
-        pend.swap(defer);
-      }
-    }
     // One record per batch (end-to-end); the trace shard is the first
     // key's — a batch spans shards, attribution wants one anchor.
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiGet, metrics_->op_multi, mt0, tid, keys[0]);
+    run_op<obs::OpKind::kMultiGet>(keys[0], n, tid, [&](Table* t, Effect&) {
+      return dispatch_grouped(
+          t, n, tid, [&](std::uint32_t i) -> const K& { return keys[i]; },
+          [&](ShardT& s, const std::uint32_t* idx, std::size_t m, auto& defer) {
+            s.multi_get(keys, idx, m, out, tid, defer);
+          });
+    });
   }
 
   std::vector<std::optional<V>> multi_get(const std::vector<K>& keys,
@@ -509,48 +425,21 @@ class KvStore {
   std::size_t multi_put(const std::pair<K, V>* ops, std::size_t n,
                         unsigned tid) {
     if (n == 0) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(n);
-    std::size_t inserted = 0;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, ops[i].first);
+    return run_op<obs::OpKind::kMultiPut>(
+        ops[0].first, n, tid,
+        [&](Table* t, Effect& fx) {
+          dispatch_grouped(
+              t, n, tid,
+              [&](std::uint32_t i) -> const K& { return ops[i].first; },
+              [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                  auto& defer) {
+                fx.inserted += s.multi_put(ops, idx, m, tid, defer);
+              });
+          return fx.inserted;
+        },
+        /*add=*/[&](std::size_t) {
+          for (std::size_t i = 0; i < n; ++i) index_add(ops[i].first, tid);
         });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            inserted += t->shards[s]->multi_put(ops, plan.order.data() + b,
-                                                e - b, tid, defer);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(
-            *t, /*key_of=*/[&](std::uint32_t i) -> const K& {
-              return ops[i].first;
-            },
-            defer, tid);
-        pend.swap(defer);
-      }
-    }
-    if (index_)
-      for (std::size_t i = 0; i < n; ++i) index_add(ops[i].first, tid);
-    counters_.inc(kNetInserts, tid, inserted);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiPut, metrics_->op_multi, mt0, tid,
-                ops[0].first);
-    return inserted;
   }
 
   std::size_t multi_put(const std::vector<std::pair<K, V>>& ops, unsigned tid) {
@@ -564,44 +453,20 @@ class KvStore {
   std::size_t multi_remove(const K* keys, std::size_t n, std::optional<V>* out,
                            unsigned tid) {
     if (n == 0) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(n);
-    // Index-first for the same reason as remove().
-    if (index_)
-      for (std::size_t i = 0; i < n; ++i) index_drop(keys[i], tid);
-    std::size_t removed = 0;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, keys[i]);
+    return run_op<obs::OpKind::kMultiRemove>(
+        keys[0], n, tid,
+        [&](Table* t, Effect& fx) {
+          dispatch_grouped(
+              t, n, tid, [&](std::uint32_t i) -> const K& { return keys[i]; },
+              [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                  auto& defer) {
+                fx.removed += s.multi_remove(keys, idx, m, out, tid, defer);
+              });
+          return fx.removed;
+        },
+        NoHook{}, /*drop=*/[&] {
+          for (std::size_t i = 0; i < n; ++i) index_drop(keys[i], tid);
         });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            removed += t->shards[s]->multi_remove(keys, plan.order.data() + b,
-                                                  e - b, out, tid, defer);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(*t, keys, defer, tid);
-        pend.swap(defer);
-      }
-    }
-    counters_.inc(kNetRemoves, tid, removed);
-    maybe_auto_snapshot(tid);  // removes append WAL bytes too
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiRemove, metrics_->op_multi, mt0, tid,
-                keys[0]);
-    return removed;
   }
 
   std::vector<std::optional<V>> multi_remove(const std::vector<K>& keys,
@@ -662,92 +527,68 @@ class KvStore {
   /// pair AND the commit record are durable — a durable commit whose
   /// pairs tore off would be dropped at recovery, so acking the commit
   /// alone would be a lie.
+  ///
+  /// Index maintenance brackets the install like the point ops: drops
+  /// first, adds after.  Index membership is per key, not per txn —
+  /// crash atomicity is the primary table's concern (the index is
+  /// rebuilt from replay), so a commit torn across the brackets is fine.
   std::uint64_t txn_commit(const txn::Txn<K, V>& txn, unsigned tid) {
     const auto& tops = txn.ops();
     if (tops.empty()) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(tops.size());
-    const std::uint64_t id = 1 + txn_seq_.fetch_add(1, std::memory_order_relaxed);
-    // Index maintenance brackets the install like the point ops: drops
-    // first, adds after.  Index membership is per key, not per txn —
-    // crash atomicity is the primary table's concern (the index is
-    // rebuilt from replay), so a commit torn across the brackets is fine.
-    if (index_)
-      for (const auto& op : tops)
-        if (op.is_remove) index_drop(op.key, tid);
-    std::uint64_t total_pairs = 0;
-    std::size_t inserted = 0, removed = 0;
-    std::uint64_t commit_lsn = 0;
-    persist::ShardWal* commit_wal = nullptr;
-    // (wal, last pair LSN) per shard touched: the commit-time ack set.
-    static thread_local std::vector<
-        std::pair<persist::ShardWal*, std::uint64_t>> acks;
-    acks.clear();
-    {
-      TableGuard g(*this, tid);
-      {
-        // Shared against the snapshot's exclusive mark+dump window (see
-        // the file header): released before the durability waits below —
-        // appends are what the barrier orders, not fsyncs.
-        std::shared_lock<std::shared_mutex> sl(txn_mu_);
-        Table* t = g.table;
-        static thread_local ShardPlan plan;  // scratch: reused across calls
-        static thread_local std::vector<std::uint32_t> pend, defer;
-        pend.resize(tops.size());
-        for (std::size_t i = 0; i < tops.size(); ++i)
-          pend[i] = static_cast<std::uint32_t>(i);
-        for (;;) {
-          group_subset(plan, *t, pend, [&](std::uint32_t i) {
-            return shard_index_in(*t, tops[i].key);
-          });
-          defer.clear();
-          for (std::size_t s = 0; s <= t->mask; ++s) {
-            const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                              e = plan.start[s];
-            if (b == e) continue;
-            const auto r = t->shards[s]->txn_apply(
-                tops.data(), plan.order.data() + b, e - b, id, tid, defer);
-            total_pairs += r.pairs;
-            inserted += r.inserted;
-            removed += r.removed;
-            if (r.last_lsn != 0)
-              acks.emplace_back(t->shards[s]->wal(), r.last_lsn);
+    return run_op<obs::OpKind::kMultiPut>(
+        tops[0].key, tops.size(), tid,
+        [&](Table* t, Effect& fx) {
+          const std::uint64_t id =
+              1 + txn_seq_.fetch_add(1, std::memory_order_relaxed);
+          std::uint64_t total_pairs = 0, commit_lsn = 0;
+          persist::ShardWal* commit_wal = nullptr;
+          // (wal, last pair LSN) per shard touched: the commit-time ack set.
+          static thread_local std::vector<
+              std::pair<persist::ShardWal*, std::uint64_t>> acks;
+          acks.clear();
+          {
+            // Shared against the snapshot's exclusive mark+dump window
+            // (see the file header): released before the durability
+            // waits below — appends are what the barrier orders, not
+            // fsyncs.
+            std::shared_lock<std::shared_mutex> sl(txn_mu_);
+            t = dispatch_grouped(
+                t, tops.size(), tid,
+                [&](std::uint32_t i) -> const K& { return tops[i].key; },
+                [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                    auto& defer) {
+                  const auto r =
+                      s.txn_apply(tops.data(), idx, m, id, tid, defer);
+                  total_pairs += r.pairs;
+                  fx.inserted += r.inserted;
+                  fx.removed += r.removed;
+                  if (r.last_lsn != 0) acks.emplace_back(s.wal(), r.last_lsn);
+                });
+            // COMMIT on the final table's stream 0 (the same stream the
+            // resize brackets use): recovery scans every stream, so
+            // "which one" only has to be deterministic per table, not
+            // per key.
+            if (!t->wals.empty()) {
+              commit_wal = t->wals[0].get();
+              commit_lsn = commit_wal->append(persist::RecordType::kTxnCommit,
+                                              id, total_pairs);
+            }
           }
-          if (defer.empty()) break;
-          t = wait_forward_all(
-              *t, /*key_of=*/[&](std::uint32_t i) -> const K& {
-                return tops[i].key;
-              },
-              defer, tid);
-          pend.swap(defer);
-        }
-        // COMMIT on the final table's stream 0 (the same stream the
-        // resize brackets use): recovery scans every stream, so "which
-        // one" only has to be deterministic per table, not per key.
-        if (!t->wals.empty()) {
-          commit_wal = t->wals[0].get();
-          commit_lsn = commit_wal->append(persist::RecordType::kTxnCommit, id,
-                                          total_pairs);
-        }
-      }
-      // Durability acks under the table announcement (the streams live in
-      // tables the guard keeps alive) but outside txn_mu_.
-      for (const auto& [w, lsn] : acks) w->ack(lsn);
-      if (commit_wal != nullptr) commit_wal->ack(commit_lsn);
-    }
-    if (index_)
-      for (const auto& op : tops)
-        if (!op.is_remove) index_add(op.key, tid);
-    counters_.inc(kNetInserts, tid, inserted);
-    counters_.inc(kNetRemoves, tid, removed);
-    counters_.inc(kTxnCommits, tid);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiPut, metrics_->op_multi, mt0, tid,
-                tops[0].key);
-    return id;
+          // Durability acks under the table announcement (the streams
+          // live in tables the guard keeps alive) but outside txn_mu_.
+          for (const auto& [w, lsn] : acks) w->ack(lsn);
+          if (commit_wal != nullptr) commit_wal->ack(commit_lsn);
+          counters_.inc(kTxnCommits, tid);
+          return id;
+        },
+        /*add=*/[&](std::uint64_t) {
+          for (const auto& op : tops)
+            if (!op.is_remove) index_add(op.key, tid);
+        },
+        /*drop=*/[&] {
+          for (const auto& op : tops)
+            if (op.is_remove) index_drop(op.key, tid);
+        });
   }
 
   /// Single-key compare-and-swap, the degenerate transaction: installs
@@ -755,20 +596,13 @@ class KvStore {
   /// swap; false (and NO write, NO cell retired) on absent key or value
   /// mismatch.
   bool cas(const K& key, const V& expected, const V& desired, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool swapped = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_cas(key, expected, desired, tid, swapped))
-        t = wait_forward(*t, key, tid);
-    }
-    maybe_auto_snapshot(tid);  // a swap appends WAL bytes
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kUpdate, metrics_->op_update, mt0, tid, key);
-    return swapped;
+    return run_op<obs::OpKind::kUpdate>(key, 1, tid, [&](Table* t, Effect&) {
+      bool swapped = false;
+      on_key(t, key, tid, [&](ShardT& s) {
+        return s.try_cas(key, expected, desired, tid, swapped);
+      });
+      return swapped;
+    });
   }
 
   /// Atomic read-modify-write counter bump built on cas(): creates the
@@ -1082,7 +916,11 @@ class KvStore {
     unsigned tid;
     Table* table;
 
-    TableGuard(KvStore& s, unsigned t) : store(s), tid(t) {
+    /// Always inline: called out of line from run_op's large body, the
+    /// seq_cst announce made insert-heavy prefill ~8% slower (perfbench
+    /// setup, 4-vCPU x86 host).
+    [[gnu::always_inline]] TableGuard(KvStore& s, unsigned t)
+        : store(s), tid(t) {
       const std::uint64_t e = s.epoch_.load(std::memory_order_acquire);
       s.announce_[t].store(e, std::memory_order_seq_cst);
       table = s.table_.load(std::memory_order_seq_cst);
@@ -1150,20 +988,27 @@ class KvStore {
     }
   }
 
-  /// End-of-op probe: one conversion + one relaxed lane increment; the
-  /// trace shard is only hashed on the slow branch.  t0 == 0 means
-  /// op_begin() chose not to sample this op.  Out of line on purpose —
-  /// only sampled ops get here, and keeping the histogram machinery out
-  /// of get/put keeps the metrics-on icache footprint flat.
-  [[gnu::noinline]] void record_op(obs::OpKind kind, obs::LatencyHistogram& h,
-                                   std::uint64_t t0, unsigned tid,
-                                   const K& key) {
-    if (t0 == 0) return;
+  /// End-of-op probe (sampled ops only): one conversion + one relaxed
+  /// lane increment in the op kind's histogram; the trace shard is only
+  /// hashed on the slow branch.  Out of line on purpose — keeping the
+  /// histogram machinery out of get/put keeps the metrics-on icache
+  /// footprint flat.
+  [[gnu::noinline]] void record_op(obs::OpKind kind, std::uint64_t t0,
+                                   unsigned tid, const K& key) {
+    using obs::OpKind;
+    obs::KvMetrics& m = *metrics_;
+    obs::LatencyHistogram& h =
+        kind == OpKind::kGet                                ? m.op_get
+        : kind == OpKind::kPut || kind == OpKind::kInsert ? m.op_put
+        : kind == OpKind::kUpdate                           ? m.op_update
+        : kind == OpKind::kRemove                           ? m.op_remove
+        : kind == OpKind::kScan                             ? m.op_scan
+                                                            : m.op_multi;
     const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - t0);
     h.record_owned(ns, tid);  // tid's lane: this thread is its only writer
-    if (ns >= metrics_->opt.slow_op_ns)
-      metrics_->trace.push(kind, static_cast<std::uint32_t>(shard_index(key)),
-                           ns, obs::tls_cause);
+    if (ns >= m.opt.slow_op_ns)
+      m.trace.push(kind, static_cast<std::uint32_t>(shard_index(key)), ns,
+                   obs::tls_cause);
   }
 
   /// Gauge collector for the registry/sampler: one stats() pass fans out
@@ -1227,6 +1072,77 @@ class KvStore {
     }
   }
 
+  // ---- the op pipeline ----
+
+  /// What a write did to the key count: the counter stage folds it into
+  /// the net insert/remove lanes behind approx_size().
+  struct Effect {
+    std::size_t inserted = 0, removed = 0;
+  };
+
+  /// The index stage of a write that has none.
+  struct NoHook {
+    void operator()(const auto&...) const noexcept {}
+  };
+
+  /// Reads (get, multi_get, scan) run no write stage; everything else
+  /// writes.  cas() records as an update, txn_commit() as a multi_put.
+  static constexpr bool is_write(obs::OpKind k) noexcept {
+    return k != obs::OpKind::kGet && k != obs::OpKind::kMultiGet &&
+           k != obs::OpKind::kScan;
+  }
+
+  /// The one op runner every entry point goes through.  Stage order:
+  ///
+  ///   1. op_begin      sampled latency start (metrics on)
+  ///   2. BeatScope     arms the thread's watchdog heartbeat slot
+  ///   3. admission     reads flag-shed; a write is charged `keys` tokens
+  ///   4. index drop    writes: `drop()`, BEFORE the primary erase
+  ///   5. TableGuard    `apply(table, fx)` under one epoch announcement;
+  ///                    apply forwards per key (on_key) or per shard
+  ///                    group (dispatch_grouped)
+  ///   6. index add     writes: `add(result)`, AFTER the primary install
+  ///   7. counters      writes: net inserts/removes from `fx`
+  ///   8. after_write   writes: auto-grow and auto-snapshot cadence
+  ///   9. record_op     latency histogram + slow-op trace
+  ///
+  /// `Kind` is a template argument, so a read compiles to stages 1-3, 5
+  /// and 9 only.  A scan takes no guard here: apply() guards each
+  /// 128-key chunk itself and never holds an announcement across chunks.
+  /// An auto-grow or auto-snapshot a write drives is part of its
+  /// observed latency (and tags its trace cause).
+  template <obs::OpKind Kind, class Apply, class Add = NoHook,
+            class Drop = NoHook>
+  auto run_op(const K& trace_key, std::size_t keys, unsigned tid,
+              Apply&& apply, Add&& add = {}, Drop&& drop = {}) {
+    constexpr bool kWrite = is_write(Kind);
+    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
+    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
+    if constexpr (kWrite) {
+      gate_write(keys);
+      if (index_) drop();
+    } else {
+      gate_read();
+    }
+    Effect fx;
+    auto out = [&] {
+      if constexpr (Kind == obs::OpKind::kScan) {
+        return apply();
+      } else {
+        TableGuard g(*this, tid);
+        return apply(g.table, fx);
+      }
+    }();
+    if constexpr (kWrite) {
+      if (index_) add(out);
+      if (fx.inserted != 0) counters_.inc(kNetInserts, tid, fx.inserted);
+      if (fx.removed != 0) counters_.inc(kNetRemoves, tid, fx.removed);
+      after_write(tid);
+    }
+    if (mt0 != 0) record_op(Kind, mt0, tid, trace_key);
+    return out;
+  }
+
   /// Admission gates: sit between op_begin() and the table guard, so a
   /// throttle wait lands inside the op's observed latency (and its
   /// trace tag survives — op_begin resets tls_cause first) while a
@@ -1235,10 +1151,25 @@ class KvStore {
   void gate_read() {
     if (admit_ && !admit_->admit_read()) throw Overloaded(false);
   }
-  void gate_write(std::size_t n = 1) {
+  void gate_write(std::size_t n) {
     if (admit_ && !admit_->admit_write(static_cast<std::uint32_t>(
                       std::min<std::size_t>(n, 0xffffffffu))))
       throw Overloaded(true);
+  }
+
+  /// The after-write step: one per-thread write tick drives both
+  /// maintenance checks, each on its own power-of-two interval.  Both
+  /// are off by default, and then no tick is taken.
+  void after_write(unsigned tid) {
+    const bool grow = cfg_.auto_grow_load_factor > 0.0;
+    const bool snap = cfg_.persistence.enabled &&
+                      cfg_.persistence.snapshot_every_bytes != 0;
+    if (replaying_ || !(grow || snap)) return;
+    const unsigned tick = ++write_ticks_[tid];  // owner-thread-only
+    if (grow && (tick & (cfg_.auto_grow_check_interval - 1)) == 0)
+      auto_grow(tid);
+    if (snap && (tick & (cfg_.persistence.snapshot_check_interval - 1)) == 0)
+      auto_snapshot(tid);
   }
 
   // ---- secondary ordered index internals ----
@@ -1261,20 +1192,23 @@ class KvStore {
     return static_cast<std::uint64_t>(key);
   }
 
-  /// Membership hooks.  Mutators keep a per-thread program-order
-  /// contract: put/insert add the index entry AFTER the primary install
-  /// (a scan after the call returns sees the key), remove drops it
-  /// BEFORE the primary erase (a scan after the call returns does not).
-  /// Cross-thread races on one key can strand a STALE entry — index key
-  /// with no primary pair — which scans skip (primary miss) and which
-  /// the key's next insert/remove cycle reuses or drops; stale entries
-  /// are never purged from the scan path, because a purge can race a
-  /// concurrent re-insert's index_add and delete a live entry.
+  /// Membership hooks, called by run_op's index stages (index on only).
+  /// Mutators keep a per-thread program-order contract: put/insert add
+  /// the index entry AFTER the primary install (a scan after the call
+  /// returns sees the key), remove drops it BEFORE the primary erase (a
+  /// scan after the call returns does not).  Dropping it after the
+  /// primary remove instead could race a concurrent re-insert's
+  /// index_add and delete the LIVE entry.  Cross-thread races on one
+  /// key can strand a STALE entry — index key with no primary pair —
+  /// which scans skip (primary miss) and which the key's next
+  /// insert/remove cycle reuses or drops; stale entries are never
+  /// purged from the scan path, because a purge can race a concurrent
+  /// re-insert's index_add and delete a live entry.
   void index_add(const K& key, unsigned tid) {
-    if (index_) index_->tree.insert(index_key(key), 1, tid);
+    index_->tree.insert(index_key(key), 1, tid);
   }
   void index_drop(const K& key, unsigned tid) {
-    if (index_) index_->tree.remove(index_key(key), tid);
+    index_->tree.remove(index_key(key), tid);
   }
 
   /// Scan driver shared by scan() and range_get(); fn returns false to
@@ -1285,50 +1219,44 @@ class KvStore {
   template <class Fn>
   std::size_t scan_bounded(const K& lo, const K& hi, unsigned tid, Fn&& fn) {
     if (!index_ || index_key(lo) > index_key(hi)) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    static constexpr std::size_t kScanBatch = 128;
-    static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
-        chunk;
-    chunk.resize(kScanBatch);
-    std::size_t visited = 0;
-    std::uint64_t cursor = index_key(lo);
-    const std::uint64_t end = index_key(hi);
-    bool more = true;
-    while (more) {
-      const std::size_t n =
-          index_->tree.range_get(cursor, end, chunk.data(), kScanBatch, tid);
-      if (n == 0) break;
-      {
-        TableGuard g(*this, tid);
-        for (std::size_t i = 0; i < n && more; ++i) {
-          const K k = static_cast<K>(chunk[i].first);
-          std::optional<V> v;
-          // Each key restarts from the guarded table: forwarding is
-          // per-key (wait_forward only waits on THAT key's bucket), so
-          // a table reached by forwarding key A may not hold an
-          // un-migrated key B yet.
-          Table* t = g.table;
-          while (!shard_in(*t, k).try_get(k, tid, v))
-            t = wait_forward(*t, k, tid);
-          if (v.has_value()) {
-            ++visited;
-            more = fn(k, *v);
+    return run_op<obs::OpKind::kScan>(lo, 1, tid, [&] {
+      static constexpr std::size_t kScanBatch = 128;
+      static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
+          chunk;
+      chunk.resize(kScanBatch);
+      std::size_t visited = 0;
+      std::uint64_t cursor = index_key(lo);
+      const std::uint64_t end = index_key(hi);
+      bool more = true;
+      while (more) {
+        const std::size_t n =
+            index_->tree.range_get(cursor, end, chunk.data(), kScanBatch, tid);
+        if (n == 0) break;
+        {
+          TableGuard g(*this, tid);
+          for (std::size_t i = 0; i < n && more; ++i) {
+            const K k = static_cast<K>(chunk[i].first);
+            // Each key restarts from the guarded table: forwarding is
+            // per-key (wait_forward only waits on THAT key's bucket), so
+            // a table reached by forwarding key A may not hold an
+            // un-migrated key B yet.
+            const std::optional<V> v = lookup(g.table, k, tid);
+            if (v.has_value()) {
+              ++visited;
+              more = fn(k, *v);
+            }
           }
         }
+        if (chunk[n - 1].first >= end || n < kScanBatch) break;
+        cursor = chunk[n - 1].first + 1;
+        // Liveness beat between chunks: restarts the watchdog's stall
+        // clock so a legitimately wide scan is not reported as a hang.
+        obs::beat();
       }
-      if (chunk[n - 1].first >= end || n < kScanBatch) break;
-      cursor = chunk[n - 1].first + 1;
-      // Liveness beat between chunks: restarts the watchdog's stall
-      // clock so a legitimately wide scan is not reported as a hang.
-      obs::beat();
-    }
-    counters_.inc(kScanOps, tid);
-    counters_.inc(kScanKeys, tid, visited);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kScan, metrics_->op_scan, mt0, tid, lo);
-    return visited;
+      counters_.inc(kScanOps, tid);
+      counters_.inc(kScanKeys, tid, visited);
+      return visited;
+    });
   }
 
   std::size_t shard_index_in(const Table& t, const K& key) const noexcept {
@@ -1339,6 +1267,21 @@ class KvStore {
 
   ShardT& shard_in(Table& t, const K& key) noexcept {
     return *t.shards[shard_index_in(t, key)];
+  }
+
+  /// The per-key forwarding helper: runs `attempt` (one shard try_* op)
+  /// on the key's shard, and while it reports a frozen bucket, helps or
+  /// waits out that bucket's migration and retries one table further.
+  template <class Attempt>
+  void on_key(Table* t, const K& key, unsigned tid, Attempt&& attempt) {
+    while (!attempt(shard_in(*t, key))) t = wait_forward(*t, key, tid);
+  }
+
+  /// Primary point lookup under the caller's table guard (get, scan).
+  std::optional<V> lookup(Table* t, const K& key, unsigned tid) {
+    std::optional<V> out;
+    on_key(t, key, tid, [&](ShardT& s) { return s.try_get(key, tid, out); });
+    return out;
   }
 
   /// The op observed a frozen bucket: help migrate it (outside any
@@ -1353,26 +1296,37 @@ class KvStore {
     return t.next.load(std::memory_order_acquire);
   }
 
-  /// Multi-op flavor: wait for (or help) EVERY deferred key's bucket,
-  /// then step the whole remainder one table forward.  `key_of` maps a
-  /// batch index to its key (identity-array and op-pair callers).
-  template <class KeyOf>
-  Table* wait_forward_all(Table& t, KeyOf&& key_of,
-                          const std::vector<std::uint32_t>& deferred,
-                          unsigned tid) {
-    counters_.inc(kForwarded, tid, deferred.size());
-    for (const std::uint32_t i : deferred) {
-      const K& key = key_of(i);
-      const std::size_t s = shard_index_in(t, key);
-      wait_bucket(t, s, t.shards[s]->bucket_index(key), tid);
+  /// Grouped dispatch for the multi-ops and txn_commit: counting-sorts
+  /// batch positions [0, n) by shard (key_of maps a position to its
+  /// key), runs `group(shard, idx, count, deferred)` once per non-empty
+  /// shard group, then waits for (or helps) every deferred key's bucket
+  /// and regroups the remainder against the next table.  Returns the
+  /// table the last groups ran on.
+  template <class KeyOf, class Group>
+  Table* dispatch_grouped(Table* t, std::size_t n, unsigned tid,
+                          KeyOf&& key_of, Group&& group) {
+    static thread_local ShardPlan plan;  // scratch: reused across calls
+    static thread_local std::vector<std::uint32_t> pend, defer;
+    pend.resize(n);
+    for (std::size_t i = 0; i < n; ++i) pend[i] = static_cast<std::uint32_t>(i);
+    for (;;) {
+      group_subset(plan, *t, pend, [&](std::uint32_t i) {
+        return shard_index_in(*t, key_of(i));
+      });
+      defer.clear();
+      for (std::size_t s = 0; s <= t->mask; ++s) {
+        const std::size_t b = s == 0 ? 0 : plan.start[s - 1], e = plan.start[s];
+        if (b != e) group(*t->shards[s], plan.order.data() + b, e - b, defer);
+      }
+      if (defer.empty()) return t;
+      // Every deferred key waits on its own bucket; all of them then
+      // step one table forward together.
+      Table* next = nullptr;
+      for (const std::uint32_t i : defer)
+        next = wait_forward(*t, key_of(i), tid);
+      t = next;
+      pend.swap(defer);
     }
-    return t.next.load(std::memory_order_acquire);
-  }
-  Table* wait_forward_all(Table& t, const K* keys,
-                          const std::vector<std::uint32_t>& deferred,
-                          unsigned tid) {
-    return wait_forward_all(
-        t, [&](std::uint32_t i) -> const K& { return keys[i]; }, deferred, tid);
   }
 
   /// Help-or-backoff wait on one bucket's migration: claim it and do
@@ -1527,10 +1481,10 @@ class KvStore {
     // Freeze ahead of the migrate cursor: a frozen-but-unclaimed bucket
     // is claimable by any op that hits it, so the window is the
     // migration's parallelism (helpers copy distinct buckets while this
-    // thread copies another).  Forced-help mode (WFE_TEST_HELP /
-    // resize_force_help) freezes everything up front, and the park hook
-    // — test-only — then stalls this thread with NO claim held, so
-    // every bucket traffic touches must complete via helping.
+    // thread copies another).  Forced-help mode (resize_force_help)
+    // freezes everything up front, and the park hook — test-only —
+    // then stalls this thread with NO claim held, so every bucket
+    // traffic touches must complete via helping.
     const std::size_t total = (src->mask + 1) * src->buckets;
     const bool freeze_all =
         cfg_.resize_force_help || static_cast<bool>(resize_park_hook_);
@@ -1610,17 +1564,15 @@ class KvStore {
     });
   }
 
-  /// Load-factor check on the write path: every
-  /// auto_grow_check_interval-th write per thread compares approx_size()
-  /// with the current table's capacity and doubles the shard count when
-  /// it overflows.  The whole check runs under resize_mu_ (try_lock: a
-  /// resize already in flight makes this write's check moot) — the
-  /// caller's TableGuard is gone by now, and only the mutex keeps the
-  /// table scan from freeing the table this dereferences.
-  void maybe_auto_grow(unsigned tid) {
-    if (replaying_ || cfg_.auto_grow_load_factor <= 0.0) return;
-    unsigned& ticks = grow_ticks_[tid];  // per-instance, owner-thread-only
-    if ((++ticks & (cfg_.auto_grow_check_interval - 1)) != 0) return;
+  /// Load-factor check (after_write, every auto_grow_check_interval-th
+  /// write per thread): compares approx_size() with the current table's
+  /// capacity and doubles the shard count when it overflows.  The whole
+  /// check runs under resize_mu_ (try_lock: a resize already in flight
+  /// makes this write's check moot) — the caller's TableGuard is gone
+  /// by now, and only the mutex keeps the table scan from freeing the
+  /// table this dereferences.  Out of line, like auto_snapshot, so that
+  /// after_write stays small enough to inline into every write.
+  [[gnu::noinline]] void auto_grow(unsigned tid) {
     if (!resize_mu_.try_lock()) return;
     std::lock_guard<std::mutex> lk(resize_mu_, std::adopt_lock);
     const Table* t = table_.load(std::memory_order_acquire);
@@ -1726,23 +1678,19 @@ class KvStore {
     return true;
   }
 
-  /// Auto-compaction on the write path, mirroring maybe_auto_grow's
-  /// cadence-then-try_lock shape: every snapshot_check_interval-th
-  /// write per thread compares the WAL bytes appended since the last
-  /// snapshot with snapshot_every_bytes and compacts inline.
-  void maybe_auto_snapshot(unsigned tid) {
+  /// Auto-compaction (after_write, every snapshot_check_interval-th
+  /// write per thread), auto_grow's try_lock shape: compares the WAL
+  /// bytes appended since the last snapshot with snapshot_every_bytes
+  /// and compacts inline.
+  [[gnu::noinline]] void auto_snapshot(unsigned tid) {
     if constexpr (kPersistable) {
-      const persist::Options& po = cfg_.persistence;
-      if (!po.enabled || po.snapshot_every_bytes == 0 || replaying_) return;
-      unsigned& ticks = snap_ticks_[tid];  // per-instance, owner-thread-only
-      if ((++ticks & (po.snapshot_check_interval - 1)) != 0) return;
       if (!resize_mu_.try_lock()) return;
       std::lock_guard<std::mutex> lk(resize_mu_, std::adopt_lock);
       const Table* t = table_.load(std::memory_order_acquire);
       std::uint64_t bytes = 0;
       for (const auto& w : t->wals) bytes += w->bytes_appended();
       if (bytes < snap_bytes_floor_.load(std::memory_order_relaxed) +
-                      po.snapshot_every_bytes)
+                      cfg_.persistence.snapshot_every_bytes)
         return;
       snapshot_locked(tid);
     } else {
@@ -1783,14 +1731,12 @@ class KvStore {
     kLanes
   };
   util::PerThreadCounters<kLanes> counters_;
-  /// Per-thread write ticks for the auto-grow cadence (owner-written).
-  reclaim::detail::PerThread<unsigned> grow_ticks_;
+  /// Per-thread write ticks for the after-write cadence (owner-written).
+  reclaim::detail::PerThread<unsigned> write_ticks_;
   std::atomic<std::uint64_t> migrated_keys_{0};
   std::atomic<std::uint64_t> resize_epochs_{0};
 
   // ---- durability state (inert when persistence is off) ----
-  /// Per-thread write ticks for the auto-snapshot cadence.
-  reclaim::detail::PerThread<unsigned> snap_ticks_;
   std::atomic<std::uint64_t> snapshots_written_{0};
   std::uint64_t snap_seq_ = 0;  ///< last snapshot id (resize_mu_ / ctor)
   std::atomic<std::uint64_t> snap_bytes_floor_{0};

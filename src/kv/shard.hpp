@@ -23,10 +23,9 @@
 // memory effect — apply-then-append is what makes the fuzzy snapshot
 // consistent (persist/snapshot.hpp) — and the BatchedTracker facade
 // gates frees on the stream's durable-LSN watermark.  The net record
-// set is minimal: put/insert/update/put_copy log one PUT (put_copy's
-// transient remove+insert is one logical upsert), a successful remove
-// logs one REMOVE, failed ops and migrate_in log nothing (migrated
-// pairs are reconstructed from their source epoch's records).
+// set is minimal: put/insert/update/cas log one PUT, a successful
+// remove logs one REMOVE, failed ops and migrate_in log nothing
+// (migrated pairs are reconstructed from their source epoch's records).
 
 #include <cstddef>
 #include <cstdint>
@@ -65,53 +64,24 @@ class Shard {
   }
   persist::ShardWal* wal() const noexcept { return wal_; }
 
+  // ---- plain ops for a standalone shard (one that never freezes):
+  // each wraps its try_* twin, so op counting and WAL logging live in
+  // one place. ----
+
   std::optional<V> get(const K& key, unsigned tid) {
-    ops_.inc(kGet, tid);
-    return map_.get(key, tid);
+    std::optional<V> out;
+    while (!try_get(key, tid, out)) {}
+    return out;
   }
-  bool contains(const K& key, unsigned tid) {
-    ops_.inc(kGet, tid);
-    return map_.contains(key, tid);
-  }
-  /// Insert-or-replace, in place; true when the key was absent.  A
-  /// replace is exactly one successful cell swap, so it counts one
-  /// value-cell retire.
+  /// Insert-or-replace, in place; true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
-    ops_.inc(kPut, tid);
-    const bool was_absent = map_.put(key, value, tid);
-    if (!was_absent) ops_.inc(kCellRetire, tid);
-    log_put(key, value);
+    bool was_absent = false;
+    while (!try_put(key, value, tid, was_absent)) {}
     return was_absent;
-  }
-  /// Remove+re-insert upsert (the pre-value-cell baseline; kept for the
-  /// bench comparison and as a node-churn stressor).
-  bool put_copy(const K& key, const V& value, unsigned tid) {
-    ops_.inc(kPut, tid);
-    const bool was_absent = map_.put_copy(key, value, tid);
-    log_put(key, value);
-    return was_absent;
-  }
-  /// Insert-if-absent; false (no write) when present.
-  bool insert(const K& key, const V& value, unsigned tid) {
-    ops_.inc(kPut, tid);
-    const bool inserted = map_.insert(key, value, tid);
-    if (inserted) log_put(key, value);
-    return inserted;
-  }
-  /// Replace-if-present, in place; false (no write) when absent.
-  bool update(const K& key, const V& value, unsigned tid) {
-    ops_.inc(kUpdate, tid);
-    const bool updated = map_.update(key, value, tid);
-    if (updated) {
-      ops_.inc(kCellRetire, tid);
-      log_put(key, value);
-    }
-    return updated;
   }
   std::optional<V> remove(const K& key, unsigned tid) {
-    ops_.inc(kRemove, tid);
-    std::optional<V> out = map_.remove(key, tid);
-    if (out.has_value()) log_remove(key);
+    std::optional<V> out;
+    while (!try_remove(key, tid, out)) {}
     return out;
   }
 
@@ -126,43 +96,20 @@ class Shard {
     ops_.inc(kGet, tid);
     return true;
   }
-  bool try_contains(const K& key, unsigned tid, bool& present) {
-    std::optional<V> out;
-    if (!try_get(key, tid, out)) return false;
-    present = out.has_value();
-    return true;
-  }
   bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
     if (!map_.try_insert(key, value, tid, inserted)) return false;
     ops_.inc(kPut, tid);
     if (inserted) log_put(key, value);
     return true;
   }
+  /// A replace is exactly one successful cell swap, so it counts one
+  /// value-cell retire.
   bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
     if (!map_.try_put(key, value, tid, was_absent)) return false;
     ops_.inc(kPut, tid);
     if (!was_absent) ops_.inc(kCellRetire, tid);
     log_put(key, value);
     return true;
-  }
-  /// Remove+re-insert upsert half.  `saw_present` accumulates across
-  /// forwards: the store's overall "was absent" answer must remember a
-  /// presence observed in THIS table even when the re-insert is forced
-  /// over to the destination by a freeze.
-  bool try_put_copy(const K& key, const V& value, unsigned tid,
-                    bool& saw_present) {
-    for (;;) {
-      bool inserted = false;
-      if (!map_.try_insert(key, value, tid, inserted)) return false;
-      if (inserted) {
-        ops_.inc(kPut, tid);
-        log_put(key, value);  // one net PUT for the whole logical upsert
-        return true;
-      }
-      saw_present = true;
-      std::optional<V> dropped;
-      if (!map_.try_remove(key, tid, dropped)) return false;
-    }
   }
   bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
     if (!map_.try_update(key, value, tid, updated)) return false;

@@ -99,8 +99,8 @@ class KvMetrics {
   }
 
   /// Call at the start of an instrumented op.  Returns the tick
-  /// timestamp record_op() closes against, or 0 when this op is not
-  /// sampled (record_op then does nothing; the unsampled path is one
+  /// timestamp the store's record_op closes against, or 0 when this op
+  /// is not sampled (nothing is recorded then; the unsampled path is one
   /// thread-local increment and a predictable branch).  A raw TSC read
   /// of 0 cannot occur after boot, so 0 is safe as the skip sentinel.
   std::uint64_t op_begin() noexcept {
@@ -113,19 +113,6 @@ class KvMetrics {
   [[gnu::noinline]] std::uint64_t op_begin_sampled() noexcept {
     tls_cause = TraceCause::kNone;
     return now_ticks();
-  }
-
-  /// Histogram record + slow-op trace.  `lane` must be owned by the
-  /// calling thread (it is its thread slot in practice); `shard` is only
-  /// consulted on the slow branch, so callers may pass a lazily computed
-  /// value there.
-  [[gnu::noinline]] void record_op(OpKind kind, LatencyHistogram& h,
-                                   std::uint64_t t0_ticks, unsigned lane,
-                                   std::uint32_t shard) noexcept {
-    if (t0_ticks == 0) return;  // op_begin() skipped this op (sampling)
-    const std::uint64_t ns = ticks_to_ns(now_ticks() - t0_ticks);
-    h.record_owned(ns, lane);
-    if (ns >= opt.slow_op_ns) trace.push(kind, shard, ns, tls_cause);
   }
 
   void start_sampler() {

@@ -16,9 +16,9 @@
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free for quiescent teardown paths
 //
-// Thread identity is an explicit slot id in [0, max_threads); the harness
-// and examples hand out slots via ThreadSlot (util/thread_registry-like
-// semantics kept local to each use site).
+// Thread identity is an explicit slot id in [0, max_threads), chosen by
+// the caller: the harness, benches and examples pass each worker's
+// index, and no two concurrent threads may share a slot.
 
 #include <atomic>
 #include <cstdint>

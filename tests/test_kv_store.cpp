@@ -1,18 +1,23 @@
 // Sharded kv store: contract, shard routing/distribution, stats
-// accounting, batched retirement, and the concurrent sweep across every
-// reclamation scheme at 8 threads (acceptance gate for the kv engine).
+// accounting, batched retirement, the concurrent sweep across every
+// reclamation scheme at 8 threads (acceptance gate for the kv engine),
+// and the auto-snapshot cadence of every write entry point.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kv/kv_store.hpp"
 #include "kv_balance.hpp"
+#include "scratch_dir.hpp"
 #include "tracker_types.hpp"
+#include "txn/txn.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -229,5 +234,57 @@ TEST(KvStoreWfe, SlowPathEntriesSurfaceInStats) {
   for (std::uint64_t k = 1; k <= 200; ++k) store.get(k, 1);
   EXPECT_GT(store.stats().total().slow_path_entries, 0u);
 }
+
+// Auto-compaction must follow WAL growth whichever write entry point
+// appends the bytes, or traffic made of one op kind (say, only
+// updates) grows the WAL without bound.  Each instance prefills with
+// put(), then drives ONE write op alone past several
+// snapshot_every_bytes worths of records and demands a snapshot.
+class AutoSnapshotPerWriteOp : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(AutoSnapshotPerWriteOp, WalGrowthTriggersSnapshot) {
+  using TR = core::WfeTracker;
+  test::ScratchDir dir("kv_autosnap");
+  auto cfg = small_cfg<TR>(1, 2);
+  cfg.persistence.enabled = true;
+  cfg.persistence.dir = dir.path();
+  cfg.persistence.sync = persist::SyncMode::kNone;
+  cfg.persistence.snapshot_every_bytes = 4096;  // 128 records
+  cfg.persistence.snapshot_check_interval = 1;
+  Store<TR> store(cfg);
+  constexpr std::uint64_t kKeys = 512;  // 4 snapshot intervals of records
+  for (std::uint64_t k = 1; k <= kKeys; ++k) store.put(k, k, 0);
+  const std::uint64_t before = store.stats().snapshots_written;
+
+  // Runs the op under test once on key k; true when it wrote.
+  const std::string op = GetParam();
+  const auto write_once = [&](std::uint64_t k) {
+    std::pair<std::uint64_t, std::uint64_t> kv{k, k + 1};
+    std::optional<std::uint64_t> removed;
+    txn::Txn<std::uint64_t, std::uint64_t> t;
+    t.put(k, k + 1);
+    if (op == "put") return !store.put(k, k + 1, 0);
+    if (op == "insert") return store.insert(kKeys + k, k, 0);
+    if (op == "update") return store.update(k, k + 1, 0);
+    if (op == "remove") return store.remove(k, 0).has_value();
+    if (op == "cas") return store.cas(k, k, k + 1, 0);
+    if (op == "multi_put") return store.multi_put(&kv, 1, 0) == 0;
+    if (op == "multi_remove")
+      return store.multi_remove(&k, 1, &removed, 0) == 1;
+    return op == "txn_commit" && store.txn_commit(t, 0) != 0;
+  };
+  for (std::uint64_t k = 1; k <= kKeys; ++k)
+    ASSERT_TRUE(write_once(k)) << op << " on key " << k;
+  EXPECT_GT(store.stats().snapshots_written, before)
+      << op << " appended " << kKeys << " WAL records without a snapshot";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KvStore, AutoSnapshotPerWriteOp,
+    ::testing::Values("put", "insert", "update", "remove", "cas", "multi_put",
+                      "multi_remove", "txn_commit"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace

@@ -182,12 +182,8 @@ void run_kill_point(unsigned kill, const std::string& dir) {
       const std::uint64_t k = rng.next_bounded(kKeyRange) + 1;
       const std::uint64_t v = rng.next();
       switch (rng.next_bounded(12)) {
-        case 0: case 1: case 2: case 3:
+        case 0: case 1: case 2: case 3: case 4:
           store.put(k, v, 0);
-          note(k, v, false);
-          break;
-        case 4:
-          store.put_copy(k, v, 0);
           note(k, v, false);
           break;
         case 5:

@@ -18,12 +18,15 @@
 //
 // Iteration counts scale down via WFE_TEST_OPS / WFE_TEST_RESIZES so
 // the TSan/ASan CI jobs stay inside their wall-clock budget.
+// WFE_TEST_HELP=1 sets KvConfig::resize_force_help: every resize then
+// freezes all buckets up front, so all traffic takes the helping path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <thread>
@@ -70,11 +73,14 @@ kv::KvConfig stress_cfg() {
   c.tracker.era_freq = 8;
   c.tracker.cleanup_freq = 4;
   c.tracker.retire_batch = 4;
+  if (const char* e = std::getenv("WFE_TEST_HELP");
+      e != nullptr && *e != '\0' && *e != '0')
+    c.resize_force_help = true;
   return c;
 }
 
-/// One writer's deterministic slice workload: random put / put_copy /
-/// insert / remove / multi_put / multi_get against keys
+/// One writer's deterministic slice workload: random put / insert /
+/// remove / multi_put / multi_get against keys
 /// [1 + tid*kSlice, 1 + (tid+1)*kSlice), with every result asserted
 /// against a sequential expected-map (slice-disjointness makes each
 /// result deterministic no matter how the other threads interleave).
@@ -95,14 +101,8 @@ void writer_loop(Store<TR>& store, unsigned tid, unsigned ops,
     const std::uint64_t k = base + rng.next_bounded(kSlice - kMultiBatch);
     const std::uint64_t v = rng.next() | 1;
     switch (rng.next_bounded(8)) {
-      case 0: case 1: {
+      case 0: case 1: case 2: {
         const bool was_absent = store.put(k, v, tid);
-        ASSERT_EQ(was_absent, expected.find(k) == expected.end());
-        expected[k] = v;
-        break;
-      }
-      case 2: {
-        const bool was_absent = store.put_copy(k, v, tid);
         ASSERT_EQ(was_absent, expected.find(k) == expected.end());
         expected[k] = v;
         break;

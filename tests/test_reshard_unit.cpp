@@ -223,8 +223,6 @@ TYPED_TEST(ReshardUnitTest, AllOpClassesAfterResizeMatchReference) {
   ref[50] = 500;
   EXPECT_EQ(s.put(1000, 1, kTid), true);
   ref[1000] = 1;
-  EXPECT_EQ(s.put_copy(60, 600, kTid), false);
-  ref[60] = 600;
   EXPECT_TRUE(s.update(70, 700, kTid));
   ref[70] = 700;
   EXPECT_FALSE(s.update(2000, 1, kTid));
@@ -264,7 +262,7 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   using ShardT = typename Store<TypeParam>::ShardT;
   kv::KvConfig c = unit_cfg<TypeParam>();
   ShardT shard(c.tracker, /*buckets=*/16);
-  for (std::uint64_t k = 1; k <= 200; ++k) shard.insert(k, k * 10, kTid);
+  for (std::uint64_t k = 1; k <= 200; ++k) shard.put(k, k * 10, kTid);
   const std::uint64_t key = 7;
   const std::size_t b = shard.bucket_index(key);
 
@@ -285,8 +283,6 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   EXPECT_FALSE(shard.try_insert(absent, 1, kTid, flag));
   EXPECT_FALSE(shard.try_update(key, 1, kTid, flag));
   EXPECT_FALSE(shard.try_remove(key, kTid, out));
-  bool saw_present = false;
-  EXPECT_FALSE(shard.try_put_copy(key, 1, kTid, saw_present));
   std::vector<std::uint32_t> deferred;
   const std::uint32_t idx0 = 0;
   EXPECT_EQ(shard.multi_put(
