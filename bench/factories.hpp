@@ -9,6 +9,7 @@
 #include "ds/hm_list.hpp"
 #include "ds/kp_queue.hpp"
 #include "ds/natarajan_bst.hpp"
+#include "reclaim/leak.hpp"
 
 namespace wfe::bench {
 
@@ -36,8 +37,10 @@ struct HashMapFactory {
 
 struct BstFactory {
   static constexpr bool kIsQueue = false;
-  // NatarajanBst::kSlotsNeeded: seek record + value cell.
-  static constexpr unsigned kSlots = 6;
+  // Seek record + current node + value cell; the count does not depend
+  // on the tracker.
+  static constexpr unsigned kSlots =
+      ds::NatarajanBst<Val, reclaim::LeakTracker>::kSlotsNeeded;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::NatarajanBst<Val, TR>>(trk);

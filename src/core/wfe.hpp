@@ -81,10 +81,13 @@ class WfeTracker : public reclaim::TrackerBase {
 
   /// Slot `to` takes over protecting the era slot `from` holds.  Only the
   /// era half is copied — the tag half numbers `to`'s own slow-path
-  /// cycles and must not be disturbed.
+  /// cycles and must not be disturbed.  An era `to` already holds is not
+  /// stored again: the skip protect() makes when the era is unchanged
+  /// (lines 16-24), since scanners already see it.
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    slots_[tid].resv[to].store_a(slots_[tid].resv[from].load_a(std::memory_order_relaxed),
-                                 std::memory_order_seq_cst);
+    const std::uint64_t era = slots_[tid].resv[from].load_a(std::memory_order_relaxed);
+    if (slots_[tid].resv[to].load_a(std::memory_order_relaxed) != era)
+      slots_[tid].resv[to].store_a(era, std::memory_order_seq_cst);
   }
 
   /// get_protected() — Fig. 4 lines 12-54.  `parent` is the block that

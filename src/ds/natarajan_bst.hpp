@@ -55,47 +55,65 @@
 // Protection: six reservation slots — the seek record (ancestor,
 // successor, parent, leaf) plus the node being read, plus the value
 // cell (for WFE the leaf is the cell read's parent block, paper §3.4).
+// Scans use the same six, the seek record's first three holding their
+// retained left turns (below).
 // For era-family trackers (HE, WFE, 2GEIBR, EBR) this is the discipline
 // the reference IBR benchmark uses; HP inherits the same link-stability
 // validation as that benchmark.
 //
 // ## Ordered scans
 //
-// scan(lo, hi, fn) iterates the range in ascending key order with a
-// KEY-valued cursor and repeated root-to-leaf descents (seek_ceil):
-// each descent lands on the least leaf with key >= cursor, the visitor
-// runs on unmarked cells only, and the cursor advances to key+1.  The
-// walk is protection-disciplined — hand-over-hand protect_word with the
-// same slot budget as seek — but carries NO pointer state across
-// descents, so the tracker session can be fenced (end_op/begin_op)
-// every kScanChunk visited leaves without invalidating anything: after
-// a fence the next descent simply restarts from the cursor key.  That
+// scan(lo, hi, fn) iterates the range in ascending key order by walking
+// the leaves in order.  The walk keeps a KEY-valued cursor (one past the
+// last leaf it passed) and, pinned in the three seek-record slots a scan
+// leaves idle (ancestor, successor, parent), the deepest left-turn
+// ancestors of the current leaf: a bounded TurnStack that drops its
+// shallowest entry when full.  The next leaf is the leftmost leaf of the
+// deepest retained turn's right subtree, so a step costs a pop and a
+// short leftward descent (about two edges per leaf, amortized) instead
+// of a ~20-level root descent.  A root descent (seek_ceil: the search
+// path of the cursor, then the same leftmost step from the deepest
+// left turn on it) happens only when the stack is empty, after a
+// session fence, or on a restart.  The visitor runs on unmarked cells
+// only.
+//
+// Every kScanChunk visited leaves the tracker session is fenced
+// (end_op/begin_op) and the stack dropped: the cursor is a key, so the
+// next root descent resumes from it and nothing is invalidated.  That
 // bounds how long any scheme's reservations pin garbage (for EBR/QSBR
 // the fence is what lets reclamation advance at all during a wide
-// scan).  A descent that a concurrent splice led astray (terminal key
-// below the cursor) is restarted and counted in scan_restarts().
+// scan).  A step that lands below the cursor (a concurrent splice led
+// it astray) is restarted from the cursor and counted in
+// scan_restarts().
 //
-// Why a descent's answer can be trusted — the CLEAN-EDGE discipline:
-// unlike seek() (whose callers re-validate with CAS), a scan descent
-// refuses to walk through a dirty edge.  Every child edge of a node is
-// dirtied BEFORE the splice that unlinks it — leaf edges are FLAGged by
+// Why a walk's answer can be trusted — the CLEAN-EDGE discipline:
+// unlike seek() (whose callers re-validate with CAS), a scan refuses to
+// walk through a dirty edge.  Every child edge of a node is dirtied
+// BEFORE the splice that unlinks it — leaf edges are FLAGged by
 // injection, kept edges are TAGged by cleanup, and chain interiors were
 // dirtied by the stalled deletions that formed the chain — and both
 // bits are sticky.  So when protect_word's validating re-read returns a
 // CLEAN word, the parent was not yet spliced out (hence reachable) at
 // that instant, which makes the published reservation on the child
 // sound even for pointer-validating schemes (HP): the child cannot have
-// been retired before the reservation existed.  It also keeps the
-// routing LIVE: every node on the walk was reachable when stepped
-// through, node keys are immutable, and a live node's covered key-range
-// only widens (splices promote the sibling over the parent's range), so
-// the leaf a clean walk lands on is the one live leaf covering the
-// cursor — no key present throughout the scan can sit below it
-// unvisited, and breaking/advancing past its key is authoritative
+// been retired before the reservation existed.  A retained turn is no
+// exception: it stayed pinned since its own edge validated, and the
+// first edge out of it (its right edge, read when it is popped) is
+// validated like any other, so a turn spliced out meanwhile shows a
+// dirty edge and is never walked through.  It also keeps the routing
+// LIVE: every node on the walk was reachable when stepped through, node
+// keys are immutable, and a live internal node's covered key-range only
+// widens (splices promote the sibling over the parent's range).  So
+// when a clean edge leads to a leaf, that leaf was the one live leaf in
+// a range reaching from its key up to its deepest left-turn ancestor's
+// key — no key present throughout the scan can lie between them — and
+// the leftmost leaf of that turn's right subtree is the next one.
+// Breaking/advancing past a leaf's key is therefore authoritative
 // whether its cell is marked or not.  A DIRTY edge means some
-// deletion's physical phase is in flight right there: the scan helps it
-// to completion (physical_remove on the flagged leaf's key) and
-// restarts the descent — counted in scan_restarts().
+// deletion's physical phase is in flight right there: the scan helps
+// it (help_scan_edge: one flag + cleanup round through a fresh seek)
+// and restarts from the cursor with a root descent — counted in
+// scan_restarts().
 
 #include <atomic>
 #include <cassert>
@@ -263,9 +281,11 @@ class NatarajanBst {
   static constexpr unsigned kSlotLeaf = 3;
   static constexpr unsigned kSlotCurrent = 4;
   static constexpr unsigned kSlotCell = 5;
-  /// seek_ceil never forms an ancestor/successor pair; its deepest
-  /// left-turn anchor reuses the successor slot.
-  static constexpr unsigned kSlotTurn = kSlotSuccessor;
+  /// Scans never form a seek record: slots 0..2 (ancestor, successor,
+  /// parent) pin a scan's retained left turns instead (TurnStack).
+  static constexpr unsigned kTurnSlots = 3;
+  static_assert(kSlotAncestor == 0 && kSlotSuccessor == 1 && kSlotParent == 2,
+                "TurnStack maps its ring positions to slots 0..2");
 
   struct ValueCell : reclaim::Block {
     explicit ValueCell(const V& v) : value(v) {}
@@ -297,6 +317,36 @@ class NatarajanBst {
   };
 
   enum class Upsert { kInsert, kPut, kUpdate };
+
+  /// A scan's deepest left-turn ancestors of its current leaf, deepest on
+  /// top, as a ring over kTurnSlots reservation slots: ring position p
+  /// is pinned in slot p.  A push onto a full ring evicts the shallowest
+  /// turn and reuses its slot.  A popped turn stays pinned only until
+  /// the next push reuses its slot.
+  struct TurnStack {
+    Node* turn[kTurnSlots] = {};
+    unsigned base = 0;  ///< ring position of the shallowest turn
+    unsigned size = 0;
+
+    bool empty() const noexcept { return size == 0; }
+    void clear() noexcept { size = 0; }
+
+    /// `node`, protected in kSlotLeaf, becomes the deepest turn.
+    void push(Node* node, Tracker& tracker, unsigned tid) noexcept {
+      const unsigned pos = (base + size) % kTurnSlots;  // full: the shallowest's
+      if (size == kTurnSlots)
+        base = (base + 1) % kTurnSlots;
+      else
+        ++size;
+      turn[pos] = node;
+      tracker.copy_slot(kSlotLeaf, pos, tid);
+    }
+
+    Node* pop() noexcept {
+      assert(size != 0);
+      return turn[(base + --size) % kTurnSlots];
+    }
+  };
 
   /// Child link of `node` on the search path of `key`.
   static std::atomic<std::uintptr_t>* child_link(Node* node, K key) noexcept {
@@ -629,9 +679,10 @@ class NatarajanBst {
     tracker_.retire(parent, tid);
   }
 
-  /// The scan descent stepped onto a FLAGged or TAGged edge: a
-  /// deletion's physical phase is in flight (or stalled) right on the
-  /// cursor's routing path.  Crossing it would be unsound — a
+  /// The scan walk stepped onto a FLAGged or TAGged edge: a deletion's
+  /// physical phase is in flight (or stalled) right on k's routing path
+  /// (k is the cursor, or the key of the turn being stepped from).
+  /// Crossing it would be unsound — a
   /// spliced-out node's edges are frozen dirty forever, so the walk
   /// could ride into memory whose reservation was published after the
   /// retire (the HP use-after-free class) — and so would reading the
@@ -643,7 +694,8 @@ class NatarajanBst {
   /// path.  A marked terminal gets the full flag+cleanup help; an
   /// unmarked one still runs cleanup, which completes any tagged splice
   /// pinned at sr.parent (its phantom guard makes the clean case a
-  /// no-op).  Always returns nullptr: the caller restarts the descent.
+  /// no-op).  Always returns nullptr: the caller restarts from the
+  /// cursor with a root descent (seek() here reused the turn slots).
   Node* help_scan_edge(K k, unsigned tid) {
     SeekRecord sr;
     seek(k, sr, tid);
@@ -656,32 +708,30 @@ class NatarajanBst {
     return nullptr;
   }
 
-  /// One root-to-leaf descent landing on the least leaf with key >= k
-  /// (a sentinel when no real key qualifies), protected in kSlotLeaf.
-  /// Phase 1 is the ordinary search descent, remembering the deepest
-  /// node whose path edge turned LEFT (k < node->key) in kSlotTurn; if
-  /// the terminal leaf's key is below k, the ceiling is the leftmost
-  /// leaf of that node's right subtree (no key can live in [k,
-  /// turn->key) on the other side — the routing argument in the header
-  /// of scan_impl), which phase 2 descends.
+  /// Root descent for a scan: the least leaf with key >= k (a sentinel
+  /// when no real key qualifies), protected in kSlotLeaf, filling the
+  /// empty `turns`.  It walks k's search path, pushing every internal node
+  /// where the path turns LEFT (k < node->key); if the terminal leaf's
+  /// key is below k, the ceiling is next_leaf's step from the deepest of
+  /// those turns (no key can live in [k, turn->key) on the other side —
+  /// the routing argument in the header).  s_ is always such a turn, so
+  /// at least one is retained for that step.
   ///
   /// Unlike seek(), the walk enforces the CLEAN-EDGE discipline (header
   /// doc): a FLAGged/TAGged edge is never crossed — the deletion parked
   /// there is helped and nullptr returned so the caller restarts from
   /// the same cursor.  Every node stepped through was therefore
-  /// reachable when its edge validated, which is what makes both
-  /// phases' routing arguments and the reclamation reservations sound.
-  Node* seek_ceil(K k, unsigned tid) {
-    Node* turn = nullptr;
-    tracker_.clear_slot(kSlotTurn, tid);
-    tracker_.clear_slot(kSlotLeaf, tid);
+  /// reachable when its edge validated, which is what makes the routing
+  /// argument and the reclamation reservations sound.
+  Node* seek_ceil(K k, TurnStack& turns, unsigned tid) {
+    assert(turns.empty());
     // k <= kMaxKey < kInf2, so the walk always left-turns at r_ (a
-    // permanent sentinel: readable without a reservation; its edges are
-    // never dirtied because sentinels are never deleted).
+    // permanent sentinel: readable without a reservation, and never
+    // worth retaining, since s_ below it is always a deeper left turn;
+    // its edges are never dirtied because sentinels are never deleted).
     Node* node = r_;
     std::uintptr_t next_w = tracker_.protect_word(r_->left, kSlotCurrent, tid, r_);
     Node* next = util::unpack_ptr<Node>(next_w);
-    turn = r_;
     while (next != nullptr) {
       if (util::bits_of(next_w) != 0) return help_scan_edge(k, tid);
       node = next;
@@ -690,30 +740,38 @@ class NatarajanBst {
       next_w = tracker_.protect_word(left ? node->left : node->right,
                                      kSlotCurrent, tid, node);
       next = util::unpack_ptr<Node>(next_w);
-      // Only internal nodes anchor phase 2 (a leaf's null edge ends the
-      // walk without becoming the turn).
-      if (left && next != nullptr) {
-        turn = node;
-        tracker_.copy_slot(kSlotLeaf, kSlotTurn, tid);
-      }
+      // Only internal nodes are turns (a leaf's null edge ends the walk).
+      if (left && next != nullptr) turns.push(node, tracker_, tid);
     }
     if (node->key >= k) return node;
-    // Phase 2: leftmost leaf of turn->right (turn is pinned in kSlotTurn
-    // and was reachable when recorded; if it has since been spliced, its
-    // right edge is dirty and the first step below restarts the walk).
-    // A dirty edge here is helped via turn->key, not k: the leftmost
-    // path of turn->right IS turn->key's routing path (equal keys route
-    // right at turn, then strictly left below), so a fresh seek reaches
-    // the parked deletion.
-    next_w = tracker_.protect_word(turn->right, kSlotCurrent, tid, turn);
-    next = util::unpack_ptr<Node>(next_w);
-    if (util::bits_of(next_w) != 0) return help_scan_edge(turn->key, tid);
+    return next_leaf(k, turns, tid);
+  }
+
+  /// The in-order step: the leftmost leaf of the deepest retained turn's
+  /// right subtree, protected in kSlotLeaf, pushing every internal node
+  /// of that leftward path.  nullptr when a dirty edge was helped or the
+  /// leaf lies below the cursor `k`; the caller then restarts from k.
+  /// The turn was reachable when crossed and is still pinned; if it has
+  /// since been spliced, its right edge is dirty and the first step
+  /// below refuses it.  A dirty edge here is helped via turn->key, not
+  /// k: the leftmost path of turn->right IS turn->key's routing path
+  /// (equal keys route right at turn, then strictly left below), so a
+  /// fresh seek reaches the parked deletion.
+  Node* next_leaf(K k, TurnStack& turns, unsigned tid) {
+    Node* node = turns.pop();
+    // Read before any push below can reuse the turn's slot: from then on
+    // nothing pins the turn (under HP it may already be freed).
+    const K turn_key = node->key;
+    std::uintptr_t next_w =
+        tracker_.protect_word(node->right, kSlotCurrent, tid, node);
+    Node* next = util::unpack_ptr<Node>(next_w);
     while (next != nullptr) {
+      if (util::bits_of(next_w) != 0) return help_scan_edge(turn_key, tid);
       node = next;
       tracker_.copy_slot(kSlotCurrent, kSlotLeaf, tid);
       next_w = tracker_.protect_word(node->left, kSlotCurrent, tid, node);
       next = util::unpack_ptr<Node>(next_w);
-      if (util::bits_of(next_w) != 0) return help_scan_edge(turn->key, tid);
+      if (next != nullptr) turns.push(node, tracker_, tid);
     }
     return node->key >= k ? node : nullptr;
   }
@@ -726,12 +784,17 @@ class NatarajanBst {
     std::size_t visited = 0;
     std::size_t chunk = 0;
     K cursor = lo;
+    TurnStack turns;
     tracker_.begin_op(tid);
     for (;;) {
-      Node* leaf = seek_ceil(cursor, tid);
+      Node* leaf = turns.empty() ? seek_ceil(cursor, turns, tid)
+                                 : next_leaf(cursor, turns, tid);
       if (leaf == nullptr) {
+        // Transient mid-splice view, or a helped edge (helping reuses
+        // the turn slots): retry the same cursor from the root.
         scan_restarts_.fetch_add(1, std::memory_order_relaxed);
-        continue;  // transient mid-splice view; retry the same cursor
+        turns.clear();
+        continue;
       }
       if (leaf->key > hi) break;  // sentinel or past the range: done
       // The clean-edge walk proves `leaf` was reachable, so its key is
@@ -748,11 +811,12 @@ class NatarajanBst {
       cursor = leaf->key + 1;
       if (++chunk == kScanChunk) {
         chunk = 0;
-        // Session fence: the cursor is a key, so dropping every
-        // reservation here invalidates nothing — the next descent
-        // restarts from the root anyway (see header).
+        // Session fence: dropping every reservation unpins the retained
+        // turns, so the stack goes too; the cursor is a key, so the next
+        // root descent resumes from it (see header).
         tracker_.end_op(tid);
         tracker_.begin_op(tid);
+        turns.clear();
       }
     }
     tracker_.end_op(tid);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/wfe.hpp"
+#include "core/wfe_ibr.hpp"
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
 #include "reclaim/ebr.hpp"
@@ -35,12 +36,14 @@
 #include "reclaim/hp.hpp"
 #include "reclaim/ibr.hpp"
 #include "reclaim/leak.hpp"
+#include "reclaim/qsbr.hpp"
 #include "util/json.hpp"
 
 namespace wfe::harness {
 
-/// Applies `fn.operator()<Tracker>()` to every scheme in the paper's
-/// comparison set, in the paper's legend order.
+/// Applies `fn.operator()<Tracker>()` to every scheme: the paper's
+/// comparison set in the paper's legend order, then this repo's two
+/// extensions (WFE-IBR, QSBR).
 template <class Fn>
 void for_each_tracker(Fn&& fn) {
   fn.template operator()<core::WfeTracker>();
@@ -49,6 +52,8 @@ void for_each_tracker(Fn&& fn) {
   fn.template operator()<reclaim::HpTracker>();
   fn.template operator()<reclaim::IbrTracker>();
   fn.template operator()<reclaim::LeakTracker>();
+  fn.template operator()<core::WfeIbrTracker>();
+  fn.template operator()<reclaim::QsbrTracker>();
 }
 
 struct FigureSpec {

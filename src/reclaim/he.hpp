@@ -47,10 +47,12 @@ class HeTracker : public TrackerBase {
     slots_[tid].era[idx].store(kInfEra, std::memory_order_release);
   }
 
-  /// Slot `to` takes over protecting whatever era `from` holds.
+  /// Slot `to` takes over protecting whatever era `from` holds; an era
+  /// `to` already holds is not stored again (scanners already see it).
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    slots_[tid].era[to].store(slots_[tid].era[from].load(std::memory_order_relaxed),
-                              std::memory_order_seq_cst);
+    const std::uint64_t era = slots_[tid].era[from].load(std::memory_order_relaxed);
+    if (slots_[tid].era[to].load(std::memory_order_relaxed) != era)
+      slots_[tid].era[to].store(era, std::memory_order_seq_cst);
   }
 
   // Fig. 1 get_protected(): lock-free era publish + validate.

@@ -48,9 +48,12 @@ class HpTracker : public TrackerBase {
 
   /// Slot `to` takes over protecting whatever `from` protects.  Safe
   /// because `from` stays published throughout, so coverage is continuous.
+  /// A hazard `to` already holds is not stored again (scanners already
+  /// see it).
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    slots_[tid].hp[to].store(slots_[tid].hp[from].load(std::memory_order_relaxed),
-                             std::memory_order_seq_cst);
+    const std::uintptr_t hazard = slots_[tid].hp[from].load(std::memory_order_relaxed);
+    if (slots_[tid].hp[to].load(std::memory_order_relaxed) != hazard)
+      slots_[tid].hp[to].store(hazard, std::memory_order_seq_cst);
   }
 
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned idx,

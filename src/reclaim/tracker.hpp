@@ -12,6 +12,10 @@
 //                     the `parent` block argument (paper §3.4)
 //   protect_word(...)— same, for words carrying mark bits
 //   clear_slot(...) — drop one reservation
+//   copy_slot(...)  — slot `to` takes over what slot `from` protects; a
+//                     value `to` already holds may be left unstored: the
+//                     slot has one writer, so scanners already see it, and
+//                     protect_word publishes and validates on its own
 //   retire(...)     — unlink-then-retire a block
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free for quiescent teardown paths

@@ -19,7 +19,8 @@ using namespace wfe;
 reclaim::TrackerConfig bst_cfg() {
   reclaim::TrackerConfig c;
   c.max_threads = 4;
-  c.max_hes = 6;  // seek record: ancestor, successor, parent, leaf, current, cell
+  // Seek record (ancestor, successor, parent, leaf), current node, cell.
+  c.max_hes = ds::NatarajanBst<std::uint64_t, reclaim::LeakTracker>::kSlotsNeeded;
   c.era_freq = 8;
   c.cleanup_freq = 4;
   return c;

@@ -12,7 +12,10 @@
 //     the same tiny key set, so most physical splices are finished by
 //     helpers, not their tombstone winners);
 //   * scans under concurrent writers: strictly ascending, no
-//     duplicates, and every key NO writer touches is always seen;
+//     duplicates, and every key NO writer touches is always seen —
+//     with the churn band beside the stable keys, and interleaved with
+//     them, so splices land between stable leaves and on the left turns
+//     an in-order scan retains;
 //   * the reclamation ledger: 3 blocks per live key (leaf + routing
 //     internal + value cell) over the construction sentinels, closing
 //     exactly via the shared expect_block_balance identity.
@@ -48,7 +51,7 @@ unsigned test_ops() {
 reclaim::TrackerConfig bst_cfg() {
   reclaim::TrackerConfig c;
   c.max_threads = kThreads;
-  c.max_hes = 6;
+  c.max_hes = ds::NatarajanBst<std::uint64_t, reclaim::LeakTracker>::kSlotsNeeded;
   c.era_freq = 8;
   c.cleanup_freq = 4;
   return c;
@@ -302,6 +305,89 @@ TYPED_TEST(BstTombstoneTest, ScanUnderChurnSeesStableKeysInOrder) {
   for (std::uint64_t k : final_keys) EXPECT_TRUE(bst.get(k, 0).has_value());
   test::expect_block_balance(bst_ledger(tracker), final_keys.size(),
                              "scan-churn quiescent",
+                             Bst<TypeParam>::kBlocksPerKey);
+}
+
+// ---- scans under churn interleaved with the stable keys ----
+//
+// Unlike the test above, splices land BETWEEN stable leaves: every key
+// that is not a multiple of 4 churns, so the left turns an in-order
+// walk retains are routinely spliced out or get new keys inserted under
+// them while the scanner sits between two stable keys.
+
+TYPED_TEST(BstTombstoneTest, ScanUnderInterleavedChurn) {
+  TypeParam tracker(this->cfg_);
+  Bst<TypeParam> bst(tracker);
+  constexpr std::uint64_t kRange = 4096;
+  constexpr std::uint64_t kStableTag = 0xffff;  // low bits of stable values
+  const auto stable = [](std::uint64_t k) { return k % 4 == 0; };
+  for (std::uint64_t k = 0; k < kRange; k += 4)
+    ASSERT_TRUE(bst.insert(k, k << 16 | kStableTag, 0));
+  const unsigned per_thread = test_ops() / kThreads + 100;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (unsigned t = 0; t + 1 < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      util::Xoshiro256 rng(0xc4a2 + t);
+      for (unsigned i = 0; i < per_thread; ++i) {
+        // Churn is concentrated in a 256-key window that slides every
+        // 1024 ops: spread over all 3072 churn keys at once, a retained
+        // turn would rarely be spliced while the scanner holds it.
+        std::uint64_t key = (i / 1024 * 256 + rng.next() % 256) % kRange;
+        if (stable(key)) ++key;
+        if (rng.next() & 1)
+          bst.put(key, key << 16 | t, t);
+        else
+          bst.remove(key, t);
+      }
+    });
+  }
+  std::thread scanner([&] {
+    const unsigned tid = kThreads - 1;
+    util::Xoshiro256 rng(0x5ca9);
+    do {  // at least one scan, even if the writers finish first
+      // Mostly narrow windows (the KV index's shape), some full range.
+      std::uint64_t lo = 0, hi = kRange + 100;
+      if (rng.next() % 8 != 0) {
+        lo = rng.next() % kRange;
+        hi = lo + rng.next() % 256;
+      }
+      std::vector<std::uint64_t> keys;
+      bst.scan(lo, hi, [&](std::uint64_t k, std::uint64_t v) {
+        keys.push_back(k);
+        // A value of another key, or a writer tag no writer uses, is a
+        // torn or reclaimed cell read.
+        const std::uint64_t tag = v & 0xffff;
+        ASSERT_EQ(v >> 16, k) << "value " << v;
+        ASSERT_TRUE(stable(k) ? tag == kStableTag : tag + 1 < kThreads)
+            << "key " << k << " value " << v;
+      }, tid);
+      ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+      ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+          << "duplicate key visited";
+      ASSERT_TRUE(keys.empty() || (keys.front() >= lo && keys.back() <= hi));
+      // Every stable key in [lo, hi] is present for the whole scan, so
+      // it must be visited; report the first one missed.
+      std::size_t next = 0;
+      for (std::uint64_t k = (lo + 3) / 4 * 4; k <= hi && k < kRange; k += 4) {
+        while (next < keys.size() && keys[next] < k) ++next;
+        ASSERT_TRUE(next < keys.size() && keys[next] == k)
+            << "stable key " << k << " skipped by scan [" << lo << ", " << hi
+            << "]";
+      }
+    } while (!stop.load(std::memory_order_acquire));
+  });
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  scanner.join();
+  std::vector<std::uint64_t> final_keys;
+  bst.scan(0, kRange, [&](std::uint64_t k, std::uint64_t) {
+    final_keys.push_back(k);
+  }, 0);
+  EXPECT_EQ(final_keys.size(), bst.size_unsafe());
+  for (std::uint64_t k : final_keys) EXPECT_TRUE(bst.get(k, 0).has_value());
+  test::expect_block_balance(bst_ledger(tracker), final_keys.size(),
+                             "interleaved-churn quiescent",
                              Bst<TypeParam>::kBlocksPerKey);
 }
 

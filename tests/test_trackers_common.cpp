@@ -147,16 +147,32 @@ TYPED_TEST(TrackerCommon, SlotsAreIndependent) {
   tracker.dealloc(b, 0);
 }
 
-TYPED_TEST(TrackerCommon, CopySlotAccepted) {
+// copy_slot(from, to) hands protection over: once `from` is cleared,
+// `to` alone keeps the block alive.  The second copy finds `to` already
+// holding the value (the path where pointer/era schemes skip the store)
+// and must leave that protection in place.
+TYPED_TEST(TrackerCommon, CopySlotKeepsProtectionAfterSourceClears) {
+  std::atomic<int> keep_dtors{0};
   TypeParam tracker(this->cfg_);
-  CountedNode* n = tracker.template alloc<CountedNode>(0);
-  std::atomic<CountedNode*> root{n};
-  tracker.begin_op(0);
-  tracker.protect(root, 0, 0, nullptr);
-  tracker.copy_slot(0, 1, 0);
-  tracker.clear_slot(0, 0);
-  tracker.end_op(0);
-  tracker.dealloc(n, 0);
+  CountedNode* keep = tracker.template alloc<CountedNode>(0, &keep_dtors, 7);
+  std::atomic<CountedNode*> root{keep};
+  tracker.begin_op(1);
+  ASSERT_EQ(tracker.protect(root, 0, 1, nullptr), keep);
+  tracker.copy_slot(0, 1, 1);
+  tracker.copy_slot(0, 1, 1);
+  tracker.clear_slot(0, 1);
+  root.store(nullptr);
+  tracker.retire(keep, 0);
+  for (int i = 0; i < 200; ++i)
+    tracker.retire(tracker.template alloc<CountedNode>(0), 0);
+  tracker.flush(0);
+  ASSERT_EQ(keep_dtors.load(), 0) << "slot 1 did not keep the block alive";
+  EXPECT_EQ(keep->value, 7u);
+  tracker.end_op(1);
+  tracker.flush(0);
+  if (std::string(TypeParam::name()) != "Leak") {
+    EXPECT_EQ(keep_dtors.load(), 1) << "unprotected block not freed";
+  }
 }
 
 TYPED_TEST(TrackerCommon, ConcurrentAllocRetireIsSafe) {
