@@ -24,10 +24,7 @@ void sweep(const char* label, const wfe::harness::Workload& w,
     cfg.era_freq = f;
     TR tracker(cfg);
     ds::HmList<std::uint64_t, std::uint64_t, TR> list(tracker);
-    util::Xoshiro256 rng(42);
-    std::uint64_t inserted = 0;
-    while (inserted < w.prefill)
-      inserted += list.insert(rng.next_bounded(w.key_range) + 1, 1, 0) ? 1 : 0;
+    harness::prefill(list, w.prefill, w.key_range);
     auto r = harness::run_timed(
         rc,
         [&](util::Xoshiro256& g, unsigned tid) { harness::kv_op(list, w, g, tid); },

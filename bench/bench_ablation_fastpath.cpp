@@ -38,10 +38,7 @@ int main() {
     cfg.force_slow_path = force;
     core::WfeTracker tracker(cfg);
     ds::HmList<std::uint64_t, std::uint64_t, core::WfeTracker> list(tracker);
-    util::Xoshiro256 rng(42);
-    std::uint64_t inserted = 0;
-    while (inserted < w.prefill)
-      inserted += list.insert(rng.next_bounded(w.key_range) + 1, 1, 0) ? 1 : 0;
+    harness::prefill(list, w.prefill, w.key_range);
 
     auto r = harness::run_timed(
         rc,

@@ -1,46 +1,44 @@
 #pragma once
-// CRTurn-style wait-free MPMC queue, after Ramalhete & Correia [35] — the
+// CRTurn wait-free MPMC queue, after Ramalhete & Correia [35] — the
 // paper's second wait-free workload (Figs. 5c/5d).
 //
-// Reconstruction note (see DESIGN.md): this implements the published
-// *design* of the CRTurn queue — single-width CAS only, one allocation
-// per enqueue, turn-based helping through per-thread request arrays, and
-// the "previous request" deferred-retirement discipline — re-derived from
-// the poster/tech-report description rather than transcribed from the
-// authors' code.  Structural properties the figures depend on (wait-free
-// progress, allocation rate, reclamation pressure) are preserved.
+// This follows the published algorithm step by step: single-width CAS
+// only, one allocation per enqueue, and turn-based helping through three
+// per-thread request arrays.
 //
-// Enqueue: a thread publishes its node in enqueuers_[tid]; helpers serve
-// requests in turn order starting after the tail node's enqueuer, so a
-// request is linked within a bounded number of rounds.  A request slot is
-// always cleared before the tail moves past its node, which is what makes
-// re-linking (and the resulting cycle) impossible.
+// Enqueue: thread tid publishes its node in enqueuers_[tid].  Helpers
+// read the tail, clear the tail node's own request (step 4 of its
+// enqueue), then link the first published request in turn order after
+// the tail node's enqueuer (step 2) and swing the tail to it (step 3).
+// A request is cleared only once its node is the tail, and nothing is
+// linked after a node while its request is still published, so a node
+// can never be linked twice.
 //
-// Dequeue: thread tid is *pending* while deqself_[tid] == deqhelp_[tid].
-// Helpers claim the head's successor for a pending *request generation*
-// — the claim word in the node packs (tid, per-thread sequence number) —
-// then complete the request by CAS-ing deqhelp_[tid] from its current
-// marker to the claimed node, and only then advance head.  The
-// completion marker is the node returned by tid's previous dequeue —
-// unique per operation — and every pointer used as a CAS expected value
-// is protected first, so marker recycling (ABA) is impossible while any
-// helper still holds it.  An empty queue is answered by assigning the
-// head node with a low tag bit set.
+// Dequeue: thread tid has an open request while deqself_[tid] ==
+// deqhelp_[tid] (step 1 copies deqhelp into deqself).  Helpers give the
+// head's successor to the first open request in turn order after the
+// head node's dequeuer (the node's deq_tid CAS, step 2), store the node
+// in that thread's deqhelp (step 3) and only then swing the head (step
+// 4).  An empty queue rolls the request back; `give_up` then serves any
+// node a helper may have promised to it before the rollback.
 //
-// Why claims carry a generation: a claim can be orphaned when its
-// request is answered "empty" by a racing helper.  Generation death is
-// irreversible — the sequence number only grows and each generation's
-// completion marker is consumed exactly once — so once a resolver
-// observes the claiming generation dead *and* the node undelivered, no
-// in-flight delivery for that generation can ever succeed, and the node
-// can safely be re-claimed for a live request (never dropped, never
-// delivered twice).
+// Deviations from the published code:
+//  * values are stored in the nodes (the original stores item pointers
+//    and returns nullptr for "empty"); dequeue returns std::optional.
+//  * both operations loop until their own request is served instead of
+//    running a fixed max_threads iterations.  The paper bounds the loops
+//    by max_threads; looping on the request itself keeps a node from
+//    being dropped if that bound were ever missed.
+//  * every reservation goes through the tracker's validated protect().
 //
-// Consumed nodes are retired by their consumer's *next* dequeue (the
-// deqself "previous request" slot), never by the head-CAS winner, so each
-// node is retired exactly once.
+// Reclamation: the node a thread dequeued stays in deqhelp (and then in
+// deqself) as the marker of its next request, so helpers may still
+// compare against it.  The thread retires it at the end of the dequeue
+// after that, once it has left both arrays; the head has passed it by
+// then.  The initial sentinel is nobody's result and is freed by the
+// destructor.
 //
-// Reservation slots: 0 = head/tail, 1 = next, 2 = request/marker.
+// Reservation slots: 0 = head/tail, 1 = next, 2 = a helped deqhelp.
 
 #include <atomic>
 #include <cstdint>
@@ -49,27 +47,6 @@
 
 #include "reclaim/tracker.hpp"
 #include "util/cacheline.hpp"
-#include "util/marked_ptr.hpp"
-
-#ifdef CRTURN_TRACE
-#include <cstdio>
-#include <mutex>
-#include <deque>
-namespace wfe::ds::trace {
-struct Ev { const char* what; std::uint64_t val, a, b, c; };
-inline std::mutex mu;
-inline std::deque<Ev> log;
-inline void ev(const char* what, std::uint64_t val, std::uint64_t a = 0,
-               std::uint64_t b = 0, std::uint64_t c = 0) {
-  std::scoped_lock lk(mu);
-  log.push_back({what, val, a, b, c});
-  if (log.size() > 4000000) log.pop_front();
-}
-}  // namespace wfe::ds::trace
-#define CRTURN_EV(...) ::wfe::ds::trace::ev(__VA_ARGS__)
-#else
-#define CRTURN_EV(...) ((void)0)
-#endif
 
 namespace wfe::ds {
 
@@ -77,129 +54,104 @@ template <class V, reclaim::tracker_for Tracker>
 class CrTurnQueue {
  public:
   static constexpr unsigned kSlotsNeeded = 3;
-  static constexpr unsigned kNoThread = ~0u;
 
   explicit CrTurnQueue(Tracker& tracker)
       : tracker_(tracker),
         n_(tracker.max_threads()),
         enqueuers_(n_),
         deqself_(n_),
-        deqhelp_(n_),
-        deqseq_(n_),
-        retire_limbo_(n_) {
-    Node* sentinel = tracker_.template alloc<Node>(0, V{}, kNoThread);
-    initial_sentinel_ = sentinel;
-    head_.store(sentinel, std::memory_order_relaxed);
-    tail_.store(sentinel, std::memory_order_relaxed);
+        deqhelp_(n_) {
+    sentinel_ = tracker_.template alloc<Node>(0, V{}, 0u);
+    head_.store(sentinel_, std::memory_order_relaxed);
+    tail_.store(sentinel_, std::memory_order_relaxed);
     for (unsigned i = 0; i < n_; ++i) {
       enqueuers_[i].store(nullptr, std::memory_order_relaxed);
-      // Distinct per-thread dummies so deqself != deqhelp (not pending).
-      Node* dummy = tracker_.template alloc<Node>(0, V{}, kNoThread);
-      deqself_[i].store(nullptr, std::memory_order_relaxed);
-      deqhelp_[i].store(dummy, std::memory_order_relaxed);
-      deqseq_[i].store(0, std::memory_order_relaxed);
+      // Distinct dummies: deqself != deqhelp means "no open request".
+      deqself_[i].store(tracker_.template alloc<Node>(0, V{}, 0u),
+                        std::memory_order_relaxed);
+      deqhelp_[i].store(tracker_.template alloc<Node>(0, V{}, 0u),
+                        std::memory_order_relaxed);
     }
   }
 
   CrTurnQueue(const CrTurnQueue&) = delete;
   CrTurnQueue& operator=(const CrTurnQueue&) = delete;
 
-  /// Quiescent teardown.  Chain nodes are freed by walking head_; the
-  /// deqself/deqhelp slots hold already-consumed nodes whose deferred
-  /// retirement never happened (plus the initial dummies) — freed here,
-  /// deduplicated against each other and the chain head.
+  /// Quiescent teardown: the chain from head_, each thread's two
+  /// unretired dequeue results (or dummies) and the initial sentinel.
+  /// The head may be some thread's deqhelp and the sentinel may still be
+  /// the head, so chain nodes already in `owned` are skipped.
   ~CrTurnQueue() {
-    std::vector<Node*> extra;
+    std::vector<Node*> owned;
     for (unsigned i = 0; i < n_; ++i) {
-      for (Node* p : retire_limbo_[i].nodes) {
-        if (!seen(extra, p)) extra.push_back(p);
-      }
+      owned.push_back(deqself_[i].load(std::memory_order_relaxed));
+      owned.push_back(deqhelp_[i].load(std::memory_order_relaxed));
     }
-    for (unsigned i = 0; i < n_; ++i) {
-      for (std::atomic<Node*>* slot : {&deqself_[i], &deqhelp_[i]}) {
-        // Tagged values are empty-answer markers: they alias some consumed
-        // node owned (and possibly already freed) elsewhere — never ours.
-        const std::uintptr_t w =
-            as_word(slot->load(std::memory_order_relaxed));
-        if (w == 0 || util::is_marked(w)) continue;
-        Node* v = util::unpack_ptr<Node>(w);
-        if (!seen(extra, v)) extra.push_back(v);
-      }
+    owned.push_back(sentinel_);
+    Node* node = head_.load(std::memory_order_relaxed);
+    while (node != nullptr) {
+      Node* next = node->next.load(std::memory_order_relaxed);
+      if (!contains(owned, node)) tracker_.dealloc(node, 0);
+      node = next;
     }
-    // The initial sentinel is nobody's dequeue result, so no owner ever
-    // retires it once the head passes it; reap it here.
-    if (head_.load(std::memory_order_relaxed) != initial_sentinel_ &&
-        !seen(extra, initial_sentinel_)) {
-      extra.push_back(initial_sentinel_);
-    }
-    Node* chain = head_.load(std::memory_order_relaxed);
-    while (chain != nullptr) {
-      Node* next = chain->next.load(std::memory_order_relaxed);
-      if (!seen(extra, chain)) tracker_.dealloc(chain, 0);
-      chain = next;
-    }
-    for (Node* v : extra) tracker_.dealloc(v, 0);
+    for (Node* p : owned) tracker_.dealloc(p, 0);
   }
 
   void enqueue(const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    Node* node = tracker_.template alloc<Node>(tid, value, tid);
-    enqueuers_[tid].store(node, std::memory_order_seq_cst);
-    while (enqueuers_[tid].load(std::memory_order_seq_cst) == node)
-      enqueue_round(tid);
+    Node* my_node = tracker_.template alloc<Node>(tid, value, tid);
+    enqueuers_[tid].store(my_node);  // step 1
+    while (enqueuers_[tid].load() != nullptr) {
+      Node* ltail = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
+      // Step 4 for the tail node, before anything is linked after it.
+      Node* served = ltail;
+      enqueuers_[ltail->enq_tid].compare_exchange_strong(served, nullptr);
+      // Step 2: link the next request in turn order.
+      for (unsigned j = 1; j <= n_; ++j) {
+        Node* to_help = enqueuers_[(ltail->enq_tid + j) % n_].load();
+        if (to_help == nullptr) continue;
+        Node* expected = nullptr;
+        ltail->next.compare_exchange_strong(expected, to_help);
+        break;
+      }
+      // Step 3.
+      Node* lnext = ltail->next.load();
+      if (lnext != nullptr) tail_.compare_exchange_strong(ltail, lnext);
+    }
     tracker_.end_op(tid);
   }
 
   std::optional<V> dequeue(unsigned tid) {
     tracker_.begin_op(tid);
-    // Deferred retirement of the result consumed two operations ago
-    // (helpers of the previous op may still use the previous marker).
-    Node* prev_req = deqself_[tid].load(std::memory_order_relaxed);
-    Node* marker = deqhelp_[tid].load(std::memory_order_relaxed);
-    // Open a new request generation: bump the sequence FIRST so a picker
-    // pairing the old sequence with the new pending state produces a
-    // claim that resolvers recognise as dead and re-assign.
-    deqseq_[tid].fetch_add(1, std::memory_order_seq_cst);
-    deqself_[tid].store(marker, std::memory_order_seq_cst);  // now pending
-    if (prev_req != nullptr && !util::is_marked(as_word(prev_req))) {
-      // prev_req may STILL be the head sentinel: its successor (this op's
-      // marker) was delivered, but the delivering helper's head CAS can
-      // lag.  Retiring the live sentinel would let head_ dangle and, once
-      // the address recycles into a re-enqueued node, teleport the head
-      // over a whole chain segment.  Help the head past it, and defer the
-      // retirement of anything that is still the sentinel.
-      if (!util::is_marked(as_word(marker)) &&
-          head_.load(std::memory_order_seq_cst) == prev_req) {
-        Node* expected = prev_req;
-        head_.compare_exchange_strong(expected, marker,
-                                      std::memory_order_seq_cst,
-                                      std::memory_order_relaxed);
+    Node* prev_req = deqself_[tid].load();
+    Node* my_req = deqhelp_[tid].load();
+    deqself_[tid].store(my_req);  // step 1: open the request
+    while (deqhelp_[tid].load() == my_req) {
+      Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
+      if (lhead == tail_.load()) {
+        // Looks empty: roll the request back, then serve whatever a
+        // helper promised it before the rollback.
+        deqself_[tid].store(prev_req);
+        give_up(my_req, tid);
+        if (deqhelp_[tid].load() == my_req) {
+          tracker_.end_op(tid);
+          return std::nullopt;
+        }
+        deqself_[tid].store(my_req);
+        break;
       }
-      retire_limbo_[tid].nodes.push_back(prev_req);
+      Node* lnext = tracker_.protect(lhead->next, kSlotNext, tid, lhead);
+      if (lhead != head_.load()) continue;
+      if (search_next(lhead, lnext) != kNoThread)
+        cas_deq_and_head(lhead, lnext, tid);
     }
-    // Retire every deferred node the head has provably passed (it can
-    // never become the sentinel again: we hold it unfreed, so its address
-    // cannot recycle into the chain).
-    auto& limbo = retire_limbo_[tid].nodes;
-    Node* current_head = head_.load(std::memory_order_seq_cst);
-    for (std::size_t i = 0; i < limbo.size();) {
-      if (limbo[i] != current_head) {
-        tracker_.retire(limbo[i], tid);
-        limbo[i] = limbo.back();
-        limbo.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    while (deqhelp_[tid].load(std::memory_order_seq_cst) == marker)
-      dequeue_round(tid);
-    Node* result = deqhelp_[tid].load(std::memory_order_seq_cst);
-    CRTURN_EV("result", util::is_marked(as_word(result)) ? 0 : result->value,
-              tid, as_word(result), as_word(marker));
-    std::optional<V> out;
-    // Tag bit set = "queue was empty"; otherwise `result` is the consumed
-    // node, alive until this thread's next dequeue retires it.
-    if (!util::is_marked(as_word(result))) out = result->value;
+    Node* my_node = deqhelp_[tid].load();
+    // Step 4, in case no helper swung the head past our node yet.
+    Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
+    if (my_node == lhead->next.load())
+      head_.compare_exchange_strong(lhead, my_node);
+    const V out = my_node->value;
+    tracker_.retire(prev_req, tid);
     tracker_.end_op(tid);
     return out;
   }
@@ -217,255 +169,72 @@ class CrTurnQueue {
   }
 
  private:
+  static constexpr unsigned kNoThread = ~0u;
+  static constexpr unsigned kSlotAnchor = 0;
+  static constexpr unsigned kSlotNext = 1;
+  static constexpr unsigned kSlotDeq = 2;
+
   struct Node : reclaim::Block {
     Node(const V& v, unsigned etid) : value(v), enq_tid(etid) {}
     V value;
     const unsigned enq_tid;
-    /// Dequeue claim: 0 = unclaimed, else pack_claim(tid, seq) naming the
-    /// request generation this node is owed to.
-    std::atomic<std::uint64_t> claim{0};
+    std::atomic<unsigned> deq_tid{kNoThread};
     std::atomic<Node*> next{nullptr};
   };
 
-  /// Claim encoding: tid+1 in the low 16 bits (so 0 stays "unclaimed"),
-  /// generation sequence above.
-  static std::uint64_t pack_claim(unsigned tid, std::uint64_t seq) noexcept {
-    return (seq << 16) | (tid + 1);
-  }
-  static unsigned claim_tid(std::uint64_t c) noexcept {
-    return static_cast<unsigned>(c & 0xffffu) - 1;
-  }
-  static std::uint64_t claim_seq(std::uint64_t c) noexcept { return c >> 16; }
-
-  static constexpr unsigned kSlotAnchor = 0;
-  static constexpr unsigned kSlotNext = 1;
-  static constexpr unsigned kSlotReq = 2;
-
-  static std::uintptr_t as_word(Node* p) noexcept {
-    return reinterpret_cast<std::uintptr_t>(p);
-  }
-  static Node* load_ptr(const std::atomic<Node*>& slot) noexcept {
-    return util::unpack_ptr<Node>(
-        as_word(slot.load(std::memory_order_relaxed)));
-  }
-  static bool seen(const std::vector<Node*>& v, Node* p) noexcept {
+  static bool contains(const std::vector<Node*>& v, Node* p) noexcept {
     for (Node* q : v)
       if (q == p) return true;
     return false;
   }
 
-  // ---- enqueue helping ----
-
-  void enqueue_round(unsigned tid) {
-    Node* ltail = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
-    if (tail_.load(std::memory_order_seq_cst) != ltail) return;
-    Node* lnext = tracker_.protect(ltail->next, kSlotNext, tid, ltail);
-    if (lnext != nullptr) {  // lagging tail
-      // INVARIANT: a request slot is cleared before any tail advance to
-      // its node.  Otherwise a serving scan could pick an already-linked
-      // node out of a stale slot and link it a second time (a cycle).
-      clear_request_of(lnext, tid);
-      tail_.compare_exchange_strong(ltail, lnext, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed);
-      return;
-    }
-    // The tail node's own request must be cleared before serving others,
-    // otherwise it could be picked and linked a second time.
-    const unsigned anchor = clear_served_request(ltail, tid);
+  /// Step 2: give lnext to the first open request in turn order after
+  /// the head node's dequeuer; returns whoever holds lnext now.
+  unsigned search_next(Node* lhead, Node* lnext) {
+    // The initial sentinel has no dequeuer: kNoThread + j wraps to j - 1,
+    // so the scan starts at thread 0.
+    const unsigned turn = lhead->deq_tid.load();
     for (unsigned j = 1; j <= n_; ++j) {
-      const unsigned k = (anchor + j) % n_;
-      Node* req = tracker_.protect(enqueuers_[k], kSlotReq, tid, nullptr);
-      if (req == nullptr) continue;
-      if (req == ltail) {  // races with clear_served_request
-        enqueuers_[k].compare_exchange_strong(req, nullptr,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_relaxed);
-        continue;
-      }
-      if (tail_.load(std::memory_order_seq_cst) != ltail) return;
-      Node* expected = nullptr;
-      if (ltail->next.compare_exchange_strong(expected, req,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_relaxed)) {
-        enqueuers_[k].compare_exchange_strong(req, nullptr,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_relaxed);
-        tail_.compare_exchange_strong(ltail, req, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed);
-      }
-      return;
+      const unsigned id = (turn + j) % n_;
+      if (deqself_[id].load() != deqhelp_[id].load()) continue;
+      unsigned none = kNoThread;
+      lnext->deq_tid.compare_exchange_strong(none, id);
+      break;
     }
+    return lnext->deq_tid.load();
   }
 
-  /// If `node`'s (already-served) enqueue request is still published,
-  /// clear it.
-  void clear_request_of(Node* node, unsigned tid) {
-    const unsigned etid = node->enq_tid;
-    if (etid == kNoThread) return;  // initial sentinel
-    Node* r = tracker_.protect(enqueuers_[etid], kSlotReq, tid, nullptr);
-    if (r == node) {
-      enqueuers_[etid].compare_exchange_strong(r, nullptr,
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_relaxed);
+  /// Steps 3 and 4: hand lnext to its dequeuer, then swing the head.  A
+  /// helper protects the deqhelp it replaces, so that node cannot be
+  /// freed and come back as the same thread's marker under the CAS.
+  void cas_deq_and_head(Node* lhead, Node* lnext, unsigned tid) {
+    const unsigned ldeq_tid = lnext->deq_tid.load();
+    if (ldeq_tid == tid) {
+      deqhelp_[tid].store(lnext);
+    } else {
+      Node* ldeqhelp =
+          tracker_.protect(deqhelp_[ldeq_tid], kSlotDeq, tid, nullptr);
+      if (ldeqhelp != lnext && lhead == head_.load())
+        deqhelp_[ldeq_tid].compare_exchange_strong(ldeqhelp, lnext);
     }
+    head_.compare_exchange_strong(lhead, lnext);
   }
 
-  /// Belt-and-braces slot clear for the node already AT the tail (races
-  /// where the tail CAS landed before the slot clear).  Returns the turn
-  /// anchor.
-  unsigned clear_served_request(Node* ltail, unsigned tid) {
-    if (ltail->enq_tid == kNoThread) return n_ - 1;  // initial sentinel
-    clear_request_of(ltail, tid);
-    return ltail->enq_tid;
-  }
-
-  // ---- dequeue helping ----
-
-  void dequeue_round(unsigned tid) {
+  /// Called after the rollback of an apparently empty dequeue.  A helper
+  /// may have promised the head's successor to this request before the
+  /// rollback; if the queue is no longer empty, hand that node out (to
+  /// this thread when nobody else has an open request) and swing the
+  /// head, so the promise is kept before the caller answers "empty".
+  void give_up(Node* my_req, unsigned tid) {
     Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
-    if (head_.load(std::memory_order_seq_cst) != lhead) return;
+    if (deqhelp_[tid].load() != my_req || lhead == tail_.load()) return;
     Node* lnext = tracker_.protect(lhead->next, kSlotNext, tid, lhead);
-    if (head_.load(std::memory_order_seq_cst) != lhead) return;
-
-    if (lnext == nullptr) {
-      answer_empty(lhead, tid);
-      return;
+    if (lhead != head_.load()) return;
+    if (search_next(lhead, lnext) == kNoThread) {
+      unsigned none = kNoThread;
+      lnext->deq_tid.compare_exchange_strong(none, tid);
     }
-    // Claim the successor for a pending request generation, turn order
-    // anchored at the generation that consumed the current head.
-    std::uint64_t claim = lnext->claim.load(std::memory_order_seq_cst);
-    if (claim == 0) {
-      const std::uint64_t want = pick_pending(lhead);
-      if (want == 0) return;  // nobody is dequeuing
-      std::uint64_t expected = 0;
-      if (lnext->claim.compare_exchange_strong(expected, want,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed))
-        CRTURN_EV("claim", lnext->value, want, as_word(lnext));
-      claim = lnext->claim.load(std::memory_order_seq_cst);
-    }
-    resolve_claim(lhead, lnext, claim, tid);
-  }
-
-  /// Deliver lnext to its claiming generation, advance head once it was
-  /// delivered, or — when the claiming generation is provably dead and
-  /// the node undelivered — re-claim it for a live request.
-  void resolve_claim(Node* lhead, Node* lnext, std::uint64_t claim,
-                     unsigned tid) {
-    const unsigned ctid = claim_tid(claim);
-    const std::uint64_t cseq = claim_seq(claim);
-    // The expected marker is protected, so it cannot be recycled under
-    // us; markers are per-operation unique, so this CAS succeeds at most
-    // once per generation.
-    Node* marker = tracker_.protect(deqhelp_[ctid], kSlotReq, tid, nullptr);
-    const bool generation_alive =
-        deqseq_[ctid].load(std::memory_order_seq_cst) == cseq &&
-        deqself_[ctid].load(std::memory_order_seq_cst) == marker;
-    if (generation_alive && head_.load(std::memory_order_seq_cst) == lhead) {
-      if (deqhelp_[ctid].compare_exchange_strong(marker, lnext,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_relaxed))
-        CRTURN_EV("deliver", lnext->value, claim, as_word(lnext), as_word(marker));
-    }
-    // Delivered — now (deqhelp) or one generation ago (lnext became the
-    // next op's marker in deqself)?  Then the head may pass it.
-    if (deqhelp_[ctid].load(std::memory_order_seq_cst) == lnext ||
-        deqself_[ctid].load(std::memory_order_seq_cst) == lnext) {
-      // INVARIANT: lnext's enqueue-request slot is cleared before the
-      // head passes it (it may still be armed when the tail lags behind
-      // the head).  Once consumed the node heads for retirement, and a
-      // slot that can name retired nodes would let stale scanners act on
-      // recycled addresses — observed as lost enqueues.
-      clear_request_of(lnext, tid);
-      // INVARIANT: the tail never falls behind the head (Michael-Scott
-      // discipline).  Otherwise tail_ could keep naming a consumed node
-      // after its deferred retirement, and enqueuers would protect — and
-      // link onto — freed memory.
-      Node* ltail = tail_.load(std::memory_order_seq_cst);
-      if (ltail == lhead) {
-        tail_.compare_exchange_strong(ltail, lnext, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed);
-      }
-      {
-        Node* exp_h = lhead;
-        if (head_.compare_exchange_strong(exp_h, lnext, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-          CRTURN_EV("advance", lnext->value, claim, as_word(lnext),
-                    deqhelp_[ctid].load(std::memory_order_relaxed) == lnext ? 1 : 2);
-      }
-      return;
-    }
-    // Undelivered.  If the claiming generation is dead (sequence moved
-    // on, or its request completed — necessarily with an "empty" answer,
-    // since lnext was not delivered), no in-flight delivery for it can
-    // succeed any more: its completion marker has been consumed and
-    // markers never repeat.  Hand the node to a live request instead.
-    const bool generation_dead =
-        deqseq_[ctid].load(std::memory_order_seq_cst) != cseq ||
-        deqself_[ctid].load(std::memory_order_seq_cst) !=
-            deqhelp_[ctid].load(std::memory_order_seq_cst);
-    if (generation_dead) {
-      const std::uint64_t next_claim = pick_pending(lhead);
-      if (next_claim != 0 && next_claim != claim) {
-        std::uint64_t exp_c = claim;
-        if (lnext->claim.compare_exchange_strong(exp_c, next_claim,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_relaxed))
-          CRTURN_EV("reclaim", lnext->value, claim, next_claim, as_word(lnext));
-      }
-    }
-    // Otherwise the generation is alive and a future round delivers it.
-  }
-
-  /// Queue observed empty at lhead: answer the next pending request with
-  /// the tagged head node (tag bit = "empty", value never dereferenced).
-  void answer_empty(Node* lhead, unsigned tid) {
-    const std::uint64_t req = pick_pending(lhead);
-    if (req == 0) return;
-    const unsigned rtid = claim_tid(req);
-    Node* marker = tracker_.protect(deqhelp_[rtid], kSlotReq, tid, nullptr);
-    if (deqseq_[rtid].load(std::memory_order_seq_cst) != claim_seq(req) ||
-        deqself_[rtid].load(std::memory_order_seq_cst) != marker) {
-      return;
-    }
-    // Re-validate emptiness as late as possible; the linearization point
-    // is this validated-empty instant.
-    if (head_.load(std::memory_order_seq_cst) != lhead ||
-        lhead->next.load(std::memory_order_seq_cst) != nullptr) {
-      return;
-    }
-    // The answer must differ from the current marker or the owner could
-    // never observe completion (consecutive empty answers at the same
-    // head would be identical); the second tag bit alternates to keep
-    // successive answers distinct.
-    const std::uintptr_t base = as_word(lhead) | util::kMarkBit;
-    const std::uintptr_t answer =
-        as_word(marker) == base ? (base | util::kTagBit) : base;
-    Node* tagged = reinterpret_cast<Node*>(answer);
-    if (deqhelp_[rtid].compare_exchange_strong(marker, tagged,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed))
-      CRTURN_EV("empty", 0, req, as_word(lhead), as_word(marker));
-  }
-
-  /// First request generation in turn order (after the head's consumer)
-  /// that is open, as a packed claim; 0 when nobody is dequeuing.  Pure
-  /// word reads; no dereferences of other threads' markers.
-  std::uint64_t pick_pending(Node* lhead) noexcept {
-    const std::uint64_t consumed = lhead->claim.load(std::memory_order_seq_cst);
-    const unsigned anchor = consumed == 0 ? n_ - 1 : claim_tid(consumed);
-    for (unsigned j = 1; j <= n_; ++j) {
-      const unsigned k = (anchor + j) % n_;
-      // Sequence read first: pairing a stale (smaller) sequence with a
-      // newer pending state yields a dead claim, which resolvers detect
-      // and re-assign — never a lost node.
-      const std::uint64_t seq = deqseq_[k].load(std::memory_order_seq_cst);
-      if (deqself_[k].load(std::memory_order_seq_cst) ==
-          deqhelp_[k].load(std::memory_order_seq_cst)) {
-        return pack_claim(k, seq);
-      }
-    }
-    return 0;
+    cas_deq_and_head(lhead, lnext, tid);
   }
 
   Tracker& tracker_;
@@ -473,12 +242,7 @@ class CrTurnQueue {
   reclaim::detail::PerThread<std::atomic<Node*>> enqueuers_;
   reclaim::detail::PerThread<std::atomic<Node*>> deqself_;
   reclaim::detail::PerThread<std::atomic<Node*>> deqhelp_;
-  reclaim::detail::PerThread<std::atomic<std::uint64_t>> deqseq_;
-  struct Limbo {
-    std::vector<Node*> nodes;  ///< consumed, awaiting head to pass them
-  };
-  reclaim::detail::PerThread<Limbo> retire_limbo_;
-  Node* initial_sentinel_{nullptr};
+  Node* sentinel_{nullptr};
   alignas(util::kFalseSharingRange) std::atomic<Node*> head_{nullptr};
   alignas(util::kFalseSharingRange) std::atomic<Node*> tail_{nullptr};
 };

@@ -216,7 +216,10 @@ class KpQueue {
   void help_finish_enqueue(unsigned tid) {
     Node* last = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
     Node* next = tracker_.protect(last->next, kSlotNext, tid, last);
-    if (next == nullptr) return;
+    // `next` may be read only while `last` is still the tail: once the
+    // tail moves on, `next` can be dequeued and freed before the
+    // reservation above was published.
+    if (next == nullptr || last != tail_.load(std::memory_order_seq_cst)) return;
     const unsigned etid = next->enq_tid;
     if (etid == kNoThread) {  // initial sentinel: just swing the tail
       tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst,

@@ -576,7 +576,9 @@ class NatarajanBst {
   /// tombstoned leaf for `key` is reachable.  Helping is key-addressed:
   /// if our leaf was already spliced and the key re-inserted and
   /// re-tombstoned, the loop simply helps the successor deletion, which
-  /// needs the same work.
+  /// needs the same work.  A cleanup round that completed a sibling
+  /// key's deletion instead moves our leaf up to the ancestor, still
+  /// tombstoned, so only a splice on our own side ends the loop.
   void physical_remove(K key, unsigned tid) {
     SeekRecord sr;
     for (;;) {
@@ -598,7 +600,10 @@ class NatarajanBst {
   }
 
   /// Natarajan-Mittal cleanup (Algorithm 5): tag the sibling edge, splice
-  /// ancestor→sibling, and retire the removed chain on success.
+  /// ancestor→sibling, and retire the removed chain on success.  Returns
+  /// true only when this call's splice removed the leaf on `key`'s side;
+  /// helping a sibling deletion, finding nothing flagged or losing the
+  /// splice CAS returns false.
   bool cleanup(K key, const SeekRecord& sr, unsigned tid) {
     Node* ancestor = sr.ancestor;
     Node* successor = sr.successor;
@@ -613,7 +618,9 @@ class NatarajanBst {
       child_addr = &parent->right;
       sibling_addr = &parent->left;
     }
-    if (!util::is_marked(child_addr->load(std::memory_order_acquire))) {
+    const bool helping_sibling =
+        !util::is_marked(child_addr->load(std::memory_order_acquire));
+    if (helping_sibling) {
       // The flag is on the other edge (we are helping a deletion of the
       // sibling key); keep the subtree on our key's side instead.
       sibling_addr = child_addr;
@@ -623,7 +630,7 @@ class NatarajanBst {
       if (!util::is_marked(sibling_addr == &parent->left
                                ? parent->right.load(std::memory_order_acquire)
                                : parent->left.load(std::memory_order_acquire))) {
-        return true;
+        return false;
       }
     }
     // The edge NOT kept names the leaf removed at `parent`.  Recorded
@@ -649,7 +656,7 @@ class NatarajanBst {
     Node* removed_leaf = util::unpack_ptr<Node>(
         removed_addr->load(std::memory_order_acquire));
     retire_chain(successor, parent, removed_leaf, tid);
-    return true;
+    return !helping_sibling;
   }
 
   /// Retires the spliced-out chain: internals successor..parent and each

@@ -15,10 +15,6 @@
 //   WFE_BENCH_JSON         if set: also write the series to this path as
 //                          JSON (same row format as BENCH_kv.json, so all
 //                          benches feed one perf trajectory)
-//   WFE_BENCH_UPSERT_LIST  read-mostly KV figures only: comma list of
-//                          upsert paths to sweep, from {copy, inplace}
-//                          (default "copy", the paper's remove+insert
-//                          semantics; "inplace" CASes the value cell)
 
 #include <cstdio>
 #include <cstdlib>
@@ -107,35 +103,6 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
   rc.repeats = static_cast<unsigned>(env_long("WFE_BENCH_REPEATS", 1));
 
   const std::vector<unsigned> threads = thread_sweep();
-
-  // Upsert-path sweep (read-mostly KV mixes only): every other mix has a
-  // single, knob-free row set.
-  std::vector<std::string> upserts{"copy"};
-  if (!Factory::kIsQueue && w.mix == OpMix::kRead9010) {
-    if (const char* env = std::getenv("WFE_BENCH_UPSERT_LIST")) {
-      upserts.clear();
-      std::string list(env), item;
-      for (std::size_t i = 0; i <= list.size(); ++i) {
-        if (i == list.size() || list[i] == ',') {
-          if (item == "copy" || item == "inplace") upserts.push_back(item);
-          item.clear();
-        } else {
-          item += list[i];
-        }
-      }
-      if (upserts.empty()) upserts.push_back("copy");
-    }
-  }
-
-  struct Row {
-    std::string upsert, tracker;
-    unsigned threads;
-    double mops, unreclaimed;
-  };
-  std::vector<Row> rows;
-
-  for (const std::string& up : upserts) {
-  w.upsert_inplace = (up == "inplace");
   std::vector<std::string> schemes;
   std::map<std::string, detail::Series> data;
 
@@ -149,17 +116,12 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
       TR tracker(cfg);
       auto ds = factory.template operator()<TR>(tracker);
       // Prefill (paper: 50K elements before each measurement).
-      util::Xoshiro256 rng(42);
       if constexpr (Factory::kIsQueue) {
+        util::Xoshiro256 rng(42);
         for (std::uint64_t i = 0; i < w.prefill; ++i)
           ds->enqueue(rng.next_bounded(w.key_range) + 1, 0);
       } else {
-        std::uint64_t inserted = 0;
-        while (inserted < w.prefill)
-          inserted += ds->insert(rng.next_bounded(w.key_range) + 1,
-                                 /*value=*/inserted, 0)
-                          ? 1
-                          : 0;
+        prefill(*ds, w.prefill, w.key_range);
       }
       rc.threads = t;
       RunResult r = run_timed(
@@ -178,11 +140,8 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
     data.emplace(TR::name(), std::move(series));
   });
 
-  std::printf("=== %s — %s (%s%s) ===\n", spec.figure, spec.ds_name,
-              mix_name(w.mix),
-              upserts.size() > 1 || w.upsert_inplace
-                  ? (w.upsert_inplace ? ", upsert=inplace" : ", upsert=copy")
-                  : "");
+  std::printf("=== %s — %s (%s) ===\n", spec.figure, spec.ds_name,
+              mix_name(w.mix));
   std::printf("prefill=%llu key_range=%llu seconds=%.2f repeats=%u\n",
               static_cast<unsigned long long>(w.prefill),
               static_cast<unsigned long long>(w.key_range), rc.seconds,
@@ -190,13 +149,6 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
   detail::print_table("throughput (Mops/s):", threads, schemes, data, false);
   detail::print_table("avg unreclaimed objects:", threads, schemes, data, true);
   std::printf("\n");
-
-  for (const auto& s : schemes) {
-    const detail::Series& ser = data.at(s);
-    for (std::size_t row = 0; row < threads.size(); ++row)
-      rows.push_back({up, s, threads[row], ser.mops[row], ser.unreclaimed[row]});
-  }
-  }  // upsert sweep
 
   if (const char* json_path = std::getenv("WFE_BENCH_JSON")) {
     util::JsonWriter j;
@@ -209,14 +161,16 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
     j.kv("seconds", rc.seconds);
     j.kv("repeats", rc.repeats);
     j.key("results").begin_array();
-    for (const Row& r : rows) {
-      j.begin_object();
-      j.kv("tracker", r.tracker.c_str());
-      j.kv("threads", r.threads);
-      j.kv("upsert", r.upsert.c_str());
-      j.kv("mops", r.mops);
-      j.kv("avg_unreclaimed", r.unreclaimed);
-      j.end_object();
+    for (const auto& s : schemes) {
+      const detail::Series& ser = data.at(s);
+      for (std::size_t row = 0; row < threads.size(); ++row) {
+        j.begin_object();
+        j.kv("tracker", s.c_str());
+        j.kv("threads", threads[row]);
+        j.kv("mops", ser.mops[row]);
+        j.kv("avg_unreclaimed", ser.unreclaimed[row]);
+        j.end_object();
+      }
     }
     j.end_array();
     j.end_object();

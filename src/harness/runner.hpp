@@ -8,6 +8,7 @@
 // Durations/repeats are scaled down by default for CI hosts and can be
 // restored to the paper's 10s x 5 via WFE_BENCH_SECONDS / _REPEATS.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -37,6 +38,7 @@ struct RunResult {
   double mops = 0.0;              ///< mean across repeats
   double mops_stddev = 0.0;
   double avg_unreclaimed = 0.0;   ///< mean of periodic samples
+  double seconds = 0.0;           ///< measured wall time, summed over repeats
 };
 
 inline double env_double(const char* name, double fallback) {
@@ -47,6 +49,28 @@ inline long env_long(const char* name, long fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atol(v) : fallback;
 }
+/// Comma list of unsigned numbers ("1,2,4,8"); any non-digit separates
+/// items.  `fallback` when the variable is unset or holds no number.
+inline std::vector<unsigned> env_list(const char* name,
+                                      std::vector<unsigned> fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  std::vector<unsigned> out;
+  unsigned cur = 0;
+  bool have = false;
+  for (const char* p = env;; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      cur = cur * 10 + static_cast<unsigned>(*p - '0');
+      have = true;
+    } else {
+      if (have) out.push_back(cur);
+      cur = 0;
+      have = false;
+      if (*p == '\0') break;
+    }
+  }
+  return out.empty() ? fallback : out;
+}
 
 /// Runs `op(rng, tid)` on `cfg.threads` threads for `cfg.seconds`,
 /// sampling `unreclaimed()` from the coordinator.  `op` must be
@@ -55,6 +79,7 @@ template <class Op, class Unreclaimed>
 RunResult run_timed(const RunConfig& cfg, Op&& op, Unreclaimed&& unreclaimed) {
   util::Samples mops_samples;
   util::Samples unreclaimed_samples;
+  double seconds = 0.0;
 
   for (unsigned rep = 0; rep < cfg.repeats; ++rep) {
     std::atomic<bool> stop{false};
@@ -96,9 +121,11 @@ RunResult run_timed(const RunConfig& cfg, Op&& op, Unreclaimed&& unreclaimed) {
     std::uint64_t total_ops = 0;
     for (auto& c : op_counts) total_ops += c.value;
     mops_samples.add(static_cast<double>(total_ops) / elapsed.count() / 1e6);
+    seconds += elapsed.count();
   }
 
-  return {mops_samples.mean(), mops_samples.stddev(), unreclaimed_samples.mean()};
+  return {mops_samples.mean(), mops_samples.stddev(), unreclaimed_samples.mean(),
+          seconds};
 }
 
 /// Thread-count sweep parsed from WFE_BENCH_THREAD_LIST ("1,2,4,8") or
@@ -106,23 +133,9 @@ RunResult run_timed(const RunConfig& cfg, Op&& op, Unreclaimed&& unreclaimed) {
 /// paper sweeps 1..120 on a 96-core box; oversubscription by 2x retains
 /// the preempted-reservation-holder regime its memory plots rely on).
 inline std::vector<unsigned> thread_sweep() {
-  std::vector<unsigned> out;
-  if (const char* env = std::getenv("WFE_BENCH_THREAD_LIST")) {
-    unsigned cur = 0;
-    bool have = false;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        cur = cur * 10 + static_cast<unsigned>(*p - '0');
-        have = true;
-      } else {
-        if (have && cur > 0) out.push_back(cur);
-        cur = 0;
-        have = false;
-        if (*p == '\0') break;
-      }
-    }
-    if (!out.empty()) return out;
-  }
+  std::vector<unsigned> out = env_list("WFE_BENCH_THREAD_LIST", {});
+  std::erase(out, 0u);
+  if (!out.empty()) return out;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (unsigned t = 1; t <= 2 * hw; t *= 2) out.push_back(t);
   if (out.back() != 2 * hw) out.push_back(2 * hw);

@@ -6,6 +6,7 @@
 // keys drawn uniformly from (0, key_range), structures prefilled with
 // `prefill` elements before timing starts.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -32,12 +33,21 @@ struct Workload {
   OpMix mix = OpMix::kWrite5050;
   std::uint64_t key_range = 100000;  ///< keys uniform in (0, key_range)
   std::uint64_t prefill = 50000;     ///< elements inserted before timing
-  /// Read-mostly mixes only: route upserts through the in-place path
-  /// (value-cell CAS: put()) instead of whole-node replacement
-  /// (remove+insert: put_copy()).  Figure benches sweep this via
-  /// WFE_BENCH_UPSERT_LIST.
-  bool upsert_inplace = false;
 };
+
+/// Inserts uniform keys from [1, key_range] into `s` (values: the
+/// insertion ordinal, thread slot 0) until `n` distinct keys are in.  The
+/// count is clamped to the key range — a prefill larger than the key
+/// space fills it instead of spinning forever — and the seed is fixed,
+/// so every data point starts from the same contents.
+template <class S>
+void prefill(S& s, std::uint64_t n, std::uint64_t key_range) {
+  util::Xoshiro256 rng(42);
+  n = std::min(n, key_range);
+  std::uint64_t inserted = 0;
+  while (inserted < n)
+    inserted += s.insert(rng.next_bounded(key_range) + 1, inserted, 0) ? 1 : 0;
+}
 
 /// One operation against a key-value structure (list / hash map / BST).
 /// `S` needs insert/remove/get/put taking (key, value, tid) / (key, tid).
@@ -55,19 +65,12 @@ void kv_op(S& s, const Workload& w, util::Xoshiro256& rng, unsigned tid) {
     case OpMix::kRead9010:
       if (rng.percent(90)) {
         s.get(key, tid);
-      } else if constexpr (requires { s.put_copy(key, key, tid); }) {
-        // The paper's read-mostly figures (9-11) measured remove+insert
-        // upserts, preserved as put_copy().  Every KV structure — list,
-        // hash map, and (since the tombstone refactor) the BST — also
-        // has an in-place put() that CASes the leaf's value cell; the
-        // workload knob picks which path the figure row measures.
-        if (w.upsert_inplace) {
-          s.put(key, key, tid);
-        } else {
-          s.put_copy(key, key, tid);
-        }
       } else {
-        s.put(key, key, tid);
+        // The paper's read-mostly figures (9-11) measured remove+insert
+        // upserts, preserved as put_copy().  The in-place put() that
+        // CASes the value cell is priced against it by the KV bench's
+        // bst_upsert duel.
+        s.put_copy(key, key, tid);
       }
       break;
     case OpMix::kQueue5050:

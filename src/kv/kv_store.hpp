@@ -33,7 +33,7 @@
 //   claim[bucket] = 2      -> done
 //
 // and ANY thread may run it: the resizer freezes buckets ahead of its
-// migrate cursor (KvConfig::resize_freeze_ahead) and claims them in
+// migrate cursor (a fixed window of 8, kFreezeAhead) and claims them in
 // order, while an op that observes a freeze bit HELPS — it claims the
 // bucket it is blocked on and performs the copy itself with its own
 // tracker sessions, falling back to capped exponential backoff (never a
@@ -170,13 +170,6 @@ struct KvConfig {
   std::size_t auto_grow_max_shards = 256;
   /// Writes between auto-grow checks, per thread (power of two).
   unsigned auto_grow_check_interval = 512;
-  /// How many buckets the resizer freezes AHEAD of its migrate cursor.
-  /// Frozen-but-unclaimed buckets are exactly what ops can help with,
-  /// so this is the migration's parallelism window: 1 recovers the
-  /// strictly-serial PR 3 shape (helpers can only ever co-work the one
-  /// in-flight bucket), larger values let several ops copy distinct
-  /// buckets concurrently with the resizer.
-  std::size_t resize_freeze_ahead = 8;
   /// Test knob: freeze EVERY source bucket up front so all traffic
   /// must take the helping path (the oracle and reshard stress suites
   /// set it from their WFE_TEST_HELP environment variable).
@@ -237,8 +230,6 @@ class KvStore {
     cfg_.persistence.snapshot_check_interval =
         static_cast<unsigned>(ds::round_up_pow2(std::max<std::size_t>(
             1, cfg.persistence.snapshot_check_interval)));
-    cfg_.resize_freeze_ahead =
-        std::max<std::size_t>(1, cfg_.resize_freeze_ahead);
     if (cfg_.admission.enabled) {
       // The controller consumes the sampler's time series; admission
       // without metrics would run open-loop.
@@ -905,6 +896,13 @@ class KvStore {
   };
 
   static constexpr std::uint8_t kUnclaimed = 0, kClaimed = 1, kDone = 2;
+  /// How many buckets the resizer freezes AHEAD of its migrate cursor.
+  /// Frozen-but-unclaimed buckets are exactly what ops can help with,
+  /// so this is the migration's parallelism window: 1 would recover the
+  /// strictly-serial shape (helpers can only ever co-work the one
+  /// in-flight bucket), larger values let several ops copy distinct
+  /// buckets concurrently with the resizer.
+  static constexpr std::size_t kFreezeAhead = 8;
 
   /// Epoch announcement bracket around every operation: publish the
   /// current epoch (seq_cst), THEN load the table pointer (the HP
@@ -1489,7 +1487,7 @@ class KvStore {
     const bool freeze_all =
         cfg_.resize_force_help || static_cast<bool>(resize_park_hook_);
     const std::size_t ahead =
-        freeze_all ? total : cfg_.resize_freeze_ahead;
+        freeze_all ? total : kFreezeAhead;
     std::size_t frozen = 0;
     const auto freeze_to = [&](std::size_t limit) {
       for (; frozen < limit; ++frozen)

@@ -11,6 +11,8 @@
 //   * a tombstone-helping storm (every thread deleting and re-inserting
 //     the same tiny key set, so most physical splices are finished by
 //     helpers, not their tombstone winners);
+//   * two removers of sibling leaves: each must splice its own leaf,
+//     even when its cleanup round finished the sibling's splice;
 //   * scans under concurrent writers: strictly ascending, no
 //     duplicates, and every key NO writer touches is always seen —
 //     with the churn band beside the stable keys, and interleaved with
@@ -36,6 +38,7 @@
 #include "harness/runner.hpp"
 #include "kv_balance.hpp"
 #include "tracker_types.hpp"
+#include "util/barrier.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -246,6 +249,48 @@ TYPED_TEST(BstTombstoneTest, HelpingStormLedgerCloses) {
   EXPECT_EQ(bst.size_unsafe(), live);
   // ...and every retire happened exactly once: 3 blocks per live key.
   test::expect_block_balance(bst_ledger(tracker), live, "storm quiescent",
+                             Bst<TypeParam>::kBlocksPerKey);
+}
+
+// ---- sibling removes: each remover splices its own leaf ----
+//
+// Keys 1 and 2, inserted into an empty tree, are sibling leaves; two
+// threads remove them at once.  When one remover's flag CAS loses to
+// the other's TAG, its cleanup round completes the OTHER key's splice,
+// which moves its own tombstoned leaf up to the ancestor.  Returning
+// then strands that leaf and its routing internal node: nobody retires
+// them.  The ledger is closed after every round, before the next
+// round's inserts could help a stranded leaf out.
+
+TYPED_TEST(BstTombstoneTest, SiblingRemovesSpliceBothLeaves) {
+  TypeParam tracker(this->cfg_);
+  Bst<TypeParam> bst(tracker);
+  // The losing flag CAS must land between the sibling's TAG and its
+  // splice, and then win the splice: a few rounds in a thousand.
+  const unsigned rounds = 4 * test_ops();
+  util::SpinBarrier barrier(3);
+  std::vector<std::thread> removers;
+  for (unsigned t = 1; t <= 2; ++t) {
+    removers.emplace_back([&, t] {
+      for (unsigned r = 0; r < rounds; ++r) {
+        barrier.arrive_and_wait();  // both keys inserted
+        EXPECT_TRUE(bst.remove(t, t).has_value());
+        barrier.arrive_and_wait();  // both keys removed
+      }
+    });
+  }
+  unsigned stranded_rounds = 0;
+  for (unsigned r = 0; r < rounds; ++r) {
+    EXPECT_TRUE(bst.insert(1, r, 0));
+    EXPECT_TRUE(bst.insert(2, r, 0));
+    barrier.arrive_and_wait();
+    barrier.arrive_and_wait();
+    const kv::ShardStats s = bst_ledger(tracker);
+    stranded_rounds += s.allocated != s.freed + s.unreclaimed;
+  }
+  for (auto& th : removers) th.join();
+  EXPECT_EQ(stranded_rounds, 0u) << "rounds that left a removed leaf in the tree";
+  test::expect_block_balance(bst_ledger(tracker), 0, "sibling removes",
                              Bst<TypeParam>::kBlocksPerKey);
 }
 

@@ -15,11 +15,17 @@ namespace {
 
 using namespace wfe;
 
+template <class TR>
+using TinyList = ds::HmList<std::uint64_t, std::uint64_t, TR>;
+// Every tracker must size its reservation slots for the list (fewer
+// slots than the list uses is an out-of-bounds slot write).
+constexpr unsigned kListSlots = TinyList<core::WfeTracker>::kSlotsNeeded;
+
 struct TinyListFactory {
   static constexpr bool kIsQueue = false;
   template <class TR>
   auto operator()(TR& trk) const {
-    return std::make_unique<ds::HmList<std::uint64_t, std::uint64_t, TR>>(trk);
+    return std::make_unique<TinyList<TR>>(trk);
   }
 };
 
@@ -53,14 +59,14 @@ TEST_F(FigureDriverTest, KvFigureRunsAllSchemes) {
   harness::FigureSpec spec{"Fig T1", "Tiny List",
                            {harness::OpMix::kWrite5050, 256, 64},
                            /*is_queue=*/false,
-                           /*slots_needed=*/2};
+                           /*slots_needed=*/kListSlots};
   EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
 }
 
 TEST_F(FigureDriverTest, ReadMostlyMixRuns) {
   harness::FigureSpec spec{"Fig T2", "Tiny List",
                            {harness::OpMix::kRead9010, 256, 64},
-                           false, 2};
+                           false, kListSlots};
   EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
 }
 
@@ -70,6 +76,26 @@ TEST_F(FigureDriverTest, QueueFigureRunsAllSchemes) {
                            /*is_queue=*/true,
                            /*slots_needed=*/4};
   EXPECT_EQ(harness::run_figure(spec, TinyQueueFactory{}), 0);
+}
+
+// A prefill larger than the key range must fill the key space and stop,
+// not spin forever looking for distinct keys that do not exist.
+TEST_F(FigureDriverTest, PrefillAboveKeyRangeTerminates) {
+  ::setenv("WFE_BENCH_PREFILL", "512", 1);
+  ::setenv("WFE_BENCH_THREAD_LIST", "1", 1);
+  harness::FigureSpec spec{"Fig T4", "Tiny List",
+                           {harness::OpMix::kWrite5050, 256, 512},
+                           false, kListSlots};
+  EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
+
+  reclaim::TrackerConfig cfg;
+  cfg.max_threads = 1;
+  cfg.max_hes = kListSlots;
+  core::WfeTracker tracker(cfg);
+  TinyList<core::WfeTracker> list(tracker);
+  harness::prefill(list, 512, 256);
+  EXPECT_EQ(list.size_unsafe(), 256u);
+  for (std::uint64_t k = 1; k <= 256; ++k) EXPECT_TRUE(list.get(k, 0)) << k;
 }
 
 TEST(FigureDriverDefaults, MixNamesAreStable) {
