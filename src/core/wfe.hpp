@@ -10,13 +10,18 @@
 // number of in-flight incrementers (Lemmas 1-3) and every operation is
 // wait-free bounded (Theorems 1-3).
 //
-// Data layout (paper §3.2, Fig. 3):
-//  * reservations[tid][0..max_hes+1]: {era, tag} pairs.  Slots
-//    [0, max_hes) are the application's; slots max_hes ("parent") and
-//    max_hes+1 ("handover") are internal to help_thread().  The tag half
-//    identifies the slow-path cycle and increases monotonically, killing
-//    delayed (ABA) updates from stale helpers.
-//  * state[tid][0..max_hes): one slow-path request slot per reservation:
+// WfeCore is that algorithm, written once.  The paper's §2.4 notes the
+// same technique makes 2GEIBR wait-free; core/wfe_ibr.hpp runs this engine
+// with a different row layout.  Data layout (paper §3.2, Fig. 3), as rows
+// plus requests:
+//  * rows[tid][..]: {era, tag} reservation pairs.  Rows [0, requests) are
+//    request rows: protect(idx) publishes into row slot_of(idx), and a
+//    helper serving that row's request installs the era there.  The next
+//    two rows, "parent" and "handover", are internal to help_thread().
+//    Any rows after those are private to the layout.  The tag half
+//    numbers a request row's slow-path cycles and increases
+//    monotonically, killing delayed (ABA) updates from stale helpers.
+//  * requests[tid][0..requests): one slow-path request per request row:
 //      result  — {pointer, era} pair; {invptr, tag} while a request is
 //                open, {value, era} once served (or {nullptr, ∞} when the
 //                owner cancels after succeeding on its own);
@@ -26,6 +31,14 @@
 //  * counter_start/counter_end — F&A counters; cs != ce means requests may
 //    be open, and cs moving means new requesters arrived (used by the
 //    cleanup() scanning discipline, Lemma 5 / Theorem 4).
+//
+// A layout is the tracker deriving from WfeCore<Layout>.  It passes its
+// request and private row counts to the constructor and supplies:
+//  * slot_of(idx) — the request row protect(idx) publishes into;
+//  * app_pins(b)  — whether any thread's application rows pin block b;
+//  * begin_op / end_op / clear_slot / copy_slot over its application rows.
+// WfeTracker's layout is Fig. 3's: max_hes application rows, each its own
+// request row (slot_of(idx) == idx), pinning by Hazard Eras' era points.
 //
 // API deviation from HE (paper §3.4): protect() takes the *parent* block
 // containing the hazardous reference (nullptr for roots), so helpers can
@@ -50,52 +63,16 @@ using reclaim::kInfEra;
 using reclaim::kInvPtr;
 using reclaim::TrackerConfig;
 
-class WfeTracker : public reclaim::TrackerBase {
+template <class Layout>
+class WfeCore : public reclaim::TrackerBase {
  public:
-  explicit WfeTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), slots_(cfg.max_threads) {
-    for (unsigned t = 0; t < cfg.max_threads; ++t) {
-      auto& s = slots_[t];
-      s.resv = std::make_unique<util::AtomicPair[]>(cfg.max_hes + 2);
-      for (unsigned j = 0; j < cfg.max_hes + 2; ++j)
-        s.resv[j].store_pair({kInfEra, 0}, std::memory_order_relaxed);
-      s.state = std::make_unique<SlowState[]>(cfg.max_hes);
-    }
-  }
-  ~WfeTracker() { drain_all_unsafe(); }
-
-  static constexpr const char* name() noexcept { return "WFE"; }
-
-  void begin_op(unsigned) noexcept {}
-
-  /// clear(): reset all application reservations; tags (the .B halves)
-  /// must survive — they number slow-path cycles across operations.
-  void end_op(unsigned tid) noexcept {
-    for (unsigned j = 0; j < cfg_.max_hes; ++j)
-      slots_[tid].resv[j].store_a(kInfEra, std::memory_order_release);
-  }
-
-  void clear_slot(unsigned idx, unsigned tid) noexcept {
-    slots_[tid].resv[idx].store_a(kInfEra, std::memory_order_release);
-  }
-
-  /// Slot `to` takes over protecting the era slot `from` holds.  Only the
-  /// era half is copied — the tag half numbers `to`'s own slow-path
-  /// cycles and must not be disturbed.  An era `to` already holds is not
-  /// stored again: the skip protect() makes when the era is unchanged
-  /// (lines 16-24), since scanners already see it.
-  void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    const std::uint64_t era = slots_[tid].resv[from].load_a(std::memory_order_relaxed);
-    if (slots_[tid].resv[to].load_a(std::memory_order_relaxed) != era)
-      slots_[tid].resv[to].store_a(era, std::memory_order_seq_cst);
-  }
-
   /// get_protected() — Fig. 4 lines 12-54.  `parent` is the block that
   /// physically contains `src` (nullptr when `src` is a data-structure
   /// root), needed so a helper can pin it via its alloc_era.
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned idx,
                               unsigned tid, const Block* parent = nullptr) noexcept {
-    util::AtomicPair& rsv = slots_[tid].resv[idx];
+    const unsigned q = Layout::slot_of(idx);
+    util::AtomicPair& rsv = rows_[tid].resv[q];
     std::uint64_t prev_era = rsv.load_a(std::memory_order_acquire);
 
     // ---- fast path: identical to Hazard Eras (lines 16-24) ----
@@ -114,7 +91,7 @@ class WfeTracker : public reclaim::TrackerBase {
     const std::uint64_t parent_era = parent ? parent->alloc_era : kInfEra;
     counter_start_.value.fetch_add(1, std::memory_order_seq_cst);
 
-    SlowState& st = slots_[tid].state[idx];
+    Request& st = rows_[tid].req[q];
     st.pointer.store(&src, std::memory_order_relaxed);
     st.era.store(parent_era, std::memory_order_relaxed);
     const std::uint64_t tag = rsv.load_b(std::memory_order_relaxed);
@@ -208,17 +185,49 @@ class WfeTracker : public reclaim::TrackerBase {
     slow_path_hist_ = h;
   }
 
- private:
-  struct SlowState {
+ protected:
+  /// Every thread gets `requests` request rows, the parent and handover
+  /// rows, then `private_rows` rows of the layout's own.
+  WfeCore(const TrackerConfig& cfg, unsigned requests, unsigned private_rows)
+      : TrackerBase(cfg), rows_(cfg.max_threads), requests_(requests) {
+    const unsigned n = requests + 2 + private_rows;
+    for (unsigned t = 0; t < cfg.max_threads; ++t) {
+      auto& r = rows_[t];
+      r.resv = std::make_unique<util::AtomicPair[]>(n);
+      for (unsigned j = 0; j < n; ++j)
+        r.resv[j].store_pair({kInfEra, 0}, std::memory_order_relaxed);
+      r.req = std::make_unique<Request[]>(requests);
+    }
+  }
+  ~WfeCore() { drain_all_unsafe(); }
+
+  /// True when thread t's reservation row r pins b.
+  bool row_pins(const Block* b, unsigned t, unsigned r) const noexcept {
+    return reclaim::era_overlaps(b, rows_[t].resv[r].load_a(std::memory_order_seq_cst));
+  }
+
+  struct Request {
     util::AtomicPair result{util::Pair{0, kInfEra}};  // {nullptr, ∞}
     std::atomic<std::uint64_t> era{kInfEra};
     std::atomic<const std::atomic<std::uintptr_t>*> pointer{nullptr};
   };
 
-  struct Slots {
-    std::unique_ptr<util::AtomicPair[]> resv;  // max_hes + 2 entries
-    std::unique_ptr<SlowState[]> state;        // max_hes entries
+  struct Rows {
+    std::unique_ptr<util::AtomicPair[]> resv;  // requests + 2 + private rows
+    std::unique_ptr<Request[]> req;            // `requests` entries
   };
+
+  // The rows table leads, so the fast path finds it on the line holding
+  // cfg_; the clock and each counter sit on padded lines of their own.
+  reclaim::detail::PerThread<Rows> rows_;
+  util::Padded<std::atomic<std::uint64_t>> global_era_{1};
+  util::Padded<std::atomic<std::uint64_t>> counter_start_{0};
+  util::Padded<std::atomic<std::uint64_t>> counter_end_{0};
+  obs::LatencyHistogram* slow_path_hist_ = nullptr;  ///< null = unprobed
+  const unsigned requests_;  ///< request rows per thread; parent row next
+
+ private:
+  const Layout& layout() const noexcept { return static_cast<const Layout&>(*this); }
 
   /// increment_era() — Fig. 4 lines 87-98: help every open request, then
   /// (and only then) advance the clock.
@@ -227,9 +236,9 @@ class WfeTracker : public reclaim::TrackerBase {
     const std::uint64_t cs = counter_start_.value.load(std::memory_order_seq_cst);
     if (cs != ce) {
       for (unsigned i = 0; i < cfg_.max_threads; ++i) {
-        for (unsigned j = 0; j < cfg_.max_hes; ++j) {
-          if (slots_[i].state[j].result.load_a(std::memory_order_seq_cst) == kInvPtr)
-            help_thread(i, j, tid);
+        for (unsigned q = 0; q < requests_; ++q) {
+          if (rows_[i].req[q].result.load_a(std::memory_order_seq_cst) == kInvPtr)
+            help_thread(i, q, tid);
         }
       }
     }
@@ -238,22 +247,23 @@ class WfeTracker : public reclaim::TrackerBase {
 
   /// help_thread() — Fig. 4 lines 100-134: dereference the requester's
   /// hazardous pointer on its behalf and hand over a reservation.
-  void help_thread(unsigned i, unsigned j, unsigned tid) noexcept {
-    SlowState& st = slots_[i].state[j];
+  void help_thread(unsigned i, unsigned q, unsigned tid) noexcept {
+    Request& st = rows_[i].req[q];
     util::Pair res = st.result.load_pair(std::memory_order_seq_cst);
     if (res.a != kInvPtr) return;
 
     // Pin the requester's parent block before touching its interior
     // pointer (Lemma 4; first internal reservation).
     const std::uint64_t parent_era = st.era.load(std::memory_order_acquire);
-    util::AtomicPair& parent_rsv = slots_[tid].resv[cfg_.max_hes];
+    util::AtomicPair& parent_rsv = rows_[tid].resv[requests_];
     parent_rsv.store_a(parent_era, std::memory_order_seq_cst);
 
     const std::atomic<std::uintptr_t>* ptr = st.pointer.load(std::memory_order_acquire);
-    const std::uint64_t tag = slots_[i].resv[j].load_b(std::memory_order_seq_cst);
+    util::AtomicPair& req_rsv = rows_[i].resv[q];
+    const std::uint64_t tag = req_rsv.load_b(std::memory_order_seq_cst);
     if (tag == res.b) {
       // All state fields were read consistently; serve the request.
-      util::AtomicPair& handover_rsv = slots_[tid].resv[cfg_.max_hes + 1];
+      util::AtomicPair& handover_rsv = rows_[tid].resv[requests_ + 1];
       std::uint64_t prev_era = global_era_.value.load(std::memory_order_seq_cst);
       do {  // bounded by the number of in-flight threads (Lemma 2)
         // Second internal reservation: keeps the dereferenced block alive
@@ -268,9 +278,9 @@ class WfeTracker : public reclaim::TrackerBase {
             // two iterations (Lemma 3).  A tag change means the requester
             // already moved on — leave its reservation alone.
             for (;;) {
-              util::Pair old = slots_[i].resv[j].load_pair(std::memory_order_seq_cst);
+              util::Pair old = req_rsv.load_pair(std::memory_order_seq_cst);
               if (old.b != tag) break;
-              if (slots_[i].resv[j].wcas(old, {new_era, tag + 1})) break;
+              if (req_rsv.wcas(old, {new_era, tag + 1})) break;
             }
           }
           break;
@@ -283,30 +293,29 @@ class WfeTracker : public reclaim::TrackerBase {
   }
 
   /// cleanup() — Fig. 4 lines 56-67, implementing the scanning discipline
-  /// of Lemmas 4/5: application slots, then the parent slot; and — unless
-  /// no helper can be active (ce == counter_start) — the handover slot
-  /// followed by the application slots *again* (opposite order).
+  /// of Lemmas 4/5: application rows, then the parent row; and — unless
+  /// no helper can be active (ce == counter_start) — the handover row
+  /// followed by the application rows *again* (opposite order).  app_pins()
+  /// may read one thread's rows from the highest index down (WfeTracker
+  /// does, for copy_slot's hand-offs); that order lies inside one pass, so
+  /// the passes still meet each reservation in Lemma 5's order: a block
+  /// handed from a helper's parent or handover row to a requester's row is
+  /// caught by the order of the passes, one handed between two
+  /// application rows by the order within the pass.
   void cleanup(unsigned tid) noexcept {
     sweep_retired(tid, [this](const Block* b) {
       const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
-      if (!can_delete(b, 0, cfg_.max_hes) ||
-          !can_delete(b, cfg_.max_hes, cfg_.max_hes + 1)) {
-        return false;
-      }
+      if (layout().app_pins(b) || internal_pins(b, requests_)) return false;
       if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return true;
-      return can_delete(b, cfg_.max_hes + 1, cfg_.max_hes + 2) &&
-             can_delete(b, 0, cfg_.max_hes);
+      return !internal_pins(b, requests_ + 1) && !layout().app_pins(b);
     });
   }
 
-  bool can_delete(const Block* b, unsigned js, unsigned je) const noexcept {
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      for (unsigned j = js; j < je; ++j) {
-        const std::uint64_t e = slots_[t].resv[j].load_a(std::memory_order_seq_cst);
-        if (reclaim::era_overlaps(b, e)) return false;
-      }
-    }
-    return true;
+  /// True when any thread's internal row r (parent or handover) pins b.
+  bool internal_pins(const Block* b, unsigned r) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t)
+      if (row_pins(b, t, r)) return true;
+    return false;
   }
 
   /// Both slow-path exits funnel here: record the episode's duration and
@@ -316,12 +325,53 @@ class WfeTracker : public reclaim::TrackerBase {
     obs::tls_cause = obs::TraceCause::kSlowPath;
     slow_path_hist_->record_owned(obs::ticks_to_ns(obs::now_ticks() - t0), tid);
   }
+};
 
-  reclaim::detail::PerThread<Slots> slots_;
-  util::Padded<std::atomic<std::uint64_t>> global_era_{1};
-  util::Padded<std::atomic<std::uint64_t>> counter_start_{0};
-  util::Padded<std::atomic<std::uint64_t>> counter_end_{0};
-  obs::LatencyHistogram* slow_path_hist_ = nullptr;  ///< null = unprobed
+class WfeTracker : public WfeCore<WfeTracker> {
+ public:
+  explicit WfeTracker(const TrackerConfig& cfg)
+      : WfeCore(cfg, cfg.max_hes, /*private_rows=*/0) {}
+
+  static constexpr const char* name() noexcept { return "WFE"; }
+
+  void begin_op(unsigned) noexcept {}
+
+  /// clear(): reset all application reservations; tags (the .B halves)
+  /// must survive — they number slow-path cycles across operations.
+  void end_op(unsigned tid) noexcept {
+    for (unsigned j = 0; j < cfg_.max_hes; ++j)
+      rows_[tid].resv[j].store_a(kInfEra, std::memory_order_release);
+  }
+
+  void clear_slot(unsigned idx, unsigned tid) noexcept {
+    rows_[tid].resv[idx].store_a(kInfEra, std::memory_order_release);
+  }
+
+  /// Slot `to` takes over protecting the era slot `from` holds.  Only the
+  /// era half is copied — the tag half numbers `to`'s own slow-path
+  /// cycles and must not be disturbed.  An era `to` already holds is not
+  /// stored again: the skip protect() makes when the era is unchanged
+  /// (lines 16-24), since scanners already see it.
+  void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
+    const std::uint64_t era = rows_[tid].resv[from].load_a(std::memory_order_relaxed);
+    if (rows_[tid].resv[to].load_a(std::memory_order_relaxed) != era)
+      rows_[tid].resv[to].store_a(era, std::memory_order_seq_cst);
+  }
+
+ private:
+  friend WfeCore;
+
+  static constexpr unsigned slot_of(unsigned idx) noexcept { return idx; }
+
+  /// HE's can_delete() over the application rows, each thread's read
+  /// from the highest slot down, as copy_slot's direction contract
+  /// requires (reclaim/tracker.hpp).
+  bool app_pins(const Block* b) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t)
+      for (unsigned j = cfg_.max_hes; j-- != 0;)
+        if (row_pins(b, t, j)) return true;
+    return false;
+  }
 };
 
 static_assert(reclaim::tracker_for<WfeTracker>);

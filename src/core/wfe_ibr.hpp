@@ -6,272 +6,65 @@
 // 2GEIBR (reclaim/ibr.hpp) keeps one reservation *interval* [lower,
 // upper] per thread; its read protocol grows `upper` with the same
 // publish/validate loop as Hazard Eras — and is therefore only
-// lock-free.  This tracker grafts WFE's fast-path/slow-path helping onto
-// that loop:
-//  * fast path: identical to 2GEIBR's read (bounded attempts);
-//  * slow path: the thread opens a help request ({invptr, tag} in its
-//    state slot); era-incrementing threads (alloc/retire) serve every
-//    open request before advancing the clock, installing {pointer, era}
-//    and raising the requester's `upper` on its behalf;
-//  * per-thread tags (in the upper-half pair) number slow-path cycles
-//    and kill delayed helper updates, exactly as in WFE (paper §3.2);
-//  * helpers pin the request's parent block and the dereferenced block
-//    through two internal era-point reservations, and cleanup() scans in
-//    the Lemma 4/5 discipline.
-//
-// One request slot per thread suffices (2GEIBR has one interval per
-// thread, not one per reservation index), which simplifies Fig. 4's
-// state array to a vector.
+// lock-free.  This tracker runs WFE's own engine (core::WfeCore in
+// core/wfe.hpp) over an interval row layout, so the bounded fast path,
+// the help request, helping before every era bump, the tag protocol and
+// the Lemma 4/5 cleanup order are the code WFE runs.  The layout:
+//  * row 0 is `upper` and the thread's one request row: protect() grows
+//    it whatever the index, and a helper raises it on the requester's
+//    behalf;
+//  * rows 1 and 2 are the engine's parent and handover rows;
+//  * row 3 is `lower`, private to this layout: begin_op() opens the
+//    interval at the current era, end_op() clears both bounds;
+//  * app_pins() is 2GEIBR's interval-overlap test.
+// One request per thread suffices: 2GEIBR has one interval per thread,
+// not one reservation per index, and slot copies are no-ops.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
-#include "obs/clock.hpp"
-#include "obs/histogram.hpp"
-#include "obs/trace.hpp"
-#include "reclaim/block.hpp"
-#include "reclaim/tracker.hpp"
-#include "util/atomics.hpp"
-#include "util/cacheline.hpp"
+#include "core/wfe.hpp"
 
 namespace wfe::core {
 
-class WfeIbrTracker : public reclaim::TrackerBase {
-  using Block = reclaim::Block;
-  static constexpr std::uint64_t kInfEra = reclaim::kInfEra;
-  static constexpr std::uintptr_t kInvPtr = reclaim::kInvPtr;
-
+class WfeIbrTracker : public WfeCore<WfeIbrTracker> {
  public:
-  explicit WfeIbrTracker(const reclaim::TrackerConfig& cfg)
-      : TrackerBase(cfg), slots_(cfg.max_threads) {
-    for (unsigned t = 0; t < cfg.max_threads; ++t) {
-      auto& s = slots_[t];
-      s.lower.store_pair({kInfEra, 0}, std::memory_order_relaxed);
-      s.upper.store_pair({kInfEra, 0}, std::memory_order_relaxed);
-      s.parent_resv.store_pair({kInfEra, 0}, std::memory_order_relaxed);
-      s.handover_resv.store_pair({kInfEra, 0}, std::memory_order_relaxed);
-    }
-  }
-  ~WfeIbrTracker() { drain_all_unsafe(); }
+  explicit WfeIbrTracker(const TrackerConfig& cfg)
+      : WfeCore(cfg, /*requests=*/1, /*private_rows=*/1) {}
 
   static constexpr const char* name() noexcept { return "WFE-IBR"; }
 
   void begin_op(unsigned tid) noexcept {
     const std::uint64_t e = global_era_.value.load(std::memory_order_seq_cst);
-    slots_[tid].lower.store_a(e, std::memory_order_seq_cst);
-    slots_[tid].upper.store_a(e, std::memory_order_seq_cst);
+    rows_[tid].resv[kLower].store_a(e, std::memory_order_seq_cst);
+    rows_[tid].resv[kUpper].store_a(e, std::memory_order_seq_cst);
   }
 
   void end_op(unsigned tid) noexcept {
-    slots_[tid].lower.store_a(kInfEra, std::memory_order_release);
-    slots_[tid].upper.store_a(kInfEra, std::memory_order_release);
+    rows_[tid].resv[kLower].store_a(kInfEra, std::memory_order_release);
+    rows_[tid].resv[kUpper].store_a(kInfEra, std::memory_order_release);
   }
 
   void clear_slot(unsigned, unsigned) noexcept {}
   void copy_slot(unsigned, unsigned, unsigned) noexcept {}
 
-  /// 2GEIBR read made wait-free: grow `upper` until stable, else request
-  /// helping.  `idx` is accepted for interface compatibility and ignored
-  /// (reservations are per-thread intervals).
-  std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned /*idx*/,
-                              unsigned tid, const Block* parent = nullptr) noexcept {
-    Slots& my = slots_[tid];
-    std::uint64_t prev_era = my.upper.load_a(std::memory_order_acquire);
-
-    unsigned attempts = cfg_.force_slow_path ? 0 : cfg_.fast_path_attempts;
-    while (attempts-- != 0) {  // fast path == 2GEIBR's read
-      const std::uintptr_t ret = src.load(std::memory_order_acquire);
-      const std::uint64_t new_era = global_era_.value.load(std::memory_order_seq_cst);
-      if (prev_era == new_era) return ret;
-      my.upper.store_a(new_era, std::memory_order_seq_cst);
-      prev_era = new_era;
-    }
-
-    // Slow path: request helping (Fig. 4 lines 26-54, one slot/thread).
-    const std::uint64_t probe_t0 =
-        slow_path_hist_ != nullptr ? obs::now_ticks() : 0;
-    const std::uint64_t parent_era = parent ? parent->alloc_era : kInfEra;
-    counter_start_.value.fetch_add(1, std::memory_order_seq_cst);
-    my.state.pointer.store(&src, std::memory_order_relaxed);
-    my.state.era.store(parent_era, std::memory_order_relaxed);
-    const std::uint64_t tag = my.upper.load_b(std::memory_order_relaxed);
-    my.state.result.store_pair({kInvPtr, tag}, std::memory_order_seq_cst);
-
-    util::Pair res;
-    for (;;) {
-      const std::uintptr_t ret = src.load(std::memory_order_acquire);
-      const std::uint64_t new_era = global_era_.value.load(std::memory_order_seq_cst);
-      if (prev_era == new_era) {
-        util::Pair expect{kInvPtr, tag};
-        if (my.state.result.wcas(expect, {0, kInfEra})) {
-          my.upper.store_b(tag + 1, std::memory_order_seq_cst);
-          counter_end_.value.fetch_add(1, std::memory_order_seq_cst);
-          finish_slow_probe(probe_t0, tid);
-          return ret;
-        }
-      }
-      my.upper.wcas_discard({prev_era, tag}, {new_era, tag});
-      prev_era = new_era;
-      res = my.state.result.load_pair(std::memory_order_seq_cst);
-      if (res.a != kInvPtr) break;
-    }
-    my.upper.store_a(res.b, std::memory_order_seq_cst);
-    my.upper.store_b(tag + 1, std::memory_order_seq_cst);
-    counter_end_.value.fetch_add(1, std::memory_order_seq_cst);
-    finish_slow_probe(probe_t0, tid);
-    return static_cast<std::uintptr_t>(res.a);
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
-  }
-
-  template <class T, class... Args>
-  T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0) increment_era(tid);
-    T* node = reclaim::construct_block<T>(std::forward<Args>(args)...);
-    node->alloc_era = global_era_.value.load(std::memory_order_seq_cst);  // birth
-    count_alloc(tid);
-    return node;
-  }
-
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    push_retired(b, tid);
-    auto& td = threads_[tid];
-    if (++td.retire_since_scan % cfg_.cleanup_freq == 0) {
-      if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
-        increment_era(tid);
-      cleanup(tid);
-    }
-  }
-
-  void flush(unsigned tid) noexcept { cleanup(tid); }
-
-  std::uint64_t era() const noexcept {
-    return global_era_.value.load(std::memory_order_acquire);
-  }
-  std::uint64_t slow_path_entries() const noexcept {
-    return counter_start_.value.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_path_exits() const noexcept {
-    return counter_end_.value.load(std::memory_order_relaxed);
-  }
-
-  /// Latency probe for slow-path episodes (same contract as
-  /// WfeTracker::set_slow_path_probe).
-  void set_slow_path_probe(obs::LatencyHistogram* h) noexcept {
-    slow_path_hist_ = h;
-  }
-
  private:
-  struct SlowState {
-    util::AtomicPair result{util::Pair{0, kInfEra}};
-    std::atomic<std::uint64_t> era{kInfEra};
-    std::atomic<const std::atomic<std::uintptr_t>*> pointer{nullptr};
-  };
+  friend WfeCore;
 
-  struct Slots {
-    util::AtomicPair lower;          ///< .a = interval lower bound
-    util::AtomicPair upper;          ///< .a = interval upper bound, .b = tag
-    util::AtomicPair parent_resv;    ///< era point pinning a request's parent
-    util::AtomicPair handover_resv;  ///< era point pinning a helped read
-    SlowState state;                 ///< single help-request slot
-  };
+  static constexpr unsigned kUpper = 0;  ///< .a = upper bound, .b = tag
+  static constexpr unsigned kLower = 3;  ///< .a = lower bound
 
-  void increment_era(unsigned tid) noexcept {
-    const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
-    const std::uint64_t cs = counter_start_.value.load(std::memory_order_seq_cst);
-    if (cs != ce) {
-      for (unsigned i = 0; i < cfg_.max_threads; ++i) {
-        if (slots_[i].state.result.load_a(std::memory_order_seq_cst) == kInvPtr)
-          help_thread(i, tid);
-      }
-    }
-    global_era_.value.fetch_add(1, std::memory_order_seq_cst);
-  }
+  static constexpr unsigned slot_of(unsigned) noexcept { return kUpper; }
 
-  void help_thread(unsigned i, unsigned tid) noexcept {
-    SlowState& st = slots_[i].state;
-    util::Pair res = st.result.load_pair(std::memory_order_seq_cst);
-    if (res.a != kInvPtr) return;
-
-    const std::uint64_t parent_era = st.era.load(std::memory_order_acquire);
-    util::AtomicPair& parent_rsv = slots_[tid].parent_resv;
-    parent_rsv.store_a(parent_era, std::memory_order_seq_cst);
-
-    const std::atomic<std::uintptr_t>* ptr = st.pointer.load(std::memory_order_acquire);
-    const std::uint64_t tag = slots_[i].upper.load_b(std::memory_order_seq_cst);
-    if (tag == res.b) {
-      util::AtomicPair& handover_rsv = slots_[tid].handover_resv;
-      std::uint64_t prev_era = global_era_.value.load(std::memory_order_seq_cst);
-      do {
-        handover_rsv.store_a(prev_era, std::memory_order_seq_cst);
-        const std::uintptr_t ret = ptr->load(std::memory_order_acquire);
-        const std::uint64_t new_era = global_era_.value.load(std::memory_order_seq_cst);
-        if (prev_era == new_era) {
-          util::Pair expect = res;
-          if (st.result.wcas(expect, {ret, new_era})) {
-            for (;;) {  // at most 2 iterations (Lemma 3)
-              util::Pair old = slots_[i].upper.load_pair(std::memory_order_seq_cst);
-              if (old.b != tag) break;
-              if (slots_[i].upper.wcas(old, {new_era, tag + 1})) break;
-            }
-          }
-          break;
-        }
-        prev_era = new_era;
-      } while (st.result.load_pair(std::memory_order_seq_cst) == res);
-      handover_rsv.store_a(kInfEra, std::memory_order_seq_cst);
-    }
-    parent_rsv.store_a(kInfEra, std::memory_order_seq_cst);
-  }
-
-  /// Lemma 4/5 scanning discipline over interval + point reservations.
-  void cleanup(unsigned tid) noexcept {
-    sweep_retired(tid, [this](const Block* b) {
-      const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
-      if (!intervals_allow(b) || !points_allow(b, &Slots::parent_resv)) return false;
-      if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return true;
-      return points_allow(b, &Slots::handover_resv) && intervals_allow(b);
-    });
-  }
-
-  bool intervals_allow(const Block* b) const noexcept {
+  bool app_pins(const Block* b) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      const std::uint64_t lo = slots_[t].lower.load_a(std::memory_order_seq_cst);
+      const std::uint64_t lo = rows_[t].resv[kLower].load_a(std::memory_order_seq_cst);
       if (lo == kInfEra) continue;
-      const std::uint64_t up = slots_[t].upper.load_a(std::memory_order_seq_cst);
-      const bool disjoint = b->alloc_era > up || b->retire_era < lo;
-      if (!disjoint) return false;
+      const std::uint64_t up = rows_[t].resv[kUpper].load_a(std::memory_order_seq_cst);
+      if (b->alloc_era <= up && b->retire_era >= lo) return true;
     }
-    return true;
+    return false;
   }
-
-  bool points_allow(const Block* b, util::AtomicPair Slots::* resv) const noexcept {
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      const std::uint64_t e = (slots_[t].*resv).load_a(std::memory_order_seq_cst);
-      if (reclaim::era_overlaps(b, e)) return false;
-    }
-    return true;
-  }
-
-  void finish_slow_probe(std::uint64_t t0, unsigned tid) noexcept {
-    if (slow_path_hist_ == nullptr) return;
-    obs::tls_cause = obs::TraceCause::kSlowPath;
-    slow_path_hist_->record_owned(obs::ticks_to_ns(obs::now_ticks() - t0), tid);
-  }
-
-  reclaim::detail::PerThread<Slots> slots_;
-  util::Padded<std::atomic<std::uint64_t>> global_era_{1};
-  util::Padded<std::atomic<std::uint64_t>> counter_start_{0};
-  util::Padded<std::atomic<std::uint64_t>> counter_end_{0};
-  obs::LatencyHistogram* slow_path_hist_ = nullptr;  ///< null = unprobed
 };
 
 static_assert(reclaim::tracker_for<WfeIbrTracker>);

@@ -118,9 +118,11 @@ class HeTracker : public TrackerBase {
     sweep_retired(tid, [this](const Block* b) { return can_delete(b); });
   }
 
+  // Each thread's slots are read from the highest down, as copy_slot's
+  // direction contract requires (reclaim/tracker.hpp).
   bool can_delete(const Block* b) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      for (unsigned j = 0; j < cfg_.max_hes; ++j) {
+      for (unsigned j = cfg_.max_hes; j-- != 0;) {
         const std::uint64_t e = slots_[t].era[j].load(std::memory_order_seq_cst);
         if (era_overlaps(b, e)) return false;
       }

@@ -97,11 +97,13 @@ class HpTracker : public TrackerBase {
 
   void scan(unsigned tid) noexcept {
     // Snapshot all published hazards, then free retired blocks whose
-    // address is absent from the snapshot.
+    // address is absent from the snapshot.  Each thread's slots are read
+    // from the highest down, as copy_slot's direction contract requires
+    // (reclaim/tracker.hpp).
     auto& hazards = scratch_[tid].addresses;
     hazards.clear();
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      for (unsigned j = 0; j < cfg_.max_hes; ++j) {
+      for (unsigned j = cfg_.max_hes; j-- != 0;) {
         const std::uintptr_t h = slots_[t].hp[j].load(std::memory_order_seq_cst);
         if (h != 0) hazards.push_back(h);
       }

@@ -15,7 +15,12 @@
 //   copy_slot(...)  — slot `to` takes over what slot `from` protects; a
 //                     value `to` already holds may be left unstored: the
 //                     slot has one writer, so scanners already see it, and
-//                     protect_word publishes and validates on its own
+//                     protect_word publishes and validates on its own.
+//                     Direction contract: `to` < `from`, always.  Scans
+//                     read each thread's slots from the highest index
+//                     down; the copy's store to `to` precedes the owner's
+//                     next store to `from`, and both are seq_cst, so a
+//                     scan that misses the value in `from` finds it in `to`
 //   retire(...)     — unlink-then-retire a block
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free for quiescent teardown paths

@@ -5,89 +5,25 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
-#include <vector>
 
-#include "ds/hm_list.hpp"
 #include "ds/ms_queue.hpp"
 #include "tracker_types.hpp"
-#include "util/random.hpp"
 
 namespace {
 
 using namespace wfe;
 using test::CountedNode;
 
-reclaim::TrackerConfig ext_cfg(bool force_slow = false) {
+reclaim::TrackerConfig ext_cfg() {
   reclaim::TrackerConfig cfg;
   cfg.max_threads = 4;
   cfg.max_hes = 4;
   cfg.era_freq = 2;
   cfg.cleanup_freq = 2;
-  cfg.force_slow_path = force_slow;
   return cfg;
 }
 
-// ---- WFE-IBR ----
-
-TEST(WfeIbr, FastPathStaysOffSlowPath) {
-  core::WfeIbrTracker tracker(ext_cfg());
-  CountedNode* n = tracker.alloc<CountedNode>(0);
-  std::atomic<CountedNode*> root{n};
-  tracker.begin_op(0);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(tracker.protect(root, 0, 0, nullptr), n);
-  tracker.end_op(0);
-  EXPECT_EQ(tracker.slow_path_entries(), 0u);
-  tracker.dealloc(n, 0);
-}
-
-TEST(WfeIbr, ForcedSlowPathConvergesSingleThreaded) {
-  core::WfeIbrTracker tracker(ext_cfg(true));
-  CountedNode* n = tracker.alloc<CountedNode>(0, nullptr, 7);
-  std::atomic<CountedNode*> root{n};
-  tracker.begin_op(0);
-  for (int i = 0; i < 100; ++i) {
-    CountedNode* got = tracker.protect(root, 0, 0, nullptr);
-    ASSERT_EQ(got, n);
-    ASSERT_EQ(got->value, 7u);
-  }
-  tracker.end_op(0);
-  EXPECT_EQ(tracker.slow_path_entries(), 100u);
-  EXPECT_EQ(tracker.slow_path_exits(), 100u);
-  tracker.dealloc(n, 0);
-}
-
-TEST(WfeIbr, HelpingUnderConcurrentEraIncrements) {
-  core::WfeIbrTracker tracker(ext_cfg(true));
-  CountedNode* n = tracker.alloc<CountedNode>(0, nullptr, 55);
-  std::atomic<CountedNode*> root{n};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (unsigned tid = 0; tid < 2; ++tid) {
-    threads.emplace_back([&, tid] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        tracker.begin_op(tid);
-        CountedNode* got = tracker.protect(root, 0, tid, nullptr);
-        if (got->value != 55u) {
-          ADD_FAILURE() << "corrupt helped read";
-          return;
-        }
-        tracker.end_op(tid);
-      }
-    });
-  }
-  for (unsigned tid = 2; tid < 4; ++tid) {
-    threads.emplace_back([&, tid] {
-      while (!stop.load(std::memory_order_relaxed))
-        tracker.retire(tracker.alloc<CountedNode>(tid), tid);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  stop.store(true);
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(tracker.slow_path_entries(), tracker.slow_path_exits());
-  tracker.dealloc(n, 0);
-}
+// ---- WFE-IBR (the Fig. 4 contract runs in test_wfe's typed suite) ----
 
 TEST(WfeIbr, IntervalPinsLikeIbr) {
   // Same behavioural contract as the lock-free 2GEIBR (test_schemes.cpp):
@@ -106,42 +42,6 @@ TEST(WfeIbr, IntervalPinsLikeIbr) {
   tracker.end_op(1);
   tracker.flush(0);
   EXPECT_EQ(tracker.unreclaimed(), 0u);
-}
-
-TEST(WfeIbr, StalledIntervalBoundsMemory) {
-  core::WfeIbrTracker tracker(ext_cfg());
-  tracker.begin_op(1);  // stalled with interval [e, e]
-  for (int i = 0; i < 300; ++i)
-    tracker.retire(tracker.alloc<CountedNode>(0), 0);
-  tracker.flush(0);
-  EXPECT_LE(tracker.unreclaimed(), 10u);
-  tracker.end_op(1);
-}
-
-TEST(WfeIbr, ForcedSlowPathListStress) {
-  auto cfg = ext_cfg(true);
-  cfg.max_hes = 3;  // HmList::kSlotsNeeded
-  core::WfeIbrTracker tracker(cfg);
-  ds::HmList<std::uint64_t, std::uint64_t, core::WfeIbrTracker> list(tracker);
-  std::vector<std::thread> threads;
-  std::atomic<long> balance{0};
-  for (unsigned tid = 0; tid < 4; ++tid) {
-    threads.emplace_back([&, tid] {
-      util::Xoshiro256 rng(tid + 19);
-      for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t k = rng.next_bounded(32) + 1;
-        if (rng.percent(50)) {
-          if (list.insert(k, k, tid)) balance.fetch_add(1);
-        } else {
-          if (list.remove(k, tid)) balance.fetch_sub(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(static_cast<std::size_t>(balance.load()), list.size_unsafe());
-  EXPECT_EQ(tracker.slow_path_entries(), tracker.slow_path_exits());
-  EXPECT_GT(tracker.slow_path_entries(), 0u);
 }
 
 // ---- QSBR ----

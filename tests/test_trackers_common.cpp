@@ -1,5 +1,5 @@
 // Behaviour every tracker must share, verified as a typed suite across
-// all six schemes: the common API contract data structures rely on.
+// all eight schemes: the common API contract data structures rely on.
 
 #include <gtest/gtest.h>
 
@@ -147,20 +147,20 @@ TYPED_TEST(TrackerCommon, SlotsAreIndependent) {
   tracker.dealloc(b, 0);
 }
 
-// copy_slot(from, to) hands protection over: once `from` is cleared,
-// `to` alone keeps the block alive.  The second copy finds `to` already
-// holding the value (the path where pointer/era schemes skip the store)
-// and must leave that protection in place.
+// copy_slot(from, to) hands protection over to a lower slot: once `from`
+// is cleared, `to` alone keeps the block alive.  The second copy finds
+// `to` already holding the value (the path where pointer/era schemes skip
+// the store) and must leave that protection in place.
 TYPED_TEST(TrackerCommon, CopySlotKeepsProtectionAfterSourceClears) {
   std::atomic<int> keep_dtors{0};
   TypeParam tracker(this->cfg_);
   CountedNode* keep = tracker.template alloc<CountedNode>(0, &keep_dtors, 7);
   std::atomic<CountedNode*> root{keep};
   tracker.begin_op(1);
-  ASSERT_EQ(tracker.protect(root, 0, 1, nullptr), keep);
-  tracker.copy_slot(0, 1, 1);
-  tracker.copy_slot(0, 1, 1);
-  tracker.clear_slot(0, 1);
+  ASSERT_EQ(tracker.protect(root, 1, 1, nullptr), keep);
+  tracker.copy_slot(1, 0, 1);
+  tracker.copy_slot(1, 0, 1);
+  tracker.clear_slot(1, 1);
   root.store(nullptr);
   tracker.retire(keep, 0);
   for (int i = 0; i < 200; ++i)
@@ -173,6 +173,48 @@ TYPED_TEST(TrackerCommon, CopySlotKeepsProtectionAfterSourceClears) {
   if (std::string(TypeParam::name()) != "Leak") {
     EXPECT_EQ(keep_dtors.load(), 1) << "unprotected block not freed";
   }
+}
+
+// The hand-off under concurrent scans.  Each round the owner protects B
+// (root `a`'s node) in slot 2, hands it down to slot 1, reuses slot 2 for
+// a stable node and reads B's canary through the slot-1 pointer, while a
+// second thread replaces B, retires it and flushes.  A scan must find B
+// in one of the two slots; it reads a thread's slots from the highest
+// down, so one that misses B in slot 2 finds it in slot 1.  The race
+// window is two adjacent loads in the scan.  Read in ascending order,
+// HP's scan fails this test in most runs on a multi-core host; the era
+// schemes overwrite slot 2 only when the era moves, so they rarely hit
+// the window.
+TYPED_TEST(TrackerCommon, HandOffToLowerSlotSurvivesConcurrentScans) {
+  struct Canary : reclaim::Block {
+    ~Canary() { alive.store(false, std::memory_order_relaxed); }
+    std::atomic<bool> alive{true};
+  };
+  TypeParam tracker(this->cfg_);
+  std::atomic<Canary*> a{tracker.template alloc<Canary>(1)};
+  std::atomic<Canary*> stable{tracker.template alloc<Canary>(0)};
+  std::atomic<bool> done{false};
+  std::thread replacer([&] {
+    for (int i = 0; i < 10000; ++i) {
+      Canary* old = a.exchange(tracker.template alloc<Canary>(1));
+      tracker.retire(old, 1);
+      tracker.flush(1);
+    }
+    done.store(true);
+  });
+  int dead_reads = 0;
+  while (!done.load(std::memory_order_relaxed)) {
+    tracker.begin_op(0);
+    Canary* b = tracker.protect(a, 2, 0, nullptr);
+    tracker.copy_slot(2, 1, 0);
+    tracker.protect(stable, 2, 0, nullptr);
+    if (!b->alive.load(std::memory_order_relaxed)) ++dead_reads;
+    tracker.end_op(0);
+  }
+  replacer.join();
+  EXPECT_EQ(dead_reads, 0) << "a scan freed a block handed to a lower slot";
+  tracker.dealloc(a.load(), 0);
+  tracker.dealloc(stable.load(), 0);
 }
 
 TYPED_TEST(TrackerCommon, ConcurrentAllocRetireIsSafe) {

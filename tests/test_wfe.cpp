@@ -1,5 +1,8 @@
-// Tests for the paper's contribution: the WFE tracker's fast path, slow
-// path, helping protocol and cleanup scanning discipline (Fig. 4).
+// Tests for the paper's contribution: the fast path, slow path, helping
+// protocol and cleanup scanning discipline of Fig. 4.  Both trackers that
+// run that engine (WFE and WFE-IBR, paper §2.4) take the typed suite;
+// every op brackets its protects with begin_op/end_op so that WFE-IBR's
+// interval is live.
 
 #include <gtest/gtest.h>
 
@@ -28,44 +31,52 @@ reclaim::TrackerConfig small_cfg(bool force_slow = false) {
   return cfg;
 }
 
-TEST(Wfe, FastPathDoesNotEnterSlowPath) {
-  WfeTracker tracker(small_cfg());
-  CountedNode* n = tracker.alloc<CountedNode>(0);
+template <class TR>
+class WaitFree : public ::testing::Test {};
+
+TYPED_TEST_SUITE(WaitFree, test::WaitFreeTrackers);
+
+TYPED_TEST(WaitFree, FastPathDoesNotEnterSlowPath) {
+  TypeParam tracker(small_cfg());
+  CountedNode* n = tracker.template alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
   // A stable era means the very first attempt succeeds.
+  tracker.begin_op(0);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(tracker.protect(root, 0, 0, nullptr), n);
   }
-  EXPECT_EQ(tracker.slow_path_entries(), 0u);
   tracker.end_op(0);
+  EXPECT_EQ(tracker.slow_path_entries(), 0u);
   tracker.dealloc(n, 0);
 }
 
-TEST(Wfe, ForcedSlowPathCompletesSingleThreaded) {
+TYPED_TEST(WaitFree, ForcedSlowPathCompletesSingleThreaded) {
   // With no helpers around, the requester itself must converge (the
   // global era is stable, so the cancel-WCAS in Fig. 4 line 38 fires).
-  WfeTracker tracker(small_cfg(/*force_slow=*/true));
-  CountedNode* n = tracker.alloc<CountedNode>(0, nullptr, 5);
+  TypeParam tracker(small_cfg(/*force_slow=*/true));
+  CountedNode* n = tracker.template alloc<CountedNode>(0, nullptr, 5);
   std::atomic<CountedNode*> root{n};
+  tracker.begin_op(0);
   for (int i = 0; i < 100; ++i) {
     CountedNode* got = tracker.protect(root, 0, 0, nullptr);
     ASSERT_EQ(got, n);
     ASSERT_EQ(got->value, 5u);
   }
+  tracker.end_op(0);
   EXPECT_EQ(tracker.slow_path_entries(), 100u);
   EXPECT_EQ(tracker.slow_path_exits(), 100u);
-  tracker.end_op(0);
   tracker.dealloc(n, 0);
 }
 
-TEST(Wfe, SlowPathCounterBalances) {
-  WfeTracker tracker(small_cfg(true));
-  CountedNode* n = tracker.alloc<CountedNode>(0);
+TYPED_TEST(WaitFree, SlowPathCounterBalances) {
+  TypeParam tracker(small_cfg(true));
+  CountedNode* n = tracker.template alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
   std::vector<std::thread> threads;
   for (unsigned tid = 0; tid < 4; ++tid) {
     threads.emplace_back([&, tid] {
       for (int i = 0; i < 2000; ++i) {
+        tracker.begin_op(tid);
         tracker.protect(root, tid % 4, tid, nullptr);
         tracker.end_op(tid);
       }
@@ -79,12 +90,12 @@ TEST(Wfe, SlowPathCounterBalances) {
   tracker.dealloc(n, 0);
 }
 
-TEST(Wfe, SlowPathWithConcurrentEraIncrements) {
+TYPED_TEST(WaitFree, SlowPathWithConcurrentEraIncrements) {
   // The adversarial schedule from the paper's §3.3: era-incrementing
   // threads (alloc/retire) run concurrently with forced-slow-path
   // readers.  Helping must deliver every reader a valid pointer.
-  WfeTracker tracker(small_cfg(true));
-  CountedNode* n = tracker.alloc<CountedNode>(0, nullptr, 99);
+  TypeParam tracker(small_cfg(true));
+  CountedNode* n = tracker.template alloc<CountedNode>(0, nullptr, 99);
   std::atomic<CountedNode*> root{n};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
@@ -93,6 +104,7 @@ TEST(Wfe, SlowPathWithConcurrentEraIncrements) {
   for (unsigned tid = 0; tid < 2; ++tid) {
     readers.emplace_back([&, tid] {
       while (!stop.load(std::memory_order_relaxed)) {
+        tracker.begin_op(tid);
         CountedNode* got = tracker.protect(root, 0, tid, nullptr);
         if (got->value != 99u) {
           ADD_FAILURE() << "protected read returned corrupt data";
@@ -108,7 +120,7 @@ TEST(Wfe, SlowPathWithConcurrentEraIncrements) {
     churners.emplace_back([&, tid] {
       while (!stop.load(std::memory_order_relaxed)) {
         // alloc + retire drive increment_era() -> help_thread().
-        tracker.retire(tracker.alloc<CountedNode>(tid), tid);
+        tracker.retire(tracker.template alloc<CountedNode>(tid), tid);
       }
     });
   }
@@ -121,13 +133,14 @@ TEST(Wfe, SlowPathWithConcurrentEraIncrements) {
   tracker.dealloc(n, 0);
 }
 
-TEST(Wfe, TagMonotonicallyIncreasesAcrossCycles) {
+TYPED_TEST(WaitFree, TagMonotonicallyIncreasesAcrossCycles) {
   // Tags number slow-path cycles (paper §3.2) and must never be reused;
   // each completed slow path bumps the slot's tag by exactly one.
-  WfeTracker tracker(small_cfg(true));
-  CountedNode* n = tracker.alloc<CountedNode>(0);
+  TypeParam tracker(small_cfg(true));
+  CountedNode* n = tracker.template alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
   for (int i = 0; i < 50; ++i) {
+    tracker.begin_op(0);
     tracker.protect(root, 0, 0, nullptr);
     tracker.end_op(0);
   }
@@ -135,7 +148,7 @@ TEST(Wfe, TagMonotonicallyIncreasesAcrossCycles) {
   tracker.dealloc(n, 0);
 }
 
-TEST(Wfe, ParentBlockPinnedDuringHelp) {
+TYPED_TEST(WaitFree, ParentBlockPinnedDuringHelp) {
   // The parent argument (paper §3.4 / Lemma 4): a helper dereferencing
   // state.pointer must be able to pin the block containing it.  Here the
   // hazardous reference lives INSIDE a retired-able parent block; forced
@@ -143,14 +156,15 @@ TEST(Wfe, ParentBlockPinnedDuringHelp) {
   struct Parent : reclaim::Block {
     std::atomic<std::uintptr_t> inner{0};
   };
-  WfeTracker tracker(small_cfg(true));
-  CountedNode* child = tracker.alloc<CountedNode>(0, nullptr, 1234);
-  Parent* parent = tracker.alloc<Parent>(0);
+  TypeParam tracker(small_cfg(true));
+  CountedNode* child = tracker.template alloc<CountedNode>(0, nullptr, 1234);
+  Parent* parent = tracker.template alloc<Parent>(0);
   parent->inner.store(reinterpret_cast<std::uintptr_t>(child));
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
+      tracker.begin_op(1);
       const std::uintptr_t w = tracker.protect_word(parent->inner, 0, 1, parent);
       auto* got = reinterpret_cast<CountedNode*>(w);
       if (got->value != 1234u) {
@@ -162,7 +176,7 @@ TEST(Wfe, ParentBlockPinnedDuringHelp) {
   });
   std::thread churner([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      tracker.retire(tracker.alloc<CountedNode>(2), 2);
+      tracker.retire(tracker.template alloc<CountedNode>(2), 2);
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -173,23 +187,24 @@ TEST(Wfe, ParentBlockPinnedDuringHelp) {
   tracker.dealloc(child, 0);
 }
 
-TEST(Wfe, EraAdvancesWithAllocFrequency) {
+TYPED_TEST(WaitFree, EraAdvancesWithAllocFrequency) {
   auto cfg = small_cfg();
   cfg.era_freq = 4;
-  WfeTracker tracker(cfg);
+  TypeParam tracker(cfg);
   const std::uint64_t before = tracker.era();
-  for (int i = 0; i < 40; ++i) tracker.dealloc(tracker.alloc<CountedNode>(0), 0);
+  for (int i = 0; i < 40; ++i)
+    tracker.dealloc(tracker.template alloc<CountedNode>(0), 0);
   const std::uint64_t after = tracker.era();
   EXPECT_GE(after - before, 9u);  // 40 allocs / freq 4 = 10 bumps
 }
 
-TEST(Wfe, ForcedSlowPathListStress) {
+TYPED_TEST(WaitFree, ForcedSlowPathListStress) {
   // Full-stack stress under permanent slow path (the paper §5 validated
   // WFE this way): a real structure with traversal-heavy operations.
   auto cfg = small_cfg(true);
   cfg.max_hes = 3;  // HmList::kSlotsNeeded
-  WfeTracker tracker(cfg);
-  ds::HmList<std::uint64_t, std::uint64_t, WfeTracker> list(tracker);
+  TypeParam tracker(cfg);
+  ds::HmList<std::uint64_t, std::uint64_t, TypeParam> list(tracker);
   std::vector<std::thread> threads;
   std::atomic<long> balance{0};
   for (unsigned tid = 0; tid < 4; ++tid) {
@@ -211,6 +226,29 @@ TEST(Wfe, ForcedSlowPathListStress) {
   EXPECT_GT(tracker.slow_path_entries(), 0u);
 }
 
+TYPED_TEST(WaitFree, UnreclaimedBoundedUnderStalledReservation) {
+  // The paper's §2.1 claim: a stalled thread holding one reservation
+  // (an era point for WFE, an interval for WFE-IBR) pins only blocks
+  // whose lifespan overlaps it.
+  TypeParam tracker(small_cfg());
+  CountedNode* pinned = tracker.template alloc<CountedNode>(0);
+  std::atomic<CountedNode*> root{pinned};
+  tracker.begin_op(1);
+  tracker.protect(root, 0, 1, nullptr);  // tid 1 stalls holding this
+
+  // Churn: every block allocated after the stall has alloc_era >= the
+  // reserved era... and is freeable once retired (lifespans overlap the
+  // reservation only if they span it).
+  for (int i = 0; i < 500; ++i) {
+    tracker.retire(tracker.template alloc<CountedNode>(0), 0);
+  }
+  tracker.flush(0);
+  EXPECT_LE(tracker.unreclaimed(), 10u)
+      << "a stalled reservation must not pin unrelated blocks";
+  tracker.end_op(1);
+  tracker.dealloc(pinned, 0);
+}
+
 TEST(Wfe, ReservationSlotsBeyondMaxHesAreInternal) {
   // The two internal reservations (max_hes, max_hes+1) exist and start
   // clear; applications never touch them, but the tracker must size the
@@ -227,27 +265,6 @@ TEST(Wfe, ReservationSlotsBeyondMaxHesAreInternal) {
   tracker.retire(n, 0);
   tracker.flush(0);
   EXPECT_EQ(tracker.unreclaimed(), 0u);
-}
-
-TEST(Wfe, UnreclaimedBoundedUnderStalledReservation) {
-  // The paper's §2.1 claim, WFE side: a stalled thread holding one era
-  // reservation pins only blocks whose lifespan overlaps that era.
-  WfeTracker tracker(small_cfg());
-  CountedNode* pinned = tracker.alloc<CountedNode>(0);
-  std::atomic<CountedNode*> root{pinned};
-  tracker.protect(root, 0, 1, nullptr);  // tid 1 stalls holding this
-
-  // Churn: every block allocated after the stall has alloc_era >= the
-  // reserved era... and is freeable once retired (lifespans overlap the
-  // reservation only if they span it).
-  for (int i = 0; i < 500; ++i) {
-    tracker.retire(tracker.alloc<CountedNode>(0), 0);
-  }
-  tracker.flush(0);
-  EXPECT_LE(tracker.unreclaimed(), 50u)
-      << "stalled WFE reservation must not pin unrelated blocks";
-  tracker.end_op(1);
-  tracker.dealloc(pinned, 0);
 }
 
 }  // namespace

@@ -37,6 +37,10 @@ using BoundedTrackers =
     ::testing::Types<core::WfeTracker, reclaim::HeTracker, reclaim::HpTracker,
                      reclaim::IbrTracker, core::WfeIbrTracker>;
 
+/// The two trackers that run WFE's Fig. 4 engine (core/wfe.hpp): the
+/// same slow path, helping and cleanup order over different row layouts.
+using WaitFreeTrackers = ::testing::Types<core::WfeTracker, core::WfeIbrTracker>;
+
 /// A tracked node that counts destructor invocations, to verify that
 /// trackers run the type-erased deleter exactly once per block.
 struct CountedNode : reclaim::Block {
