@@ -132,13 +132,6 @@ class WfeCore : public reclaim::TrackerBase {
     return static_cast<std::uintptr_t>(res.a);
   }
 
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
-  }
-
   /// alloc_block() — Fig. 4 lines 69-75.
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
@@ -199,7 +192,6 @@ class WfeCore : public reclaim::TrackerBase {
       r.req = std::make_unique<Request[]>(requests);
     }
   }
-  ~WfeCore() { drain_all_unsafe(); }
 
   /// True when thread t's reservation row r pins b.
   bool row_pins(const Block* b, unsigned t, unsigned r) const noexcept {

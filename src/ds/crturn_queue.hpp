@@ -102,7 +102,7 @@ class CrTurnQueue {
     Node* my_node = tracker_.template alloc<Node>(tid, value, tid);
     enqueuers_[tid].store(my_node);  // step 1
     while (enqueuers_[tid].load() != nullptr) {
-      Node* ltail = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
+      Node* ltail = reclaim::protect(tracker_, tail_, kSlotAnchor, tid, nullptr);
       // Step 4 for the tail node, before anything is linked after it.
       Node* served = ltail;
       enqueuers_[ltail->enq_tid].compare_exchange_strong(served, nullptr);
@@ -127,7 +127,7 @@ class CrTurnQueue {
     Node* my_req = deqhelp_[tid].load();
     deqself_[tid].store(my_req);  // step 1: open the request
     while (deqhelp_[tid].load() == my_req) {
-      Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
+      Node* lhead = reclaim::protect(tracker_, head_, kSlotAnchor, tid, nullptr);
       if (lhead == tail_.load()) {
         // Looks empty: roll the request back, then serve whatever a
         // helper promised it before the rollback.
@@ -140,14 +140,14 @@ class CrTurnQueue {
         deqself_[tid].store(my_req);
         break;
       }
-      Node* lnext = tracker_.protect(lhead->next, kSlotNext, tid, lhead);
+      Node* lnext = reclaim::protect(tracker_, lhead->next, kSlotNext, tid, lhead);
       if (lhead != head_.load()) continue;
       if (search_next(lhead, lnext) != kNoThread)
         cas_deq_and_head(lhead, lnext, tid);
     }
     Node* my_node = deqhelp_[tid].load();
     // Step 4, in case no helper swung the head past our node yet.
-    Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
+    Node* lhead = reclaim::protect(tracker_, head_, kSlotAnchor, tid, nullptr);
     if (my_node == lhead->next.load())
       head_.compare_exchange_strong(lhead, my_node);
     const V out = my_node->value;
@@ -213,7 +213,7 @@ class CrTurnQueue {
       deqhelp_[tid].store(lnext);
     } else {
       Node* ldeqhelp =
-          tracker_.protect(deqhelp_[ldeq_tid], kSlotDeq, tid, nullptr);
+          reclaim::protect(tracker_, deqhelp_[ldeq_tid], kSlotDeq, tid, nullptr);
       if (ldeqhelp != lnext && lhead == head_.load())
         deqhelp_[ldeq_tid].compare_exchange_strong(ldeqhelp, lnext);
     }
@@ -226,9 +226,9 @@ class CrTurnQueue {
   /// this thread when nobody else has an open request) and swing the
   /// head, so the promise is kept before the caller answers "empty".
   void give_up(Node* my_req, unsigned tid) {
-    Node* lhead = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
+    Node* lhead = reclaim::protect(tracker_, head_, kSlotAnchor, tid, nullptr);
     if (deqhelp_[tid].load() != my_req || lhead == tail_.load()) return;
-    Node* lnext = tracker_.protect(lhead->next, kSlotNext, tid, lhead);
+    Node* lnext = reclaim::protect(tracker_, lhead->next, kSlotNext, tid, lhead);
     if (lhead != head_.load()) return;
     if (search_next(lhead, lnext) == kNoThread) {
       unsigned none = kNoThread;

@@ -5,10 +5,9 @@
 // Keys are spread over buckets with a splitmix64 finalizer so adjacent
 // integer keys (the benchmark's uniform key range) do not share buckets.
 //
-// The bucket-array core is split out as `BucketArray` so other layers
-// can embed it without duplicating the routing logic: `HashMap` below is
-// the figure-bench-facing wrapper, and the kv shards (src/kv/shard.hpp)
-// wrap one BucketArray per reclamation domain.
+// The bucket array is `BucketArray`; `HashMap` below is its
+// figure-bench-facing name, and the kv shards (src/kv/shard.hpp) wrap
+// one BucketArray per reclamation domain.
 
 #include <cstddef>
 #include <cstdint>
@@ -73,9 +72,11 @@ class BucketArray {
     return bucket(key).get(key, tid);
   }
 
-  // ---- freeze-aware variants (kv resharding): false = the key's bucket
-  // is frozen, no state change happened, re-execute at the migration
-  // destination (see HmList). ----
+  // ---- freeze-aware ops (kv resharding), unbracketed: the caller holds
+  // one tracker session on the shared tracker around one call or a batch
+  // of them, and since all buckets share that tracker, one session covers
+  // any key mix.  false = the key's bucket is frozen, no state change
+  // happened, re-execute at the migration destination (see HmList). ----
   bool try_get(const K& key, unsigned tid, std::optional<V>& out) {
     return bucket(key).try_get(key, tid, out);
   }
@@ -96,24 +97,6 @@ class BucketArray {
     return bucket(key).try_cas(key, expected, desired, tid, swapped);
   }
 
-  // ---- unbracketed variants: caller holds one begin_op/end_op bracket
-  // on the shared tracker around a batch of calls (kv multi-ops).  All
-  // buckets share that tracker, so one session covers any key mix. ----
-  bool try_get_in_op(const K& key, unsigned tid, std::optional<V>& out) {
-    return bucket(key).try_get_in_op(key, tid, out);
-  }
-  bool try_put_in_op(const K& key, const V& value, unsigned tid,
-                     bool& was_absent) {
-    return bucket(key).try_put_in_op(key, value, tid, was_absent);
-  }
-  bool try_remove_in_op(const K& key, unsigned tid, std::optional<V>& out) {
-    return bucket(key).try_remove_in_op(key, tid, out);
-  }
-  bool try_cas_in_op(const K& key, const V& expected, const V& desired,
-                     unsigned tid, bool& swapped) {
-    return bucket(key).try_cas_in_op(key, expected, desired, tid, swapped);
-  }
-
   // ---- migration primitives, by bucket index (kv resharding; freeze
   // is idempotent and concurrency-safe, collect/drain are exactly-once
   // under the store's per-bucket claim — see HmList for the protocol) ----
@@ -124,11 +107,6 @@ class BucketArray {
                              std::vector<std::pair<K, V>>& pairs,
                              std::vector<bool>& node_live) const {
     buckets_[i].list->collect_frozen(pairs, node_live);
-  }
-  void freeze_and_collect(std::size_t i, unsigned tid,
-                          std::vector<std::pair<K, V>>& pairs,
-                          std::vector<bool>& node_live) {
-    buckets_[i].list->freeze_and_collect(tid, pairs, node_live);
   }
   std::pair<std::size_t, std::size_t> drain_frozen(
       std::size_t i, unsigned tid, const std::vector<bool>& node_live) {
@@ -178,12 +156,9 @@ class BucketArray {
   std::unique_ptr<BucketSlot[]> buckets_;
 };
 
-/// The paper's hash-map workload interface: a thin name for BucketArray
-/// (kept as its own type so figure benches and tests read as before).
+/// The paper's hash-map workload interface: another name for BucketArray,
+/// so figure benches and tests read as the paper does.
 template <class K, class V, reclaim::tracker_for Tracker>
-class HashMap : public BucketArray<K, V, Tracker> {
- public:
-  using BucketArray<K, V, Tracker>::BucketArray;
-};
+using HashMap = BucketArray<K, V, Tracker>;
 
 }  // namespace wfe::ds

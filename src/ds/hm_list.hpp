@@ -53,10 +53,10 @@
 // winning fetch_or) transfers ownership atomically, and only the owner
 // dereferences or retires it.
 //
-// The *_in_op variants run without the begin_op/end_op bracket so a
-// caller can batch several operations into one tracker session (the kv
-// store's cross-shard multi_get/multi_put); the bracketed entry points
-// below are single-op conveniences over them.
+// Sessions: the try_* ops run inside a tracker session their caller
+// holds (begin_op/end_op), so a kv shard runs one key or a whole
+// multi-op group in one session; the plain entry points open a session
+// around a retry loop over them.
 //
 // Bucket freeze (kv online resharding, cooperative since the help
 // protocol): freeze() fetch_or-s util::kFreezeBit into the head word,
@@ -134,7 +134,7 @@ class HmList {
   bool insert(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
     bool inserted = false;
-    while (!insert_impl(key, value, tid, inserted)) {}
+    while (!try_insert(key, value, tid, inserted)) {}
     tracker_.end_op(tid);
     return inserted;
   }
@@ -147,7 +147,7 @@ class HmList {
   bool put(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
     bool was_absent = false;
-    while (!put_impl(key, value, tid, was_absent)) {}
+    while (!try_put(key, value, tid, was_absent)) {}
     tracker_.end_op(tid);
     return was_absent;
   }
@@ -162,11 +162,11 @@ class HmList {
     bool was_absent = true;
     for (;;) {
       bool inserted = false;
-      while (!insert_impl(key, value, tid, inserted)) {}
+      while (!try_insert(key, value, tid, inserted)) {}
       if (inserted) break;
       was_absent = false;
       std::optional<V> dropped;
-      while (!remove_impl(key, tid, dropped)) {}
+      while (!try_remove(key, tid, dropped)) {}
     }
     tracker_.end_op(tid);
     return was_absent;
@@ -176,7 +176,7 @@ class HmList {
   std::optional<V> remove(const K& key, unsigned tid) {
     tracker_.begin_op(tid);
     std::optional<V> out;
-    while (!remove_impl(key, tid, out)) {}
+    while (!try_remove(key, tid, out)) {}
     tracker_.end_op(tid);
     return out;
   }
@@ -185,74 +185,281 @@ class HmList {
   std::optional<V> get(const K& key, unsigned tid) {
     tracker_.begin_op(tid);
     std::optional<V> out;
-    while (!get_impl(key, tid, out)) {}
+    while (!try_get(key, tid, out)) {}
     tracker_.end_op(tid);
     return out;
   }
 
-  // ---- freeze-aware entry points (kv resharding): each returns true
-  // when the operation completed and false when it observed a freeze bit
-  // and performed NO state change (any speculative allocation is torn
-  // down), so the caller can re-execute it against the destination
-  // table.  The tracker session is closed either way — forwarding
-  // decisions (spinning on the migration flag) happen outside any
-  // reservation. ----
+  // ---- freeze-aware ops (kv resharding).  Unbracketed: the caller
+  // holds the tracker session around one call or a batch of them (kv
+  // multi-ops).  Safe for every scheme: EBR/QSBR reservations taken at
+  // begin_op stay published (a longer pin, strictly conservative), and
+  // pointer/era slots are re-published per call anyway.  Each returns
+  // true when the operation completed (result in the out-param) and false
+  // when it observed a freeze bit and made NO state change (speculative
+  // allocations torn down, out-param untouched): the caller closes its
+  // session and re-executes against the bucket's migration destination,
+  // so forwarding waits happen outside any reservation. ----
+
   bool try_get(const K& key, unsigned tid, std::optional<V>& out) {
-    tracker_.begin_op(tid);
-    const bool done = get_impl(key, tid, out);
-    tracker_.end_op(tid);
-    return done;
-  }
-  bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
-    tracker_.begin_op(tid);
-    const bool done = insert_impl(key, value, tid, inserted);
-    tracker_.end_op(tid);
-    return done;
-  }
-  bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    tracker_.begin_op(tid);
-    const bool done = put_impl(key, value, tid, was_absent);
-    tracker_.end_op(tid);
-    return done;
-  }
-  bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
-    tracker_.begin_op(tid);
-    const bool done = update_impl(key, value, tid, updated);
-    tracker_.end_op(tid);
-    return done;
-  }
-  bool try_remove(const K& key, unsigned tid, std::optional<V>& out) {
-    tracker_.begin_op(tid);
-    const bool done = remove_impl(key, tid, out);
-    tracker_.end_op(tid);
-    return done;
-  }
-  bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
-               bool& swapped) {
-    tracker_.begin_op(tid);
-    const bool done = cas_impl(key, expected, desired, tid, swapped);
-    tracker_.end_op(tid);
-    return done;
+    Position pos = find(key, tid);
+    if (pos.frozen) return false;
+    if (!pos.found) {
+      out = std::nullopt;
+      return true;
+    }
+    // Protect the cell before dereferencing: a concurrent upsert may
+    // CAS it out and retire it at any moment.  The node (parent) is
+    // already protected by find()'s slot.
+    const std::uintptr_t cw =
+        tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur);
+    if (util::is_frozen(cw)) return false;  // never deref a frozen cell
+    if (util::is_marked(cw)) {
+      out = std::nullopt;  // tombstone: deleted
+      return true;
+    }
+    out = util::unpack_ptr<ValueCell>(cw)->value;
+    return true;
   }
 
-  // ---- unbracketed variants: the caller holds the tracker's
-  // begin_op/end_op bracket around a batch of calls (kv multi-ops).
-  // Safe for every scheme: EBR/QSBR reservations taken at begin_op stay
-  // published (a longer pin, strictly conservative), pointer/era slots
-  // are re-published per call anyway. ----
-  bool try_get_in_op(const K& key, unsigned tid, std::optional<V>& out) {
-    return get_impl(key, tid, out);
+  bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
+    Node* node = nullptr;
+    ValueCell* cell = nullptr;
+    const auto discard = [&] {
+      if (cell != nullptr) tracker_.dealloc(cell, tid);  // never published
+      if (node != nullptr) tracker_.dealloc(node, tid);
+    };
+    for (;;) {
+      Position pos = find(key, tid);
+      if (pos.frozen) {
+        discard();
+        return false;
+      }
+      if (pos.found) {
+        const std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
+        if (util::is_frozen(cw)) {
+          discard();
+          return false;
+        }
+        if (util::is_marked(cw)) {
+          // Logically deleted: help it leave, then the key is insertable.
+          finish_remove(pos.cur);
+          continue;
+        }
+        discard();
+        inserted = false;
+        return true;
+      }
+      if (cell == nullptr) cell = tracker_.template alloc<ValueCell>(tid, value);
+      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
+      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
+      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
+      std::uintptr_t expected = util::pack_ptr(pos.cur);
+      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_relaxed)) {
+        inserted = true;
+        return true;
+      }
+    }
   }
-  bool try_put_in_op(const K& key, const V& value, unsigned tid,
-                     bool& was_absent) {
-    return put_impl(key, value, tid, was_absent);
+
+  /// Insert-or-replace.  The fresh cell is allocated once and — unless
+  /// the bucket freezes under us — is always published, either via the
+  /// node-insert CAS or the cell-swap CAS.
+  bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
+    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
+    Node* node = nullptr;
+    const auto discard = [&] {
+      tracker_.dealloc(cell, tid);  // never published
+      if (node != nullptr) tracker_.dealloc(node, tid);
+    };
+    for (;;) {
+      Position pos = find(key, tid);
+      if (pos.frozen) {
+        discard();
+        return false;
+      }
+      if (pos.found) {
+        std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
+        for (;;) {
+          if (util::is_frozen(cw)) {
+            discard();
+            return false;
+          }
+          if (util::is_marked(cw)) break;  // deleted under us: re-insert
+          if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
+                                                    std::memory_order_acq_rel,
+                                                    std::memory_order_acquire)) {
+            // We unlinked the old cell; we retire it (the invariant).
+            tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+            if (node != nullptr) tracker_.dealloc(node, tid);
+            was_absent = false;
+            return true;
+          }
+          // CAS reloaded cw: a racing upsert, a tombstone, or a freeze.
+        }
+        finish_remove(pos.cur);
+        continue;
+      }
+      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
+      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
+      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
+      std::uintptr_t expected = util::pack_ptr(pos.cur);
+      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_relaxed)) {
+        was_absent = true;
+        return true;
+      }
+    }
   }
-  bool try_remove_in_op(const K& key, unsigned tid, std::optional<V>& out) {
-    return remove_impl(key, tid, out);
+
+  bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
+    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
+    for (;;) {
+      Position pos = find(key, tid);
+      if (pos.frozen) {
+        tracker_.dealloc(cell, tid);  // never published
+        return false;
+      }
+      if (!pos.found) {
+        tracker_.dealloc(cell, tid);  // never published
+        updated = false;
+        return true;
+      }
+      std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
+      for (;;) {
+        if (util::is_frozen(cw)) {
+          tracker_.dealloc(cell, tid);
+          return false;
+        }
+        if (util::is_marked(cw)) {
+          // Tombstone: the key was absent when we observed the mark.
+          finish_remove(pos.cur);
+          tracker_.dealloc(cell, tid);
+          updated = false;
+          return true;
+        }
+        if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
+                                                  std::memory_order_acq_rel,
+                                                  std::memory_order_acquire)) {
+          tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+          updated = true;
+          return true;
+        }
+      }
+    }
   }
-  bool try_cas_in_op(const K& key, const V& expected, const V& desired,
-                     unsigned tid, bool& swapped) {
-    return cas_impl(key, expected, desired, tid, swapped);
+
+  /// Conditional in-place replace: installs `desired` iff the key is
+  /// present with value == `expected`.  Every failure mode — absent key,
+  /// tombstone, value mismatch — makes NO state change: the speculative
+  /// cell is dealloc'd (never published) and no existing cell is
+  /// retired, so a lost single-key cas costs two allocator round-trips
+  /// and nothing else (the block-balance identity the tests assert is
+  /// undisturbed: dealloc counts as freed).  Reading the current value
+  /// means dereferencing a cell this thread does not own, so the cell
+  /// word is protected exactly as in try_get; when the install CAS
+  /// then loses a race, the reloaded word names a cell the protection
+  /// does NOT cover — the loop restarts from find() to re-protect
+  /// rather than touching it.
+  bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
+                bool& swapped) {
+    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, desired);
+    for (;;) {
+      Position pos = find(key, tid);
+      if (pos.frozen) {
+        tracker_.dealloc(cell, tid);  // never published
+        return false;
+      }
+      if (!pos.found) {
+        tracker_.dealloc(cell, tid);
+        swapped = false;
+        return true;
+      }
+      const std::uintptr_t cw =
+          tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur);
+      if (util::is_frozen(cw)) {
+        tracker_.dealloc(cell, tid);
+        return false;
+      }
+      if (util::is_marked(cw)) {
+        // Tombstone: the key was absent when we observed the mark.
+        finish_remove(pos.cur);
+        tracker_.dealloc(cell, tid);
+        swapped = false;
+        return true;
+      }
+      if (!(util::unpack_ptr<ValueCell>(cw)->value == expected)) {
+        tracker_.dealloc(cell, tid);
+        swapped = false;
+        return true;
+      }
+      std::uintptr_t want = cw;
+      if (pos.cur->cell.compare_exchange_strong(want, util::pack_ptr(cell),
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed)) {
+        tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+        swapped = true;
+        return true;
+      }
+      // Lost the install race: restart from find() (see the header note
+      // above — the reloaded word is unprotected).
+    }
+  }
+
+  bool try_remove(const K& key, unsigned tid, std::optional<V>& out) {
+    for (;;) {
+      Position pos = find(key, tid);
+      if (pos.frozen) return false;
+      if (!pos.found) {
+        out = std::nullopt;
+        return true;
+      }
+      // Linearization: claim the key by CASing the mark bit into the
+      // cell word, expecting it unmarked AND unfrozen.  The winner owns
+      // the displaced cell (no CAS can succeed against a marked word),
+      // so reading and retiring it needs no extra protection.  A CAS —
+      // not a fetch_or — so a mark can never land on a frozen word:
+      // frozen cell words stay immutable, which is what lets any helper
+      // of a cooperative migration re-read liveness verdicts after the
+      // freeze (no stray marks to tolerate).
+      std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
+      for (;;) {
+        if (util::is_frozen(cw)) return false;  // no claim happened: forward
+        if (util::is_marked(cw)) {
+          finish_remove(pos.cur);  // help the winner's physical deletion
+          out = std::nullopt;
+          return true;
+        }
+        if (pos.cur->cell.compare_exchange_weak(cw, cw | util::kMarkBit,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_acquire))
+          break;
+        // CAS reloaded cw: a racing upsert, a racing remover, or the
+        // freeze — loop re-classifies.
+      }
+      ValueCell* old_cell = util::unpack_ptr<ValueCell>(cw);
+      out = old_cell->value;
+      tracker_.retire(old_cell, tid);
+      // Physical deletion, unchanged from Harris-Michael: mark next
+      // (helpers may have done it already), then unlink.  A freeze that
+      // lands after the claim only blocks the unlink: the node stays
+      // linked and is retired by the migrator's drain (which sees the
+      // marked cell and skips the cell we already retired).
+      finish_remove(pos.cur);
+      const std::uintptr_t next_w = pos.cur->next.load(std::memory_order_acquire);
+      std::uintptr_t expected = util::pack_ptr(pos.cur);
+      if (pos.prev_link->compare_exchange_strong(
+              expected, util::strip(next_w), std::memory_order_acq_rel,
+              std::memory_order_relaxed)) {
+        tracker_.retire(pos.cur, tid);
+      } else {
+        find(key, tid);  // help unlink (no-op when frozen), then done
+      }
+      return true;
+    }
   }
 
   /// Concurrency-SAFE iteration over present (key, value) pairs, for
@@ -378,23 +585,13 @@ class HmList {
     }
   }
 
-  /// Steps 1+2 in one call (the pre-help API shape, kept for the unit
-  /// tests and as the claim holder's convenience): freeze — idempotent,
-  /// so this is safe on a bucket some other thread froze first — then
-  /// collect.
-  void freeze_and_collect(unsigned tid, std::vector<std::pair<K, V>>& pairs,
-                          std::vector<bool>& node_live) {
-    freeze(tid);
-    collect_frozen(pairs, node_live);
-  }
-
   /// Migration step 3 (after the destination table holds every live pair
   /// and the bucket's migration flag is set): pop the frozen list and
   /// retire its blocks in THIS bucket's domain.  Each pop overwrites the
   /// head AND the popped node's next word (with a frozen tombstone)
   /// before the node — or any successor — is retired, so a reader's
   /// protect_word validation can never succeed on a word that still
-  /// names a retired block.  `node_live` is freeze_and_collect's flag
+  /// names a retired block.  `node_live` is collect_frozen's flag
   /// vector: live nodes retire their cell too (dead nodes' cells were
   /// already retired by the removers that won them).  Returns
   /// {nodes retired, cells retired}.
@@ -452,7 +649,7 @@ class HmList {
   static constexpr unsigned kCellSlot = 2;
 
   /// The separately reclaimed value: immutable once published, replaced
-  /// wholesale by the cell-pointer CAS in put_impl/update_impl.
+  /// wholesale by the cell-pointer CAS in try_put/try_update/try_cas.
   struct ValueCell : reclaim::Block {
     explicit ValueCell(const V& v) : value(v) {}
     const V value;
@@ -533,272 +730,6 @@ class HmList {
   /// is marked), so no migration liveness verdict changes.
   void finish_remove(Node* node) noexcept {
     node->next.fetch_or(util::kMarkBit, std::memory_order_acq_rel);
-  }
-
-  /// Each impl returns true when the operation completed (result in the
-  /// out-param) and false when it observed a freeze bit before making
-  /// any state change (speculative allocations torn down): the caller
-  /// must re-execute against the bucket's migration destination.
-
-  bool get_impl(const K& key, unsigned tid, std::optional<V>& out) {
-    Position pos = find(key, tid);
-    if (pos.frozen) return false;
-    if (!pos.found) {
-      out = std::nullopt;
-      return true;
-    }
-    // Protect the cell before dereferencing: a concurrent upsert may
-    // CAS it out and retire it at any moment.  The node (parent) is
-    // already protected by find()'s slot.
-    const std::uintptr_t cw =
-        tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur);
-    if (util::is_frozen(cw)) return false;  // never deref a frozen cell
-    if (util::is_marked(cw)) {
-      out = std::nullopt;  // tombstone: deleted
-      return true;
-    }
-    out = util::unpack_ptr<ValueCell>(cw)->value;
-    return true;
-  }
-
-  bool insert_impl(const K& key, const V& value, unsigned tid, bool& inserted) {
-    Node* node = nullptr;
-    ValueCell* cell = nullptr;
-    const auto discard = [&] {
-      if (cell != nullptr) tracker_.dealloc(cell, tid);  // never published
-      if (node != nullptr) tracker_.dealloc(node, tid);
-    };
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        discard();
-        return false;
-      }
-      if (pos.found) {
-        const std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-        if (util::is_frozen(cw)) {
-          discard();
-          return false;
-        }
-        if (util::is_marked(cw)) {
-          // Logically deleted: help it leave, then the key is insertable.
-          finish_remove(pos.cur);
-          continue;
-        }
-        discard();
-        inserted = false;
-        return true;
-      }
-      if (cell == nullptr) cell = tracker_.template alloc<ValueCell>(tid, value);
-      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
-      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
-      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
-      std::uintptr_t expected = util::pack_ptr(pos.cur);
-      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-        inserted = true;
-        return true;
-      }
-    }
-  }
-
-  /// Insert-or-replace.  The fresh cell is allocated once and — unless
-  /// the bucket freezes under us — is always published, either via the
-  /// node-insert CAS or the cell-swap CAS.
-  bool put_impl(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
-    Node* node = nullptr;
-    const auto discard = [&] {
-      tracker_.dealloc(cell, tid);  // never published
-      if (node != nullptr) tracker_.dealloc(node, tid);
-    };
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        discard();
-        return false;
-      }
-      if (pos.found) {
-        std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-        for (;;) {
-          if (util::is_frozen(cw)) {
-            discard();
-            return false;
-          }
-          if (util::is_marked(cw)) break;  // deleted under us: re-insert
-          if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire)) {
-            // We unlinked the old cell; we retire it (the invariant).
-            tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
-            if (node != nullptr) tracker_.dealloc(node, tid);
-            was_absent = false;
-            return true;
-          }
-          // CAS reloaded cw: a racing upsert, a tombstone, or a freeze.
-        }
-        finish_remove(pos.cur);
-        continue;
-      }
-      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
-      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
-      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
-      std::uintptr_t expected = util::pack_ptr(pos.cur);
-      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-        was_absent = true;
-        return true;
-      }
-    }
-  }
-
-  bool update_impl(const K& key, const V& value, unsigned tid, bool& updated) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        tracker_.dealloc(cell, tid);  // never published
-        return false;
-      }
-      if (!pos.found) {
-        tracker_.dealloc(cell, tid);  // never published
-        updated = false;
-        return true;
-      }
-      std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-      for (;;) {
-        if (util::is_frozen(cw)) {
-          tracker_.dealloc(cell, tid);
-          return false;
-        }
-        if (util::is_marked(cw)) {
-          // Tombstone: the key was absent when we observed the mark.
-          finish_remove(pos.cur);
-          tracker_.dealloc(cell, tid);
-          updated = false;
-          return true;
-        }
-        if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
-          updated = true;
-          return true;
-        }
-      }
-    }
-  }
-
-  /// Conditional in-place replace: installs `desired` iff the key is
-  /// present with value == `expected`.  Every failure mode — absent key,
-  /// tombstone, value mismatch — makes NO state change: the speculative
-  /// cell is dealloc'd (never published) and no existing cell is
-  /// retired, so a lost single-key cas costs two allocator round-trips
-  /// and nothing else (the block-balance identity the tests assert is
-  /// undisturbed: dealloc counts as freed).  Reading the current value
-  /// means dereferencing a cell this thread does not own, so the cell
-  /// word is protected exactly as in get_impl; when the install CAS
-  /// then loses a race, the reloaded word names a cell the protection
-  /// does NOT cover — the loop restarts from find() to re-protect
-  /// rather than touching it.
-  bool cas_impl(const K& key, const V& expected, const V& desired, unsigned tid,
-                bool& swapped) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, desired);
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        tracker_.dealloc(cell, tid);  // never published
-        return false;
-      }
-      if (!pos.found) {
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      const std::uintptr_t cw =
-          tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur);
-      if (util::is_frozen(cw)) {
-        tracker_.dealloc(cell, tid);
-        return false;
-      }
-      if (util::is_marked(cw)) {
-        // Tombstone: the key was absent when we observed the mark.
-        finish_remove(pos.cur);
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      if (!(util::unpack_ptr<ValueCell>(cw)->value == expected)) {
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      std::uintptr_t want = cw;
-      if (pos.cur->cell.compare_exchange_strong(want, util::pack_ptr(cell),
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-        tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
-        swapped = true;
-        return true;
-      }
-      // Lost the install race: restart from find() (see the header note
-      // above — the reloaded word is unprotected).
-    }
-  }
-
-  bool remove_impl(const K& key, unsigned tid, std::optional<V>& out) {
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) return false;
-      if (!pos.found) {
-        out = std::nullopt;
-        return true;
-      }
-      // Linearization: claim the key by CASing the mark bit into the
-      // cell word, expecting it unmarked AND unfrozen.  The winner owns
-      // the displaced cell (no CAS can succeed against a marked word),
-      // so reading and retiring it needs no extra protection.  A CAS —
-      // not a fetch_or — so a mark can never land on a frozen word:
-      // frozen cell words stay immutable, which is what lets any helper
-      // of a cooperative migration re-read liveness verdicts after the
-      // freeze (no stray marks to tolerate).
-      std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-      for (;;) {
-        if (util::is_frozen(cw)) return false;  // no claim happened: forward
-        if (util::is_marked(cw)) {
-          finish_remove(pos.cur);  // help the winner's physical deletion
-          out = std::nullopt;
-          return true;
-        }
-        if (pos.cur->cell.compare_exchange_weak(cw, cw | util::kMarkBit,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire))
-          break;
-        // CAS reloaded cw: a racing upsert, a racing remover, or the
-        // freeze — loop re-classifies.
-      }
-      ValueCell* old_cell = util::unpack_ptr<ValueCell>(cw);
-      out = old_cell->value;
-      tracker_.retire(old_cell, tid);
-      // Physical deletion, unchanged from Harris-Michael: mark next
-      // (helpers may have done it already), then unlink.  A freeze that
-      // lands after the claim only blocks the unlink: the node stays
-      // linked and is retired by the migrator's drain (which sees the
-      // marked cell and skips the cell we already retired).
-      finish_remove(pos.cur);
-      const std::uintptr_t next_w = pos.cur->next.load(std::memory_order_acquire);
-      std::uintptr_t expected = util::pack_ptr(pos.cur);
-      if (pos.prev_link->compare_exchange_strong(
-              expected, util::strip(next_w), std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
-        tracker_.retire(pos.cur, tid);
-      } else {
-        find(key, tid);  // help unlink (no-op when frozen), then done
-      }
-      return true;
-    }
   }
 
   Tracker& tracker_;

@@ -143,7 +143,7 @@ class KpQueue {
   /// Protect-and-load state_[i] (descriptors are retired on replacement,
   /// so raw loads may dangle).
   OpDesc* protect_desc(unsigned i, unsigned tid) noexcept {
-    return tracker_.protect(state_[i], kSlotDesc, tid, nullptr);
+    return reclaim::protect(tracker_, state_[i], kSlotDesc, tid, nullptr);
   }
 
   std::uint64_t max_phase(unsigned) const noexcept {
@@ -192,8 +192,8 @@ class KpQueue {
 
   void help_enqueue(unsigned i, std::uint64_t phase, unsigned tid) {
     while (is_still_pending(i, phase, tid)) {
-      Node* last = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
-      Node* next = tracker_.protect(last->next, kSlotNext, tid, last);
+      Node* last = reclaim::protect(tracker_, tail_, kSlotAnchor, tid, nullptr);
+      Node* next = reclaim::protect(tracker_, last->next, kSlotNext, tid, last);
       if (last != tail_.load(std::memory_order_seq_cst)) continue;
       if (next != nullptr) {
         help_finish_enqueue(tid);  // tail is lagging
@@ -214,8 +214,8 @@ class KpQueue {
   }
 
   void help_finish_enqueue(unsigned tid) {
-    Node* last = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
-    Node* next = tracker_.protect(last->next, kSlotNext, tid, last);
+    Node* last = reclaim::protect(tracker_, tail_, kSlotAnchor, tid, nullptr);
+    Node* next = reclaim::protect(tracker_, last->next, kSlotNext, tid, last);
     // `next` may be read only while `last` is still the tail: once the
     // tail moves on, `next` can be dequeued and freed before the
     // reservation above was published.
@@ -248,9 +248,9 @@ class KpQueue {
 
   void help_dequeue(unsigned i, std::uint64_t phase, unsigned tid) {
     while (is_still_pending(i, phase, tid)) {
-      Node* first = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
-      Node* last = tracker_.protect(tail_, kSlotAnchor2, tid, nullptr);
-      Node* next = tracker_.protect(first->next, kSlotNext, tid, first);
+      Node* first = reclaim::protect(tracker_, head_, kSlotAnchor, tid, nullptr);
+      Node* last = reclaim::protect(tracker_, tail_, kSlotAnchor2, tid, nullptr);
+      Node* next = reclaim::protect(tracker_, first->next, kSlotNext, tid, first);
       if (first != head_.load(std::memory_order_seq_cst)) continue;
       if (first == last) {
         if (next == nullptr) {
@@ -297,8 +297,8 @@ class KpQueue {
   }
 
   void help_finish_dequeue(unsigned tid) {
-    Node* first = tracker_.protect(head_, kSlotAnchor, tid, nullptr);
-    Node* next = tracker_.protect(first->next, kSlotNext, tid, first);
+    Node* first = reclaim::protect(tracker_, head_, kSlotAnchor, tid, nullptr);
+    Node* next = reclaim::protect(tracker_, first->next, kSlotNext, tid, first);
     const unsigned dtid = first->deq_tid.load(std::memory_order_seq_cst);
     if (dtid == kNoThread) return;
     OpDesc* cur = protect_desc(dtid, tid);

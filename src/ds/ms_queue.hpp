@@ -49,9 +49,9 @@ class MsQueue {
     tracker_.begin_op(tid);
     Node* node = tracker_.template alloc<Node>(tid, value);
     for (;;) {
-      Node* last = tracker_.protect(tail_, 0, tid, nullptr);
+      Node* last = reclaim::protect(tracker_, tail_, 0, tid, nullptr);
       if (tail_.load(std::memory_order_seq_cst) != last) continue;
-      Node* next = tracker_.protect(last->next, 1, tid, last);
+      Node* next = reclaim::protect(tracker_, last->next, 1, tid, last);
       if (tail_.load(std::memory_order_seq_cst) != last) continue;
       if (next != nullptr) {  // help a lagging tail
         tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst,
@@ -74,9 +74,9 @@ class MsQueue {
     tracker_.begin_op(tid);
     std::optional<V> out;
     for (;;) {
-      Node* first = tracker_.protect(head_, 0, tid, nullptr);
+      Node* first = reclaim::protect(tracker_, head_, 0, tid, nullptr);
       if (head_.load(std::memory_order_seq_cst) != first) continue;
-      Node* next = tracker_.protect(first->next, 1, tid, first);
+      Node* next = reclaim::protect(tracker_, first->next, 1, tid, first);
       if (head_.load(std::memory_order_seq_cst) != first) continue;
       if (next == nullptr) break;  // empty
       Node* last = tail_.load(std::memory_order_seq_cst);

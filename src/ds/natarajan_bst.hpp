@@ -303,10 +303,6 @@ class NatarajanBst {
     /// marking thread).  Every mutating CAS expects the word unmarked,
     /// so a marked word is frozen forever.
     std::atomic<std::uintptr_t> cell{0};
-
-    bool is_leaf() const noexcept {
-      return util::strip(left.load(std::memory_order_acquire)) == 0;
-    }
   };
 
   struct SeekRecord {
@@ -559,8 +555,9 @@ class NatarajanBst {
   /// that path (scan helping relies on this).  Plants the parent→leaf
   /// FLAG if still absent — safe because the mark was re-checked on
   /// THIS leaf, so a reused address can never get a live leaf flagged —
-  /// then runs one cleanup round.  Callers re-seek and re-evaluate.
-  void help_remove(K key, const SeekRecord& sr, unsigned tid) {
+  /// then runs one cleanup round and returns its result (true only for
+  /// a splice on `key`'s side).  Callers re-seek and re-evaluate.
+  bool help_remove(K key, const SeekRecord& sr, unsigned tid) {
     std::atomic<std::uintptr_t>* child_addr = child_link(sr.parent, key);
     std::uintptr_t expected = util::pack_ptr(sr.leaf);
     child_addr->compare_exchange_strong(
@@ -569,7 +566,7 @@ class NatarajanBst {
     // Flag planted, already present, or the edge moved on — cleanup
     // resolves all three (including helping a sibling-key deletion that
     // tagged our edge).
-    cleanup(key, sr, tid);
+    return cleanup(key, sr, tid);
   }
 
   /// Physical phase driven by the tombstone winner: splice until no
@@ -590,12 +587,7 @@ class NatarajanBst {
       // possible after ours was spliced (insert helps tombstones out of
       // its way first): done.
       if (!util::is_marked(cw)) return;
-      std::atomic<std::uintptr_t>* child_addr = child_link(sr.parent, key);
-      std::uintptr_t expected = util::pack_ptr(sr.leaf);
-      child_addr->compare_exchange_strong(
-          expected, util::pack_ptr(sr.leaf, util::kMarkBit),
-          std::memory_order_acq_rel, std::memory_order_acquire);
-      if (cleanup(key, sr, tid)) return;
+      if (help_remove(key, sr, tid)) return;
     }
   }
 

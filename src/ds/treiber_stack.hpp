@@ -45,7 +45,7 @@ class TreiberStack {
     std::optional<T> out;
     tracker_.begin_op(tid);
     for (;;) {
-      Node* node = tracker_.protect(top_, 0, tid, /*parent=*/nullptr);
+      Node* node = reclaim::protect(tracker_, top_, 0, tid, /*parent=*/nullptr);
       if (node == nullptr) break;
       Node* next = node->next.load(std::memory_order_acquire);
       if (top_.compare_exchange_strong(node, next, std::memory_order_acq_rel,

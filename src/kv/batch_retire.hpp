@@ -8,11 +8,15 @@
 // yet *retired* — its retire_era is stamped only when the burst is
 // flushed.  Era/epoch schemes therefore see a LATER retire_era, i.e. a
 // longer perceived lifespan, which is strictly conservative; pointer
-// schemes (HP) simply scan it later.  What batching buys is amortization
-// of the per-retire bookkeeping the paper's schemes all share: the
-// cleanup_freq counter ticks (and the O(threads x slots) scans it
-// triggers) run once per burst instead of once per unlink, which is the
-// dominant retire-side cost at high thread counts.
+// schemes (HP) simply scan it later.
+//
+// A burst amortizes nothing: flush() hands each block to the inner
+// tracker's retire(), which ticks the cleanup_freq counter and scans
+// exactly as an unbatched retire would, so a domain runs the same number
+// of scans at any retire_batch.  The facade's jobs are the WAL free gate
+// below and the later retire_era stamp above.  The KV benches and the
+// kv example run retire_batch 8, which was never measured against 1
+// (every BENCH_kv_pr*.json row that records retire_batch has 8).
 //
 // The adapter satisfies `tracker_for`, so the Harris-Michael buckets
 // instantiate over it unchanged.  Each kv shard owns one inner tracker
@@ -80,11 +84,6 @@ class BatchedTracker {
                               const reclaim::Block* parent = nullptr) noexcept {
     return inner_.protect_word(src, idx, tid, parent);
   }
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const reclaim::Block* parent = nullptr) noexcept {
-    return inner_.template protect<T>(src, idx, tid, parent);
-  }
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
@@ -99,7 +98,7 @@ class BatchedTracker {
   /// and their frees gated on the durable-LSN watermark.
   void set_wal(const persist::ShardWal* wal) noexcept { wal_ = wal; }
 
-  // ---- the adapter's reason to exist ----
+  // ---- the adapter's reason to exist: the stamp and the gate ----
   void retire(reclaim::Block* b, unsigned tid) noexcept {
     auto& p = pending_[tid];
     // Stamp = the stream's NEXT LSN: a mutation unlinks (and retires)
@@ -116,7 +115,6 @@ class BatchedTracker {
     b->retire_next = p.head;
     p.head = b;
     p.count.fetch_add(1, std::memory_order_relaxed);
-    batched_.fetch_add(1, std::memory_order_relaxed);
     // Don't walk the burst while the gate would hold even its oldest
     // block — the watermark has to advance before a flush can help.
     if (p.count.load(std::memory_order_relaxed) >= batch_ &&
@@ -187,10 +185,6 @@ class BatchedTracker {
   std::uint64_t pending_count(unsigned tid) const noexcept {
     return pending_[tid].count.load(std::memory_order_relaxed);
   }
-  /// Total blocks that ever passed through the buffer.
-  std::uint64_t batched_retires() const noexcept {
-    return batched_.load(std::memory_order_relaxed);
-  }
   std::uint64_t batch_flushes() const noexcept {
     return flushes_.load(std::memory_order_relaxed);
   }
@@ -208,7 +202,6 @@ class BatchedTracker {
   const persist::ShardWal* wal_ = nullptr;
   unsigned batch_;
   reclaim::detail::PerThread<Pending> pending_;
-  std::atomic<std::uint64_t> batched_{0};
   std::atomic<std::uint64_t> flushes_{0};
 };
 

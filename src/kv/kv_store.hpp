@@ -170,10 +170,6 @@ struct KvConfig {
   std::size_t auto_grow_max_shards = 256;
   /// Writes between auto-grow checks, per thread (power of two).
   unsigned auto_grow_check_interval = 512;
-  /// Test knob: freeze EVERY source bucket up front so all traffic
-  /// must take the helping path (the oracle and reshard stress suites
-  /// set it from their WFE_TEST_HELP environment variable).
-  bool resize_force_help = false;
   /// Durability backend (persist::Options.enabled = false keeps the
   /// store purely in-memory).  Requires K and V to be trivially
   /// copyable and at most 8 bytes (persist::wal_encodable).
@@ -503,8 +499,6 @@ class KvStore {
     return n;
   }
 
-  bool ordered_index_enabled() const noexcept { return index_ != nullptr; }
-
   // ---- cross-shard atomic transactions (src/txn/; file header) ----
 
   /// Applies every write buffered in `txn` as one crash-atomic unit and
@@ -731,12 +725,14 @@ class KvStore {
     }
   }
 
-  /// Test hook: simulated resizer stall.  The next resize() freezes
-  /// EVERY source bucket, then calls `fn` on the resizing thread —
-  /// holding the resize mutex but NO bucket claim — before it starts
-  /// claiming buckets.  While parked inside `fn`, every op that hits a
-  /// frozen bucket must complete its migration via helping; that is
-  /// the progress property the help suites pin.  Set (and clear, by
+  /// Test hook: simulated resizer stall.  While a hook is set, every
+  /// resize() freezes EVERY source bucket, then calls `fn` on the
+  /// resizing thread — holding the resize mutex but NO bucket claim —
+  /// before it starts claiming buckets.  While parked inside `fn`, every
+  /// op that hits a frozen bucket must complete its migration via
+  /// helping; that is the progress property the help suites pin.  An
+  /// empty `fn` (`[] {}`) forces ops onto the helping path without the
+  /// stall (the stress suites' WFE_TEST_HELP=1 mode).  Set (and clear, by
   /// passing nullptr) only while no resize is in flight.
   void set_resize_park_hook(std::function<void()> fn) {
     resize_park_hook_ = std::move(fn);
@@ -1384,16 +1380,12 @@ class KvStore {
     static thread_local std::vector<bool> node_live;
     pairs.clear();
     node_live.clear();
-    if (helper) {
-      // A helper's own freeze walk must complete before the collect
-      // walk is a valid pure read (idempotent over whatever the
-      // resizer's freeze-ahead already froze).
-      sh.freeze_collect_bucket(b, tid, pairs, node_live);
-    } else {
-      // The resizer only claims buckets its freeze_to cursor passed:
-      // its own walk completed, so skip straight to the collect.
-      sh.collect_bucket(b, pairs, node_live);
-    }
+    // A helper's own freeze walk must complete before the collect walk
+    // is a valid pure read (idempotent over whatever the resizer's
+    // freeze-ahead already froze).  The resizer only claims buckets its
+    // freeze_to cursor passed: its own walk completed.
+    if (helper) sh.freeze_bucket(b, tid);
+    sh.collect_bucket(b, pairs, node_live);
     for (const auto& [k, v] : pairs)
       dst->shards[shard_index_in(*dst, k)]->migrate_in(k, v, tid);
     src.migrated[s][b].store(1, std::memory_order_release);
@@ -1479,23 +1471,22 @@ class KvStore {
     // Freeze ahead of the migrate cursor: a frozen-but-unclaimed bucket
     // is claimable by any op that hits it, so the window is the
     // migration's parallelism (helpers copy distinct buckets while this
-    // thread copies another).  Forced-help mode (resize_force_help)
-    // freezes everything up front, and the park hook — test-only —
-    // then stalls this thread with NO claim held, so every bucket
-    // traffic touches must complete via helping.
+    // thread copies another).  The park hook — test-only — freezes
+    // everything up front, then stalls this thread with NO claim held,
+    // so every bucket traffic touches must complete via helping (an
+    // empty hook forces that helping path without the stall).
     const std::size_t total = (src->mask + 1) * src->buckets;
-    const bool freeze_all =
-        cfg_.resize_force_help || static_cast<bool>(resize_park_hook_);
-    const std::size_t ahead =
-        freeze_all ? total : kFreezeAhead;
+    const std::size_t ahead = resize_park_hook_ ? total : kFreezeAhead;
     std::size_t frozen = 0;
     const auto freeze_to = [&](std::size_t limit) {
       for (; frozen < limit; ++frozen)
         src->shards[frozen / src->buckets]->freeze_bucket(
             frozen % src->buckets, tid);
     };
-    if (freeze_all) freeze_to(total);
-    if (resize_park_hook_) resize_park_hook_();
+    if (resize_park_hook_) {
+      freeze_to(total);
+      resize_park_hook_();
+    }
     for (std::size_t m = 0; m < total; ++m) {
       obs::beat_shard(static_cast<std::uint32_t>(m / src->buckets));
       freeze_to(std::min(total, m + ahead));

@@ -13,6 +13,11 @@
 // Cross-shard operations never share tracker state, so shards scale
 // embarrassingly until the keyspace itself is contended.
 //
+// Sessions: the buckets' try_* ops run unbracketed, inside a tracker
+// session the shard opens — in_session around each single-key op,
+// run_group around a whole multi-op slice.  WAL acks wait until the
+// session is closed.
+//
 // Destruction order matters and is encoded by member order below:
 // map_ (deallocs live nodes) -> batched_ (flushes pending bursts into
 // tracker_) -> tracker_ (drains its retire lists).  C++ destroys members
@@ -85,45 +90,49 @@ class Shard {
     return out;
   }
 
-  // ---- freeze-aware variants (kv resharding): false = the key's bucket
-  // is frozen and NOTHING happened; the store waits for the bucket's
-  // migration flag and re-executes against the destination table.  Op
-  // counters tick only on completion, so shard stats never double-count
-  // a forwarded attempt (the store counts those as forwarded_ops). ----
+  // ---- freeze-aware variants (kv resharding), each in a session of its
+  // own: false = the key's bucket is frozen and NOTHING happened; the
+  // store waits for the bucket's migration flag and re-executes against
+  // the destination table.  Op counters tick only on completion, so
+  // shard stats never double-count a forwarded attempt (the store counts
+  // those as forwarded_ops). ----
 
   bool try_get(const K& key, unsigned tid, std::optional<V>& out) {
-    if (!map_.try_get(key, tid, out)) return false;
+    if (!in_session(tid, [&] { return map_.try_get(key, tid, out); })) return false;
     ops_.inc(kGet, tid);
     return true;
   }
   bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
-    if (!map_.try_insert(key, value, tid, inserted)) return false;
+    if (!in_session(tid, [&] { return map_.try_insert(key, value, tid, inserted); }))
+      return false;
     ops_.inc(kPut, tid);
-    if (inserted) log_put(key, value);
+    if (inserted) ack_log(append_put(key, value));
     return true;
   }
   /// A replace is exactly one successful cell swap, so it counts one
   /// value-cell retire.
   bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    if (!map_.try_put(key, value, tid, was_absent)) return false;
+    if (!in_session(tid, [&] { return map_.try_put(key, value, tid, was_absent); }))
+      return false;
     ops_.inc(kPut, tid);
     if (!was_absent) ops_.inc(kCellRetire, tid);
-    log_put(key, value);
+    ack_log(append_put(key, value));
     return true;
   }
   bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
-    if (!map_.try_update(key, value, tid, updated)) return false;
+    if (!in_session(tid, [&] { return map_.try_update(key, value, tid, updated); }))
+      return false;
     ops_.inc(kUpdate, tid);
     if (updated) {
       ops_.inc(kCellRetire, tid);
-      log_put(key, value);
+      ack_log(append_put(key, value));
     }
     return true;
   }
   bool try_remove(const K& key, unsigned tid, std::optional<V>& out) {
-    if (!map_.try_remove(key, tid, out)) return false;
+    if (!in_session(tid, [&] { return map_.try_remove(key, tid, out); })) return false;
     ops_.inc(kRemove, tid);
-    if (out.has_value()) log_remove(key);
+    if (out.has_value()) ack_log(append_remove(key));
     return true;
   }
   /// Conditional replace (degenerate single-key transaction): installs
@@ -134,41 +143,33 @@ class Shard {
   /// retires nothing.
   bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
                bool& swapped) {
-    if (!map_.try_cas(key, expected, desired, tid, swapped)) return false;
+    if (!in_session(tid, [&] {
+          return map_.try_cas(key, expected, desired, tid, swapped);
+        }))
+      return false;
     ops_.inc(kCas, tid);
     if (swapped) {
       ops_.inc(kCellRetire, tid);
-      log_put(key, desired);
+      ack_log(append_put(key, desired));
     }
     return true;
   }
 
   // ---- shard-local halves of the store's cross-shard multi-ops: the
   // caller hands this shard its slice of the batch (positions `idx` into
-  // the caller's arrays); the whole slice runs in ONE tracker session
-  // (begin_op/end_op once), so epoch publishing, and for QSBR the
-  // quiescence announcement, amortize over the group.  Keys whose bucket
-  // is frozen are appended to `deferred` (their out slot untouched)
-  // instead of blocking inside the session — the store re-dispatches
-  // them against the destination table. ----
+  // the caller's arrays); the whole slice runs through run_group, in ONE
+  // tracker session, so epoch publishing amortizes over the group.  Keys
+  // whose bucket is frozen are appended to `deferred` (their out slot
+  // untouched) instead of blocking inside the session — the store
+  // re-dispatches them against the destination table. ----
 
   void multi_get(const K* keys, const std::uint32_t* idx, std::size_t n,
                  std::optional<V>* out, unsigned tid,
                  std::vector<std::uint32_t>& deferred) {
-    std::size_t done = 0;
-    batched_.begin_op(tid);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::optional<V> v;
-      if (map_.try_get_in_op(keys[idx[i]], tid, v)) {
-        out[idx[i]] = std::move(v);
-        ++done;
-      } else {
-        deferred.push_back(idx[i]);
-      }
-    }
-    batched_.end_op(tid);
+    const std::size_t done = run_group(idx, n, tid, deferred, [&](std::uint32_t j) {
+      return map_.try_get(keys[j], tid, out[j]);
+    });
     ops_.inc(kGet, tid, done);
-    ops_.inc(kBatched, tid, done);
   }
 
   /// In-place upserts for this shard's slice; returns how many keys were
@@ -176,24 +177,18 @@ class Shard {
   std::size_t multi_put(const std::pair<K, V>* ops, const std::uint32_t* idx,
                         std::size_t n, unsigned tid,
                         std::vector<std::uint32_t>& deferred) {
-    std::size_t inserted = 0, done = 0;
+    std::size_t inserted = 0;
     std::uint64_t last_lsn = 0;
-    batched_.begin_op(tid);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [k, v] = ops[idx[i]];
+    const std::size_t done = run_group(idx, n, tid, deferred, [&](std::uint32_t j) {
+      const auto& [k, v] = ops[j];
       bool was_absent = false;
-      if (map_.try_put_in_op(k, v, tid, was_absent)) {
-        last_lsn = log_put_deferred(k, v);
-        ++done;
-        if (was_absent) ++inserted;
-      } else {
-        deferred.push_back(idx[i]);
-      }
-    }
-    batched_.end_op(tid);
+      if (!map_.try_put(k, v, tid, was_absent)) return false;
+      last_lsn = append_put(k, v);
+      if (was_absent) ++inserted;
+      return true;
+    });
     ack_log(last_lsn);  // one durability wait for the whole group
     ops_.inc(kPut, tid, done);
-    ops_.inc(kBatched, tid, done);
     ops_.inc(kCellRetire, tid, done - inserted);
     return inserted;
   }
@@ -203,26 +198,18 @@ class Shard {
   std::size_t multi_remove(const K* keys, const std::uint32_t* idx,
                            std::size_t n, std::optional<V>* out, unsigned tid,
                            std::vector<std::uint32_t>& deferred) {
-    std::size_t removed = 0, done = 0;
+    std::size_t removed = 0;
     std::uint64_t last_lsn = 0;
-    batched_.begin_op(tid);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::optional<V> v;
-      if (map_.try_remove_in_op(keys[idx[i]], tid, v)) {
-        if (v.has_value()) {
-          last_lsn = log_remove_deferred(keys[idx[i]]);
-          ++removed;
-        }
-        out[idx[i]] = std::move(v);
-        ++done;
-      } else {
-        deferred.push_back(idx[i]);
+    const std::size_t done = run_group(idx, n, tid, deferred, [&](std::uint32_t j) {
+      if (!map_.try_remove(keys[j], tid, out[j])) return false;
+      if (out[j].has_value()) {
+        last_lsn = append_remove(keys[j]);
+        ++removed;
       }
-    }
-    batched_.end_op(tid);
+      return true;
+    });
     ack_log(last_lsn);  // one durability wait for the whole group
     ops_.inc(kRemove, tid, done);
-    ops_.inc(kBatched, tid, done);
     return removed;
   }
 
@@ -252,38 +239,25 @@ class Shard {
                      std::uint64_t txn_id, unsigned tid,
                      std::vector<std::uint32_t>& deferred) {
     TxnSlice r;
-    std::size_t done = 0, replaced = 0;
-    batched_.begin_op(tid);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Op& op = ops[idx[i]];
+    std::size_t replaced = 0;
+    r.pairs = run_group(idx, n, tid, deferred, [&](std::uint32_t j) {
+      const Op& op = ops[j];
       if (op.is_remove) {
         std::optional<V> v;
-        if (!map_.try_remove_in_op(op.key, tid, v)) {
-          deferred.push_back(idx[i]);
-          continue;
-        }
-        ++done;
+        if (!map_.try_remove(op.key, tid, v)) return false;
         if (v.has_value()) ++r.removed;
-        r.last_lsn = log_txn_pair(txn_id, /*is_remove=*/true, op.key, V{});
-        ++r.pairs;
       } else {
         bool was_absent = false;
-        if (!map_.try_put_in_op(op.key, op.value, tid, was_absent)) {
-          deferred.push_back(idx[i]);
-          continue;
-        }
-        ++done;
+        if (!map_.try_put(op.key, op.value, tid, was_absent)) return false;
         if (was_absent)
           ++r.inserted;
         else
           ++replaced;
-        r.last_lsn = log_txn_pair(txn_id, /*is_remove=*/false, op.key, op.value);
-        ++r.pairs;
       }
-    }
-    batched_.end_op(tid);
-    ops_.inc(kTxnOps, tid, done);
-    ops_.inc(kBatched, tid, done);
+      r.last_lsn = append_txn_pair(txn_id, op.is_remove, op.key, op.value);
+      return true;
+    });
+    ops_.inc(kTxnOps, tid, r.pairs);
     ops_.inc(kCellRetire, tid, replaced);
     return r;
   }
@@ -313,19 +287,11 @@ class Shard {
     map_.freeze_bucket(b, tid);
   }
 
-  /// Source-side: freeze bucket `b` (idempotent even when another
-  /// thread froze it first) and collect its live pairs.  The collect
-  /// half is only valid for the bucket's claim holder.
-  void freeze_collect_bucket(std::size_t b, unsigned tid,
-                             std::vector<std::pair<K, V>>& pairs,
-                             std::vector<bool>& node_live) {
-    map_.freeze_and_collect(b, tid, pairs, node_live);
-  }
-
-  /// Source-side, collect only: for a claim holder whose OWN freeze
-  /// walk of bucket `b` already completed (the resizer, whose
-  /// freeze-ahead cursor is past `b`) — skips the redundant protected
-  /// re-freeze walk the helper path needs.
+  /// Source-side: collect bucket `b`'s live pairs.  Only valid for the
+  /// bucket's claim holder, and only after its OWN freeze walk of `b`
+  /// completed: a helper calls freeze_bucket first (idempotent even when
+  /// another thread froze it), while the resizer's freeze-ahead cursor is
+  /// already past `b`.
   void collect_bucket(std::size_t b, std::vector<std::pair<K, V>>& pairs,
                       std::vector<bool>& node_live) const {
     map_.collect_frozen_bucket(b, pairs, node_live);
@@ -399,29 +365,45 @@ class Shard {
     kCas, kTxnOps, kLanes
   };
 
-  /// One record per completed mutation, appended AFTER the memory
-  /// effect.  No-ops without an attached WAL; the if-constexpr keeps
-  /// non-encodable K/V instantiable (they simply can't attach a WAL —
-  /// the store enforces that at open).
-  void log_put(const K& key, const V& value) {
-    if constexpr (persist::wal_encodable<K> && persist::wal_encodable<V>) {
-      if (wal_ != nullptr)
-        wal_->log(persist::RecordType::kPut, persist::encode(key),
-                  persist::encode(value));
-    }
-  }
-  void log_remove(const K& key) {
-    if constexpr (persist::wal_encodable<K>) {
-      if (wal_ != nullptr)
-        wal_->log(persist::RecordType::kRemove, persist::encode(key), 0);
-    }
+  /// The single-key ops' session: one begin_op/end_op around one bucket
+  /// op, so forwarding waits and the WAL ack run outside it.
+  template <class Op>
+  bool in_session(unsigned tid, Op&& op) {
+    batched_.begin_op(tid);
+    const bool done = op();
+    batched_.end_op(tid);
+    return done;
   }
 
-  // Batch flavors: fire-and-forget appends inside the session, ONE
-  // sync-mode ack after end_op — sync=always would otherwise pay a
-  // blocking fsync per record while holding the tracker session open
-  // (stalling the whole domain's reclamation for the batch duration).
-  std::uint64_t log_put_deferred(const K& key, const V& value) {
+  /// The multi-ops' group loop: `step(j)` runs position j's bucket op
+  /// inside ONE session for the whole slice and returns false when the
+  /// bucket is frozen (nothing happened), which defers j.  Returns how
+  /// many positions completed.
+  template <class Step>
+  std::size_t run_group(const std::uint32_t* idx, std::size_t n, unsigned tid,
+                        std::vector<std::uint32_t>& deferred, Step&& step) {
+    std::size_t done = 0;
+    batched_.begin_op(tid);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (step(idx[i]))
+        ++done;
+      else
+        deferred.push_back(idx[i]);
+    }
+    batched_.end_op(tid);
+    ops_.inc(kBatched, tid, done);
+    return done;
+  }
+
+  /// One record per completed mutation, appended AFTER its memory effect
+  /// and acked by ack_log only once the tracker session is closed: under
+  /// sync=always the ack is a blocking fsync, which inside the session
+  /// would stall the whole domain's reclamation (a group acks once, for
+  /// its newest record).  The appenders return the record's LSN, 0
+  /// without an attached WAL; the if-constexpr keeps non-encodable K/V
+  /// instantiable (they simply can't attach a WAL — the store enforces
+  /// that at open).
+  std::uint64_t append_put(const K& key, const V& value) {
     if constexpr (persist::wal_encodable<K> && persist::wal_encodable<V>) {
       if (wal_ != nullptr)
         return wal_->append(persist::RecordType::kPut, persist::encode(key),
@@ -429,7 +411,7 @@ class Shard {
     }
     return 0;
   }
-  std::uint64_t log_remove_deferred(const K& key) {
+  std::uint64_t append_remove(const K& key) {
     if constexpr (persist::wal_encodable<K>) {
       if (wal_ != nullptr)
         return wal_->append(persist::RecordType::kRemove,
@@ -442,10 +424,10 @@ class Shard {
   }
 
   /// One INTENT pair (atomically reserved: the TXN_DATA payload sits at
-  /// exactly the intent's lsn + 1) appended AFTER the memory install,
-  /// like every other record.  Returns the pair's second LSN.
-  std::uint64_t log_txn_pair(std::uint64_t txn_id, bool is_remove,
-                             const K& key, const V& value) {
+  /// exactly the intent's lsn + 1); `value` is not logged for a remove.
+  /// Returns the pair's second LSN, which txn_commit acks.
+  std::uint64_t append_txn_pair(std::uint64_t txn_id, bool is_remove,
+                                const K& key, const V& value) {
     if constexpr (persist::wal_encodable<K> && persist::wal_encodable<V>) {
       if (wal_ != nullptr)
         return wal_->append2(

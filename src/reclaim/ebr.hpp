@@ -11,7 +11,8 @@
 // Reads inside an operation are plain loads — EBR's appeal — but a stalled
 // thread pins *every* block retired after its published epoch, so memory
 // usage is unbounded (the paper's core criticism, §2.1/§2.4; measured by
-// bench_stall_bound).
+// bench_stall_bound).  QsbrTracker (qsbr.hpp) runs this code under
+// QSBR's name.
 
 #include <atomic>
 #include <cstdint>
@@ -28,7 +29,6 @@ class EbrTracker : public TrackerBase {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store(kInfEra, std::memory_order_relaxed);
   }
-  ~EbrTracker() { drain_all_unsafe(); }
 
   static constexpr const char* name() noexcept { return "EBR"; }
 
@@ -50,13 +50,6 @@ class EbrTracker : public TrackerBase {
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned /*idx*/,
                               unsigned /*tid*/, const Block* /*parent*/ = nullptr) noexcept {
     return src.load(std::memory_order_acquire);
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
   }
 
   template <class T, class... Args>

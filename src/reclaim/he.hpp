@@ -31,7 +31,6 @@ class HeTracker : public TrackerBase {
         slots_[t].era[j].store(kInfEra, std::memory_order_relaxed);
     }
   }
-  ~HeTracker() { drain_all_unsafe(); }
 
   static constexpr const char* name() noexcept { return "HE"; }
 
@@ -67,13 +66,6 @@ class HeTracker : public TrackerBase {
       slots_[tid].era[idx].store(new_era, std::memory_order_seq_cst);
       prev_era = new_era;
     }
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
   }
 
   // Fig. 1 alloc_block().

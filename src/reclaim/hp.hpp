@@ -31,7 +31,6 @@ class HpTracker : public TrackerBase {
         slots_[t].hp[j].store(0, std::memory_order_relaxed);
     }
   }
-  ~HpTracker() { drain_all_unsafe(); }
 
   static constexpr const char* name() noexcept { return "HP"; }
 
@@ -67,13 +66,6 @@ class HpTracker : public TrackerBase {
       if (cur == prev) return cur;
       prev = cur;
     }
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
   }
 
   template <class T, class... Args>

@@ -28,7 +28,6 @@ class IbrTracker : public TrackerBase {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store_pair({kInfEra, kInfEra}, std::memory_order_relaxed);
   }
-  ~IbrTracker() { drain_all_unsafe(); }
 
   static constexpr const char* name() noexcept { return "2GEIBR"; }
 
@@ -59,13 +58,6 @@ class IbrTracker : public TrackerBase {
       resv_[tid].store_b(e, std::memory_order_seq_cst);  // grow upper
       prev = e;
     }
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
   }
 
   template <class T, class... Args>

@@ -1,7 +1,7 @@
 #pragma once
 // "Leak Memory" baseline (paper §5): no reclamation at all.  Retired
 // blocks are queued but never freed during the run, which upper-bounds the
-// throughput any real scheme could reach.  The tracker destructor still
+// throughput any real scheme could reach.  TrackerBase's destructor still
 // drains the queues so tests and sanitizers see no real leak.
 
 #include <atomic>
@@ -14,7 +14,6 @@ namespace wfe::reclaim {
 class LeakTracker : public TrackerBase {
  public:
   explicit LeakTracker(const TrackerConfig& cfg) : TrackerBase(cfg) {}
-  ~LeakTracker() { drain_all_unsafe(); }
 
   static constexpr const char* name() noexcept { return "Leak"; }
 
@@ -26,13 +25,6 @@ class LeakTracker : public TrackerBase {
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned /*idx*/,
                               unsigned /*tid*/, const Block* /*parent*/ = nullptr) noexcept {
     return src.load(std::memory_order_acquire);
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
   }
 
   void retire(Block* b, unsigned tid) noexcept { push_retired(b, tid); }

@@ -2,109 +2,31 @@
 // Quiescent-State-Based Reclamation (QSBR), Hart et al. [19] / RCU [26] —
 // the related-work scheme of the paper's first category (§6).
 //
-// Dual of EBR: instead of publishing a reservation on operation ENTRY, a
-// thread *announces quiescence* (holds no references) when an operation
-// ENDS.  A block retired at epoch e is reclaimable once every registered
-// thread has announced quiescence at an epoch > e.  Cheapest possible
-// read path (nothing at all on begin_op/protect), but like EBR the scheme
-// is blocking: a thread that stops announcing pins all later garbage, and
-// a thread must announce even when idle.  Included as a comparator and
-// for API completeness; the paper's argument against epoch schemes (§2.1)
-// applies to QSBR with full force.
+// A thread *announces quiescence* (it holds no references), and a block
+// retired at epoch e is reclaimable once every thread has announced
+// quiescence since e.  Tied to the tracker's op brackets, as every data
+// structure here uses them, that is EBR's reservation: entering an
+// operation pins the thread to the entry epoch, and leaving it is the
+// quiescent state (∞ published).  So this tracker runs EbrTracker's code
+// under QSBR's name and adds only quiesce(), the classic RCU announcement
+// for loops that run operations without brackets.  Like EBR the scheme
+// is blocking: a thread that stops announcing pins all later garbage.
+// Included as a comparator and for API completeness; the paper's argument
+// against epoch schemes (§2.1) applies to QSBR with full force.
 
-#include <atomic>
-#include <cstdint>
-
-#include "reclaim/tracker.hpp"
-#include "util/cacheline.hpp"
+#include "reclaim/ebr.hpp"
 
 namespace wfe::reclaim {
 
-class QsbrTracker : public TrackerBase {
+class QsbrTracker : public EbrTracker {
  public:
-  explicit QsbrTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), quiescent_at_(cfg.max_threads) {
-    // Threads start quiescent "in the future": an unregistered / idle
-    // thread must not block reclamation until it runs its first op.
-    for (unsigned t = 0; t < cfg.max_threads; ++t)
-      quiescent_at_[t].store(kInfEra, std::memory_order_relaxed);
-  }
-  ~QsbrTracker() { drain_all_unsafe(); }
+  using EbrTracker::EbrTracker;
 
   static constexpr const char* name() noexcept { return "QSBR"; }
 
-  /// Entering an operation marks the thread non-quiescent: its last
-  /// announcement no longer covers references acquired from here on, so
-  /// it is pinned to the entry epoch until the next announcement.
-  void begin_op(unsigned tid) noexcept {
-    quiescent_at_[tid].store(global_epoch_.value.load(std::memory_order_seq_cst),
-                             std::memory_order_seq_cst);
-  }
-
-  /// Leaving an operation IS the quiescent state: announce it.
-  void end_op(unsigned tid) noexcept { quiesce(tid); }
-
-  /// Explicit announcement for long-running application loops that call
-  /// operations without tracker brackets (classic RCU usage).
-  void quiesce(unsigned tid) noexcept {
-    quiescent_at_[tid].store(kInfEra, std::memory_order_release);
-  }
-
-  void clear_slot(unsigned, unsigned) noexcept {}
-  void copy_slot(unsigned, unsigned, unsigned) noexcept {}
-
-  std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned /*idx*/,
-                              unsigned /*tid*/, const Block* /*parent*/ = nullptr) noexcept {
-    return src.load(std::memory_order_acquire);  // reads are free — QSBR's draw
-  }
-
-  template <class T>
-  T* protect(const std::atomic<T*>& src, unsigned idx, unsigned tid,
-             const Block* parent = nullptr) noexcept {
-    return reinterpret_cast<T*>(protect_word(
-        reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
-  }
-
-  template <class T, class... Args>
-  T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0)
-      global_epoch_.value.fetch_add(1, std::memory_order_acq_rel);
-    T* node = construct_block<T>(std::forward<Args>(args)...);
-    node->alloc_era = global_epoch_.value.load(std::memory_order_acquire);
-    count_alloc(tid);
-    return node;
-  }
-
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_epoch_.value.load(std::memory_order_acquire);
-    push_retired(b, tid);
-    if (++threads_[tid].retire_since_scan % cfg_.cleanup_freq == 0) scan(tid);
-  }
-
-  void flush(unsigned tid) noexcept { scan(tid); }
-
-  std::uint64_t epoch() const noexcept {
-    return global_epoch_.value.load(std::memory_order_acquire);
-  }
-
- private:
-  void scan(unsigned tid) noexcept {
-    // A block retired at epoch e is safe once no thread has been inside
-    // an operation since an epoch <= e.
-    std::uint64_t min_active = kInfEra;
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      const std::uint64_t q = quiescent_at_[t].load(std::memory_order_seq_cst);
-      if (q < min_active) min_active = q;
-    }
-    sweep_retired(tid, [min_active](const Block* b) {
-      return b->retire_era < min_active;
-    });
-  }
-
-  /// Epoch at operation entry, or ∞ while quiescent.
-  detail::PerThread<std::atomic<std::uint64_t>> quiescent_at_;
-  util::Padded<std::atomic<std::uint64_t>> global_epoch_{1};
+  /// Explicit announcement: the thread holds no references, which is
+  /// what leaving an operation says.
+  void quiesce(unsigned tid) noexcept { end_op(tid); }
 };
 
 static_assert(tracker_for<QsbrTracker>);

@@ -8,9 +8,10 @@
 //   begin_op(tid)   — enter a data-structure operation (EBR/IBR publish a
 //                     reservation here; pointer/era schemes no-op)
 //   end_op(tid)     — leave the operation; clears all reservations
-//   protect(...)    — hazardous-pointer read (HE `get_protected`); WFE adds
-//                     the `parent` block argument (paper §3.4)
-//   protect_word(...)— same, for words carrying mark bits
+//   protect_word(...)— hazardous read of a word (HE `get_protected`); WFE
+//                     adds the `parent` block argument (paper §3.4).  The
+//                     typed read is the free reclaim::protect below, one
+//                     cast over protect_word for every scheme
 //   clear_slot(...) — drop one reservation
 //   copy_slot(...)  — slot `to` takes over what slot `from` protects; a
 //                     value `to` already holds may be left unstored: the
@@ -24,6 +25,9 @@
 //   retire(...)     — unlink-then-retire a block
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free for quiescent teardown paths
+//
+// TrackerBase's destructor frees whatever the retire lists still hold, so
+// no scheme writes its own teardown.
 //
 // Thread identity is an explicit slot id in [0, max_threads), chosen by
 // the caller: the harness, benches and examples pass each worker's
@@ -140,7 +144,8 @@ class TrackerBase {
   }
 
  protected:
-  ~TrackerBase() = default;
+  /// Quiescent teardown: frees every block still on a retire list.
+  ~TrackerBase() { drain_all_unsafe(); }
 
   void count_alloc(unsigned tid) noexcept {
     threads_[tid].allocs.fetch_add(1, std::memory_order_relaxed);
@@ -152,24 +157,6 @@ class TrackerBase {
     td.retire_head = b;
     td.retire_count.fetch_add(1, std::memory_order_relaxed);
     td.retires.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Frees every block still queued on every retire list.  Only valid when
-  /// no thread is active (tracker destructor).
-  void drain_all_unsafe() noexcept {
-    for (unsigned t = 0; t < threads_.size(); ++t) {
-      auto& td = threads_[t];
-      Block* b = td.retire_head;
-      while (b != nullptr) {
-        Block* next = b->retire_next;
-        b->deleter(b);
-        td.frees.fetch_add(1, std::memory_order_relaxed);
-        td.reclaims.fetch_add(1, std::memory_order_relaxed);
-        b = next;
-      }
-      td.retire_head = nullptr;
-      td.retire_count.store(0, std::memory_order_relaxed);
-    }
   }
 
   /// Walks tid's retire list, freeing blocks for which `deletable(blk)`
@@ -196,6 +183,24 @@ class TrackerBase {
   detail::PerThread<detail::ThreadData> threads_;
 
  private:
+  /// Frees every block still queued on every retire list.  Only valid when
+  /// no thread is active (tracker destructor).
+  void drain_all_unsafe() noexcept {
+    for (unsigned t = 0; t < threads_.size(); ++t) {
+      auto& td = threads_[t];
+      Block* b = td.retire_head;
+      while (b != nullptr) {
+        Block* next = b->retire_next;
+        b->deleter(b);
+        td.frees.fetch_add(1, std::memory_order_relaxed);
+        td.reclaims.fetch_add(1, std::memory_order_relaxed);
+        b = next;
+      }
+      td.retire_head = nullptr;
+      td.retire_count.store(0, std::memory_order_relaxed);
+    }
+  }
+
   std::uint64_t sum(std::atomic<std::uint64_t> detail::ThreadData::* field) const noexcept {
     std::uint64_t total = 0;
     for (unsigned t = 0; t < threads_.size(); ++t)
@@ -230,5 +235,15 @@ concept tracker_for = requires(TR& tr, const std::atomic<std::uintptr_t>& word,
   { tr.max_threads() } -> std::convertible_to<unsigned>;
   { TR::name() } -> std::convertible_to<const char*>;
 };
+
+/// Typed hazardous read for any tracker: protect_word over the pointer's
+/// bits.  `parent` is the block holding `src` (nullptr for a root); WFE's
+/// helpers pin it (paper §3.4), the other schemes ignore it.
+template <class T, tracker_for TR>
+T* protect(TR& tracker, const std::atomic<T*>& src, unsigned idx, unsigned tid,
+           const Block* parent = nullptr) noexcept {
+  return reinterpret_cast<T*>(tracker.protect_word(
+      reinterpret_cast<const std::atomic<std::uintptr_t>&>(src), idx, tid, parent));
+}
 
 }  // namespace wfe::reclaim

@@ -32,9 +32,9 @@ TEST(WfeIbr, IntervalPinsLikeIbr) {
   CountedNode* n = tracker.alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
   tracker.begin_op(1);
-  tracker.protect(root, 0, 1, nullptr);
+  reclaim::protect(tracker, root, 0, 1, nullptr);
   for (int i = 0; i < 20; ++i) tracker.dealloc(tracker.alloc<CountedNode>(0), 0);
-  tracker.protect(root, 0, 1, nullptr);
+  reclaim::protect(tracker, root, 0, 1, nullptr);
   tracker.retire(n, 0);
   root.store(nullptr);
   tracker.flush(0);

@@ -40,8 +40,9 @@
 // so every per-op result assert and every phase-boundary state diff
 // must hold bit-for-bit across migrations.  WFE_TEST_OPS scales the
 // per-thread op count down for the sanitizer CI jobs; WFE_TEST_HELP=1
-// sets KvConfig::resize_force_help, so every resize freezes all buckets
-// up front and the resize-mode runs take the cooperative helping path.
+// installs an empty resize park hook, so every resize freezes all
+// buckets up front and the resize-mode runs take the cooperative
+// helping path.
 
 #include <gtest/gtest.h>
 
@@ -195,9 +196,6 @@ kv::KvConfig oracle_cfg() {
   c.tracker.era_freq = 8;
   c.tracker.cleanup_freq = 4;
   c.tracker.retire_batch = 4;
-  if (const char* e = std::getenv("WFE_TEST_HELP");
-      e != nullptr && *e != '\0' && *e != '0')
-    c.resize_force_help = true;
   // WFE_TEST_ADMIT=1 runs the whole oracle with the admission
   // controller live (fast driver ticks, limits so generous nothing is
   // ever shed): the sanitizer jobs then race gate_read/gate_write and
@@ -356,6 +354,9 @@ void diff_states(Store<TR>& store, Reference& ref, unsigned phase) {
 template <class TR>
 void run_oracle(bool with_resize) {
   Store<TR> store(oracle_cfg<TR>());
+  if (const char* e = std::getenv("WFE_TEST_HELP");
+      e != nullptr && *e != '\0' && *e != '0')
+    store.set_resize_park_hook([] {});  // see the file header
   Reference ref;
   for (unsigned phase = 0; phase < kPhases; ++phase) {
     std::vector<std::vector<Op>> streams;

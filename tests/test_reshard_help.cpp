@@ -17,8 +17,8 @@
 //     key copied once — migrate_in's counter would show a double copy)
 //     and by the final content holding no duplicates.
 //
-//   * ForcedHelpStressLedgerCloses — resize_force_help freezes every
-//     bucket up front on every resize of a grow/shrink cycle under
+//   * ForcedHelpStressLedgerCloses — an empty resize park hook freezes
+//     every bucket up front on every resize of a grow/shrink cycle under
 //     live writers (no parking): mass helping and the resizer racing
 //     for the same claims, with per-slice expected-maps and exact
 //     ledger closure at the end.
@@ -304,8 +304,9 @@ void run_forced_help_stress() {
   const unsigned resizes = env_unsigned("WFE_TEST_RESIZES", 8);
 
   kv::KvConfig cfg = help_cfg<TR>(kThreads, /*shards=*/4, /*buckets=*/32);
-  cfg.resize_force_help = true;  // every resize freezes all buckets up front
   Store<TR> store(cfg);
+  // An empty park hook: every resize freezes all buckets up front.
+  store.set_resize_park_hook([] {});
 
   std::atomic<bool> resizes_done{false};
   std::vector<std::map<std::uint64_t, std::uint64_t>> expected(kWriters);

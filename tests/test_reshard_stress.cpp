@@ -18,7 +18,7 @@
 //
 // Iteration counts scale down via WFE_TEST_OPS / WFE_TEST_RESIZES so
 // the TSan/ASan CI jobs stay inside their wall-clock budget.
-// WFE_TEST_HELP=1 sets KvConfig::resize_force_help: every resize then
+// WFE_TEST_HELP=1 installs an empty resize park hook: every resize then
 // freezes all buckets up front, so all traffic takes the helping path.
 
 #include <gtest/gtest.h>
@@ -73,10 +73,16 @@ kv::KvConfig stress_cfg() {
   c.tracker.era_freq = 8;
   c.tracker.cleanup_freq = 4;
   c.tracker.retire_batch = 4;
+  return c;
+}
+
+/// WFE_TEST_HELP=1 (see the file header), applied right after the
+/// store's construction.
+template <class TR>
+void apply_test_help(Store<TR>& store) {
   if (const char* e = std::getenv("WFE_TEST_HELP");
       e != nullptr && *e != '\0' && *e != '0')
-    c.resize_force_help = true;
-  return c;
+    store.set_resize_park_hook([] {});
 }
 
 /// One writer's deterministic slice workload: random put / insert /
@@ -159,6 +165,7 @@ void run_stress() {
   const unsigned pinned_writes = ops / 4;
 
   Store<TR> store(stress_cfg<TR>());
+  apply_test_help(store);
   std::atomic<bool> stop{false};
   std::atomic<bool> resizes_done{false};
   std::atomic<std::uint64_t> pinned_floor{0};
@@ -286,6 +293,7 @@ void run_multi_op_stress() {
   constexpr std::size_t kWide = 32;
 
   Store<TR> store(stress_cfg<TR>());
+  apply_test_help(store);
   std::atomic<bool> resizes_done{false};
   std::vector<std::map<std::uint64_t, std::uint64_t>> expected(kWriters);
   std::vector<std::thread> threads;
@@ -394,6 +402,7 @@ void run_auto_grow_stress() {
   c.auto_grow_check_interval = 64;
   c.auto_grow_max_shards = 64;
   Store<TR> store(c);
+  apply_test_help(store);
   std::vector<std::thread> threads;
   for (unsigned w = 0; w < kWriters + 1; ++w)
     threads.emplace_back([&, w] {

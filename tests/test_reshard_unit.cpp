@@ -256,8 +256,12 @@ TYPED_TEST(ReshardUnitTest, AllOpClassesAfterResizeMatchReference) {
 // Deterministic pin of the forwarding mechanism the stress suite can
 // only exercise probabilistically: every freeze-aware op on a frozen
 // bucket reports "incomplete" with NO state change, and keys in other
-// buckets are untouched.  Drives the Shard migration primitives
-// directly (what KvStore::resize runs per bucket).
+// buckets are untouched.  Every group op (multi_get, multi_put,
+// multi_remove, txn_apply) defers the frozen position of a two-key
+// slice, leaves its out slot alone, completes the other key in the same
+// call and moves the op counters by exactly that one completion.
+// Drives the Shard migration primitives directly (what KvStore::resize
+// runs per bucket).
 TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   using ShardT = typename Store<TypeParam>::ShardT;
   kv::KvConfig c = unit_cfg<TypeParam>();
@@ -268,7 +272,8 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
   std::vector<bool> live;
-  shard.freeze_collect_bucket(b, kTid, pairs, live);
+  shard.freeze_bucket(b, kTid);
+  shard.collect_bucket(b, pairs, live);
   ASSERT_FALSE(pairs.empty());
   for (const auto& [k, v] : pairs) EXPECT_EQ(v, k * 10);
 
@@ -283,20 +288,73 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   EXPECT_FALSE(shard.try_insert(absent, 1, kTid, flag));
   EXPECT_FALSE(shard.try_update(key, 1, kTid, flag));
   EXPECT_FALSE(shard.try_remove(key, kTid, out));
+
+  // Present keys in other, unfrozen buckets: one per group op.
+  std::vector<std::uint64_t> others;
+  for (std::uint64_t k = 1; k <= 200 && others.size() < 4; ++k)
+    if (shard.bucket_index(k) != b) others.push_back(k);
+  ASSERT_EQ(others.size(), 4u);
+  const std::uint32_t slice[2] = {0, 1};  // position 0 is the frozen key
+  const std::optional<std::uint64_t> kSentinel{0xdead};
+  const std::vector<std::uint32_t> frozen_only{0};
   std::vector<std::uint32_t> deferred;
-  const std::uint32_t idx0 = 0;
-  EXPECT_EQ(shard.multi_put(
-                std::vector<std::pair<std::uint64_t, std::uint64_t>>{{key, 1}}
-                    .data(),
-                &idx0, 1, kTid, deferred),
-            0u);
-  EXPECT_EQ(deferred.size(), 1u);
+  kv::ShardStats before = shard.stats();
+  {
+    const std::uint64_t keys[2] = {key, others[0]};
+    std::optional<std::uint64_t> got[2] = {kSentinel, kSentinel};
+    shard.multi_get(keys, slice, 2, got, kTid, deferred);
+    EXPECT_EQ(deferred, frozen_only);
+    EXPECT_EQ(got[0], kSentinel);
+    EXPECT_EQ(got[1], std::make_optional(others[0] * 10));
+    const kv::ShardStats now = shard.stats();
+    EXPECT_EQ(now.gets - before.gets, 1u);
+    EXPECT_EQ(now.batched_ops - before.batched_ops, 1u);
+    before = now;
+  }
+  {
+    const std::pair<std::uint64_t, std::uint64_t> ops[2] = {{key, 1},
+                                                            {others[1], 7}};
+    deferred.clear();
+    EXPECT_EQ(shard.multi_put(ops, slice, 2, kTid, deferred), 0u);
+    EXPECT_EQ(deferred, frozen_only);
+    const kv::ShardStats now = shard.stats();
+    EXPECT_EQ(now.puts - before.puts, 1u);
+    EXPECT_EQ(now.batched_ops - before.batched_ops, 1u);
+    EXPECT_EQ(now.value_cell_retires - before.value_cell_retires, 1u);
+    before = now;
+  }
+  {
+    const std::uint64_t keys[2] = {key, others[2]};
+    std::optional<std::uint64_t> got[2] = {kSentinel, kSentinel};
+    deferred.clear();
+    EXPECT_EQ(shard.multi_remove(keys, slice, 2, got, kTid, deferred), 1u);
+    EXPECT_EQ(deferred, frozen_only);
+    EXPECT_EQ(got[0], kSentinel);
+    EXPECT_EQ(got[1], std::make_optional(others[2] * 10));
+    const kv::ShardStats now = shard.stats();
+    EXPECT_EQ(now.removes - before.removes, 1u);
+    EXPECT_EQ(now.batched_ops - before.batched_ops, 1u);
+    before = now;
+  }
+  {
+    const txn::TxnOp<std::uint64_t, std::uint64_t> ops[2] = {
+        {key, 1, /*is_remove=*/false}, {others[3], 9, /*is_remove=*/false}};
+    deferred.clear();
+    const auto r = shard.txn_apply(ops, slice, 2, /*txn_id=*/1, kTid, deferred);
+    EXPECT_EQ(deferred, frozen_only);
+    EXPECT_EQ(r.pairs, 1u);
+    EXPECT_EQ(r.inserted, 0u);
+    const kv::ShardStats now = shard.stats();
+    EXPECT_EQ(now.txn_ops - before.txn_ops, 1u);
+    EXPECT_EQ(now.batched_ops - before.batched_ops, 1u);
+    EXPECT_EQ(now.value_cell_retires - before.value_cell_retires, 1u);
+  }
+  EXPECT_EQ(shard.get(others[1], kTid), std::make_optional<std::uint64_t>(7));
+  EXPECT_FALSE(shard.get(others[2], kTid).has_value());
+  EXPECT_EQ(shard.get(others[3], kTid), std::make_optional<std::uint64_t>(9));
 
   // A key in a different, unfrozen bucket completes normally.
-  std::uint64_t other = 0;
-  for (std::uint64_t k = 1; k <= 200; ++k)
-    if (shard.bucket_index(k) != b) { other = k; break; }
-  ASSERT_NE(other, 0u);
+  const std::uint64_t other = others[0];
   ASSERT_TRUE(shard.try_get(other, kTid, out));
   EXPECT_EQ(out, std::make_optional(other * 10));
 

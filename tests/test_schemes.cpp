@@ -69,7 +69,7 @@ TEST(Hp, HazardPinsExactlyTheNamedBlock) {
   std::atomic<int> dtors{0};
   CountedNode* pinned = tracker.alloc<CountedNode>(0, &dtors, 1);
   std::atomic<CountedNode*> root{pinned};
-  tracker.protect(root, 0, 1, nullptr);
+  reclaim::protect(tracker, root, 0, 1, nullptr);
   tracker.retire(pinned, 0);
   // Unrelated churn is fully reclaimed despite the live hazard.
   for (int i = 0; i < 100; ++i)
@@ -111,7 +111,7 @@ TEST(Hp, ValidationLoopTracksChangingSource) {
     }
   });
   for (int i = 0; i < 20000; ++i) {
-    CountedNode* got = tracker.protect(root, 0, 1, nullptr);
+    CountedNode* got = reclaim::protect(tracker, root, 0, 1, nullptr);
     ASSERT_TRUE(got == a || got == b);
     ASSERT_TRUE(got->value == 1 || got->value == 2);
   }
@@ -141,7 +141,7 @@ TEST(He, ReservationPinsByLifespanOverlap) {
   // Block A lives across the reservation era; block B is born after.
   CountedNode* a = tracker.alloc<CountedNode>(0, &dtors, 1);
   std::atomic<CountedNode*> root{a};
-  tracker.protect(root, 0, 1, nullptr);  // reserve current era e
+  reclaim::protect(tracker, root, 0, 1, nullptr);  // reserve current era e
   // Push the era clock forward, then retire A (lifespan spans e) and
   // fresh blocks (born after e, disjoint from it).
   for (int i = 0; i < 10; ++i)
@@ -165,7 +165,7 @@ TEST(He, StalledReservationDoesNotBlockYoungBlocks) {
   reclaim::HeTracker tracker(cfg_small());
   CountedNode* pinned = tracker.alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{pinned};
-  tracker.protect(root, 0, 1, nullptr);  // stall with era reservation
+  reclaim::protect(tracker, root, 0, 1, nullptr);  // stall with era reservation
   for (int i = 0; i < 300; ++i)
     tracker.retire(tracker.alloc<CountedNode>(0), 0);
   tracker.flush(0);
@@ -182,12 +182,12 @@ TEST(Ibr, IntervalGrowsDuringOperation) {
   CountedNode* n = tracker.alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
   tracker.begin_op(1);
-  tracker.protect(root, 0, 1, nullptr);
+  reclaim::protect(tracker, root, 0, 1, nullptr);
   // Push the era forward; re-reading must extend the upper bound, and the
   // early block must stay pinned via the interval's lower bound.
   for (int i = 0; i < 20; ++i)
     tracker.dealloc(tracker.alloc<CountedNode>(0), 0);
-  tracker.protect(root, 0, 1, nullptr);
+  reclaim::protect(tracker, root, 0, 1, nullptr);
   tracker.retire(n, 0);
   root.store(nullptr);
   tracker.flush(0);

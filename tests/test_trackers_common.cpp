@@ -57,7 +57,7 @@ TYPED_TEST(TrackerCommon, ProtectReturnsCurrentValue) {
   CountedNode* n = tracker.template alloc<CountedNode>(0, nullptr, 42);
   std::atomic<CountedNode*> root{n};
   tracker.begin_op(0);
-  CountedNode* got = tracker.protect(root, 0, 0, nullptr);
+  CountedNode* got = reclaim::protect(tracker, root, 0, 0, nullptr);
   EXPECT_EQ(got, n);
   EXPECT_EQ(got->value, 42u);
   tracker.end_op(0);
@@ -79,7 +79,7 @@ TYPED_TEST(TrackerCommon, ProtectNullptrIsFine) {
   TypeParam tracker(this->cfg_);
   std::atomic<CountedNode*> root{nullptr};
   tracker.begin_op(0);
-  EXPECT_EQ(tracker.protect(root, 0, 0, nullptr), nullptr);
+  EXPECT_EQ(reclaim::protect(tracker, root, 0, 0, nullptr), nullptr);
   tracker.end_op(0);
 }
 
@@ -136,8 +136,8 @@ TYPED_TEST(TrackerCommon, SlotsAreIndependent) {
   CountedNode* b = tracker.template alloc<CountedNode>(0, nullptr, 2);
   std::atomic<CountedNode*> ra{a}, rb{b};
   tracker.begin_op(0);
-  EXPECT_EQ(tracker.protect(ra, 0, 0, nullptr), a);
-  EXPECT_EQ(tracker.protect(rb, 1, 0, nullptr), b);
+  EXPECT_EQ(reclaim::protect(tracker, ra, 0, 0, nullptr), a);
+  EXPECT_EQ(reclaim::protect(tracker, rb, 1, 0, nullptr), b);
   tracker.clear_slot(0, 0);
   // Slot 1 must still protect b conceptually; at minimum the calls are
   // accepted and values remain readable.
@@ -157,7 +157,7 @@ TYPED_TEST(TrackerCommon, CopySlotKeepsProtectionAfterSourceClears) {
   CountedNode* keep = tracker.template alloc<CountedNode>(0, &keep_dtors, 7);
   std::atomic<CountedNode*> root{keep};
   tracker.begin_op(1);
-  ASSERT_EQ(tracker.protect(root, 1, 1, nullptr), keep);
+  ASSERT_EQ(reclaim::protect(tracker, root, 1, 1, nullptr), keep);
   tracker.copy_slot(1, 0, 1);
   tracker.copy_slot(1, 0, 1);
   tracker.clear_slot(1, 1);
@@ -205,9 +205,9 @@ TYPED_TEST(TrackerCommon, HandOffToLowerSlotSurvivesConcurrentScans) {
   int dead_reads = 0;
   while (!done.load(std::memory_order_relaxed)) {
     tracker.begin_op(0);
-    Canary* b = tracker.protect(a, 2, 0, nullptr);
+    Canary* b = reclaim::protect(tracker, a, 2, 0, nullptr);
     tracker.copy_slot(2, 1, 0);
-    tracker.protect(stable, 2, 0, nullptr);
+    reclaim::protect(tracker, stable, 2, 0, nullptr);
     if (!b->alive.load(std::memory_order_relaxed)) ++dead_reads;
     tracker.end_op(0);
   }
@@ -245,7 +245,7 @@ TYPED_TEST(TrackerCommon, ProtectedBlockSurvivesScans) {
   CountedNode* keep = tracker.template alloc<CountedNode>(0, &dtors, 7);
   std::atomic<CountedNode*> root{keep};
   tracker.begin_op(1);
-  CountedNode* got = tracker.protect(root, 0, 1, nullptr);
+  CountedNode* got = reclaim::protect(tracker, root, 0, 1, nullptr);
   ASSERT_EQ(got, keep);
   // Unlink and retire the protected block, then churn to force scans.
   root.store(nullptr);

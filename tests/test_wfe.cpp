@@ -43,7 +43,7 @@ TYPED_TEST(WaitFree, FastPathDoesNotEnterSlowPath) {
   // A stable era means the very first attempt succeeds.
   tracker.begin_op(0);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(tracker.protect(root, 0, 0, nullptr), n);
+    EXPECT_EQ(reclaim::protect(tracker, root, 0, 0, nullptr), n);
   }
   tracker.end_op(0);
   EXPECT_EQ(tracker.slow_path_entries(), 0u);
@@ -58,7 +58,7 @@ TYPED_TEST(WaitFree, ForcedSlowPathCompletesSingleThreaded) {
   std::atomic<CountedNode*> root{n};
   tracker.begin_op(0);
   for (int i = 0; i < 100; ++i) {
-    CountedNode* got = tracker.protect(root, 0, 0, nullptr);
+    CountedNode* got = reclaim::protect(tracker, root, 0, 0, nullptr);
     ASSERT_EQ(got, n);
     ASSERT_EQ(got->value, 5u);
   }
@@ -77,7 +77,7 @@ TYPED_TEST(WaitFree, SlowPathCounterBalances) {
     threads.emplace_back([&, tid] {
       for (int i = 0; i < 2000; ++i) {
         tracker.begin_op(tid);
-        tracker.protect(root, tid % 4, tid, nullptr);
+        reclaim::protect(tracker, root, tid % 4, tid, nullptr);
         tracker.end_op(tid);
       }
     });
@@ -105,7 +105,7 @@ TYPED_TEST(WaitFree, SlowPathWithConcurrentEraIncrements) {
     readers.emplace_back([&, tid] {
       while (!stop.load(std::memory_order_relaxed)) {
         tracker.begin_op(tid);
-        CountedNode* got = tracker.protect(root, 0, tid, nullptr);
+        CountedNode* got = reclaim::protect(tracker, root, 0, tid, nullptr);
         if (got->value != 99u) {
           ADD_FAILURE() << "protected read returned corrupt data";
           return;
@@ -141,7 +141,7 @@ TYPED_TEST(WaitFree, TagMonotonicallyIncreasesAcrossCycles) {
   std::atomic<CountedNode*> root{n};
   for (int i = 0; i < 50; ++i) {
     tracker.begin_op(0);
-    tracker.protect(root, 0, 0, nullptr);
+    reclaim::protect(tracker, root, 0, 0, nullptr);
     tracker.end_op(0);
   }
   EXPECT_EQ(tracker.slow_path_exits(), 50u);
@@ -234,7 +234,7 @@ TYPED_TEST(WaitFree, UnreclaimedBoundedUnderStalledReservation) {
   CountedNode* pinned = tracker.template alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{pinned};
   tracker.begin_op(1);
-  tracker.protect(root, 0, 1, nullptr);  // tid 1 stalls holding this
+  reclaim::protect(tracker, root, 0, 1, nullptr);  // tid 1 stalls holding this
 
   // Churn: every block allocated after the stall has alloc_era >= the
   // reserved era... and is freeable once retired (lifespans overlap the
@@ -260,7 +260,7 @@ TEST(Wfe, ReservationSlotsBeyondMaxHesAreInternal) {
   // Exercise a full slow-path cycle so the helper slots get used.
   CountedNode* n = tracker.alloc<CountedNode>(0);
   std::atomic<CountedNode*> root{n};
-  tracker.protect(root, 0, 0, nullptr);
+  reclaim::protect(tracker, root, 0, 0, nullptr);
   tracker.end_op(0);
   tracker.retire(n, 0);
   tracker.flush(0);

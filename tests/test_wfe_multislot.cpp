@@ -42,7 +42,7 @@ TEST(WfeMultiSlot, InterleavedSlowPathsOnAllSlots) {
   for (int round = 0; round < 200; ++round) {
     for (int j = 0; j < 4; ++j) {
       const int slot = (round + j) % 4;
-      CountedNode* got = tracker.protect(roots[slot], slot, 0, nullptr);
+      CountedNode* got = reclaim::protect(tracker, roots[slot], slot, 0, nullptr);
       ASSERT_EQ(got, nodes[slot]);
       ASSERT_EQ(got->value, 100u + slot);
     }
@@ -70,7 +70,7 @@ TEST(WfeMultiSlot, ConcurrentThreadsDistinctSlotsWithChurn) {
       util::Xoshiro256 rng(tid + 77);
       while (!stop.load(std::memory_order_relaxed)) {
         const unsigned slot = static_cast<unsigned>(rng.next_bounded(4));
-        CountedNode* got = tracker.protect(roots[slot], slot, tid, nullptr);
+        CountedNode* got = reclaim::protect(tracker, roots[slot], slot, tid, nullptr);
         if (got->value != 200u + slot) {
           ADD_FAILURE() << "slot crosstalk: slot " << slot << " returned "
                         << got->value;
