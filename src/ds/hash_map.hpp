@@ -8,23 +8,35 @@
 // The bucket array is `BucketArray`; `HashMap` below is its
 // figure-bench-facing name, and the kv shards (src/kv/shard.hpp) wrap
 // one BucketArray per reclamation domain.
+//
+// Layout: the buckets are one contiguous, cache-line-aligned array of
+// HmList objects constructed in place, 16 bytes each (tracker reference
+// plus head word), four to a line.  A lookup touches one line of that
+// array before it reaches the first node.  The alternative, a pointer
+// per bucket to a separately allocated list with a padded head, costs
+// three lines per lookup (the slot, the list's tracker reference, its
+// head) and one aligned allocation per bucket.  The price: neighbouring
+// heads share a line, so a CAS on one head invalidates it for the three
+// other buckets there.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "ds/hm_list.hpp"
 #include "reclaim/tracker.hpp"
+#include "util/cacheline.hpp"
 #include "util/random.hpp"
 
 namespace wfe::ds {
 
 /// splitmix64-finalized hash shared by bucket routing and (in the kv
 /// store) shard routing; exposed so callers can carve independent bit
-/// ranges out of one hash computation.
+/// ranges out of the same hash.
 inline std::uint64_t hash_key(std::uint64_t key) noexcept {
   std::uint64_t h = key;
   return util::splitmix64_next(h);  // finalizer: h is the evolved state's hash
@@ -39,20 +51,32 @@ inline std::size_t round_up_pow2(std::size_t v) noexcept {
 /// Fixed power-of-two array of Harris-Michael list buckets: the reusable
 /// core of the hash map.  Routing uses the LOW bits of hash_key(); the
 /// kv store's shard routing uses the high bits, so the two never
-/// correlate even though they share one hash evaluation.
+/// correlate even though they come from the same hash.
 template <class K, class V, reclaim::tracker_for Tracker>
 class BucketArray {
  public:
   using Bucket = HmList<K, V, Tracker>;
   static constexpr unsigned kSlotsNeeded = Bucket::kSlotsNeeded;
+  static_assert(sizeof(Bucket) == 16,
+                "a bucket is a tracker reference plus an unpadded head");
 
   /// `bucket_count` is rounded up to a power of two.
   explicit BucketArray(Tracker& tracker, std::size_t bucket_count = 16384)
       : mask_(round_up_pow2(bucket_count) - 1),
-        buckets_(std::make_unique<BucketSlot[]>(mask_ + 1)) {
+        buckets_(static_cast<Bucket*>(
+            ::operator new(bytes(), std::align_val_t{util::kCacheLine}))) {
     for (std::size_t i = 0; i <= mask_; ++i)
-      buckets_[i].list = std::make_unique<Bucket>(tracker);
+      std::construct_at(&buckets_[i], tracker);
   }
+
+  /// Quiescent teardown: each bucket deallocs its live nodes and cells.
+  ~BucketArray() {
+    std::destroy_n(buckets_, mask_ + 1);
+    ::operator delete(buckets_, bytes(), std::align_val_t{util::kCacheLine});
+  }
+
+  BucketArray(const BucketArray&) = delete;
+  BucketArray& operator=(const BucketArray&) = delete;
 
   bool insert(const K& key, const V& value, unsigned tid) {
     return bucket(key).insert(key, value, tid);
@@ -101,16 +125,16 @@ class BucketArray {
   // is idempotent and concurrency-safe, collect/drain are exactly-once
   // under the store's per-bucket claim — see HmList for the protocol) ----
   void freeze_bucket(std::size_t i, unsigned tid) {
-    buckets_[i].list->freeze(tid);
+    buckets_[i].freeze(tid);
   }
   void collect_frozen_bucket(std::size_t i,
                              std::vector<std::pair<K, V>>& pairs,
                              std::vector<bool>& node_live) const {
-    buckets_[i].list->collect_frozen(pairs, node_live);
+    buckets_[i].collect_frozen(pairs, node_live);
   }
   std::pair<std::size_t, std::size_t> drain_frozen(
       std::size_t i, unsigned tid, const std::vector<bool>& node_live) {
-    return buckets_[i].list->drain_frozen(tid, node_live);
+    return buckets_[i].drain_frozen(tid, node_live);
   }
 
   std::size_t bucket_count() const noexcept { return mask_ + 1; }
@@ -123,14 +147,14 @@ class BucketArray {
 
   std::size_t size_unsafe() const noexcept {
     std::size_t n = 0;
-    for (std::size_t i = 0; i <= mask_; ++i) n += buckets_[i].list->size_unsafe();
+    for (std::size_t i = 0; i <= mask_; ++i) n += buckets_[i].size_unsafe();
     return n;
   }
 
   /// Quiescent iteration over every (key, value) pair (bucket order).
   template <class Fn>
   void for_each_unsafe(Fn&& fn) const {
-    for (std::size_t i = 0; i <= mask_; ++i) buckets_[i].list->for_each_unsafe(fn);
+    for (std::size_t i = 0; i <= mask_; ++i) buckets_[i].for_each_unsafe(fn);
   }
 
   /// Concurrency-safe iteration (fuzzy snapshot dumps — see HmList).
@@ -139,21 +163,17 @@ class BucketArray {
   bool for_each_protected(unsigned tid, Fn&& fn) {
     bool ok = true;
     for (std::size_t i = 0; i <= mask_; ++i)
-      ok = buckets_[i].list->for_each_protected(tid, fn) && ok;
+      ok = buckets_[i].for_each_protected(tid, fn) && ok;
     return ok;
   }
 
  private:
-  struct BucketSlot {
-    std::unique_ptr<Bucket> list;
-  };
+  std::size_t bytes() const noexcept { return (mask_ + 1) * sizeof(Bucket); }
 
-  Bucket& bucket(const K& key) noexcept {
-    return *buckets_[bucket_index(key)].list;
-  }
+  Bucket& bucket(const K& key) noexcept { return buckets_[bucket_index(key)]; }
 
   std::size_t mask_;
-  std::unique_ptr<BucketSlot[]> buckets_;
+  Bucket* buckets_;
 };
 
 /// The paper's hash-map workload interface: another name for BucketArray,

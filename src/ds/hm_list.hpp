@@ -58,6 +58,10 @@
 // multi-op group in one session; the plain entry points open a session
 // around a retry loop over them.
 //
+// Layout: the object is 16 bytes, a tracker reference and the head
+// word, and the head is not padded to its own cache line, so
+// ds::BucketArray packs four buckets to a line (see hash_map.hpp).
+//
 // Bucket freeze (kv online resharding, cooperative since the help
 // protocol): freeze() fetch_or-s util::kFreezeBit into the head word,
 // then walks the list freezing every `next` word BEFORE following it
@@ -99,7 +103,6 @@
 #include <vector>
 
 #include "reclaim/tracker.hpp"
-#include "util/cacheline.hpp"
 #include "util/marked_ptr.hpp"
 
 namespace wfe::ds {
@@ -110,7 +113,7 @@ class HmList {
   /// Reservation slots used per thread (prev + cur + value cell).
   static constexpr unsigned kSlotsNeeded = 3;
 
-  explicit HmList(Tracker& tracker) : tracker_(tracker) {}
+  explicit HmList(Tracker& tracker) noexcept : tracker_(tracker) {}
 
   HmList(const HmList&) = delete;
   HmList& operator=(const HmList&) = delete;
@@ -733,7 +736,7 @@ class HmList {
   }
 
   Tracker& tracker_;
-  alignas(util::kFalseSharingRange) std::atomic<std::uintptr_t> head_{0};
+  std::atomic<std::uintptr_t> head_{0};
 };
 
 }  // namespace wfe::ds

@@ -22,6 +22,10 @@
 // instantiate over it unchanged.  Each kv shard owns one inner tracker
 // (its reclamation domain) and one BatchedTracker facade over it.
 //
+// What retire() and flush() write is per thread: the pending burst, its
+// length and the flush count live in the thread's padded slot, and the
+// stats readers (pending_retired, batch_flushes) sum the slots.
+//
 // Durability gate (src/persist/): when a shard WAL is attached via
 // set_wal(), every retired block is stamped with the stream's
 // appended-LSN at unlink time, and a burst hands a block to the inner
@@ -151,7 +155,7 @@ class BatchedTracker {
     p.head = kept_head;
     p.oldest_lsn = kept == 0 ? 0 : oldest;
     p.count.store(kept, std::memory_order_relaxed);
-    flushes_.fetch_add(1, std::memory_order_relaxed);
+    p.flushes.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Every thread's buffer, gate bypassed; only valid when no thread is
@@ -168,7 +172,7 @@ class BatchedTracker {
         inner_.retire(b, t);
         b = next;
       }
-      flushes_.fetch_add(1, std::memory_order_relaxed);
+      p.flushes.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -185,8 +189,12 @@ class BatchedTracker {
   std::uint64_t pending_count(unsigned tid) const noexcept {
     return pending_[tid].count.load(std::memory_order_relaxed);
   }
+  /// Bursts handed to the inner tracker, summed over the threads.
   std::uint64_t batch_flushes() const noexcept {
-    return flushes_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (unsigned t = 0; t < pending_.size(); ++t)
+      n += pending_[t].flushes.load(std::memory_order_relaxed);
+    return n;
   }
 
  private:
@@ -196,13 +204,16 @@ class BatchedTracker {
     std::atomic<std::uint64_t> count{0};
     /// Smallest persist_lsn in the buffer (owner-only; gate fast check).
     std::uint64_t oldest_lsn{0};
+    /// Flushes of this buffer.  Counted per thread, on the owner's
+    /// padded slot: a facade-wide counter would share a line with the
+    /// fields every op of every thread reads.
+    std::atomic<std::uint64_t> flushes{0};
   };
 
   Inner& inner_;
   const persist::ShardWal* wal_ = nullptr;
   unsigned batch_;
   reclaim::detail::PerThread<Pending> pending_;
-  std::atomic<std::uint64_t> flushes_{0};
 };
 
 }  // namespace wfe::kv

@@ -5,9 +5,9 @@
 // into a freshly built shard array while readers and writers keep
 // running.
 //
-// Routing carves two independent bit ranges out of ONE splitmix64 hash
-// evaluation: the shard index comes from the HIGH bits, the in-shard
-// bucket from the LOW bits (ds::BucketArray).  Adjacent integer keys
+// Routing carves two independent bit ranges out of the same splitmix64
+// hash: the shard index comes from the HIGH bits, the in-shard bucket
+// from the LOW bits (ds::BucketArray).  Adjacent integer keys
 // therefore spread over shards and buckets without correlation between
 // the two levels.
 //

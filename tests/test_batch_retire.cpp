@@ -119,6 +119,7 @@ TYPED_TEST(BatchRetireTest, DrainThenReuse) {
     batched.flush_all_unsafe();  // drain every thread's buffer
     EXPECT_EQ(batched.pending_retired(), 0u);
     EXPECT_EQ(inner.retired(), 3u);
+    EXPECT_EQ(batched.batch_flushes(), 3u);  // one per non-empty buffer
 
     // Reuse after the drain: buffering and burst-flushing still work.
     for (int i = 0; i < 9; ++i)
@@ -126,6 +127,7 @@ TYPED_TEST(BatchRetireTest, DrainThenReuse) {
     // 9 retires at batch 8: one automatic burst fired, 1 left buffered.
     EXPECT_EQ(batched.pending_count(2), 1u);
     EXPECT_EQ(inner.retired(), 11u);
+    EXPECT_EQ(batched.batch_flushes(), 4u);
   }  // facade destructor flushes the remainder
   EXPECT_EQ(inner.retired(), 12u);
   for (unsigned t = 0; t < 3; ++t) inner.flush(t);

@@ -80,32 +80,38 @@ TYPED_TEST(HashMapTest, ManyKeysAcrossBuckets) {
   EXPECT_EQ(map.size_unsafe(), 0u);
 }
 
+// The map is scoped so its teardown runs before the final check: after
+// the buckets are destroyed, every block ever allocated is either freed
+// or still waiting on the tracker's retire lists.
 TYPED_TEST(HashMapTest, ConcurrentMixedWorkload) {
   TypeParam tracker(this->cfg_);
-  ds::HashMap<std::uint64_t, std::uint64_t, TypeParam> map(tracker, 256);
-  std::atomic<long> balance{0};
-  std::vector<std::thread> threads;
-  for (unsigned tid = 0; tid < 4; ++tid) {
-    threads.emplace_back([&, tid] {
-      util::Xoshiro256 rng(tid + 41);
-      for (int i = 0; i < 10000; ++i) {
-        const std::uint64_t k = rng.next_bounded(512) + 1;
-        switch (rng.next_bounded(3)) {
-          case 0:
-            if (map.insert(k, k, tid)) balance.fetch_add(1);
-            break;
-          case 1:
-            if (map.remove(k, tid)) balance.fetch_sub(1);
-            break;
-          case 2:
-            map.get(k, tid);
-            break;
+  {
+    ds::HashMap<std::uint64_t, std::uint64_t, TypeParam> map(tracker, 256);
+    std::atomic<long> balance{0};
+    std::vector<std::thread> threads;
+    for (unsigned tid = 0; tid < 4; ++tid) {
+      threads.emplace_back([&, tid] {
+        util::Xoshiro256 rng(tid + 41);
+        for (int i = 0; i < 10000; ++i) {
+          const std::uint64_t k = rng.next_bounded(512) + 1;
+          switch (rng.next_bounded(3)) {
+            case 0:
+              if (map.insert(k, k, tid)) balance.fetch_add(1);
+              break;
+            case 1:
+              if (map.remove(k, tid)) balance.fetch_sub(1);
+              break;
+            case 2:
+              map.get(k, tid);
+              break;
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(static_cast<std::size_t>(balance.load()), map.size_unsafe());
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(static_cast<std::size_t>(balance.load()), map.size_unsafe());
+  EXPECT_EQ(tracker.allocated(), tracker.freed() + tracker.unreclaimed());
 }
 
 // Model check (WFE tracker) with a parameterized bucket-count sweep: the
