@@ -75,9 +75,9 @@
 //
 // With KvConfig::persistence enabled, every table shard owns a WAL
 // stream (persist/group_commit.hpp) keyed by (table epoch, shard):
-// completed mutations append apply-then-append (kv/shard.hpp), the
-// BatchedTracker free gate rides the stream's durable-LSN watermark,
-// and resizes bracket themselves in the log — RESIZE_BEGIN is written
+// completed mutations append apply-then-append (kv/shard.hpp), acks
+// ride the stream's durable-LSN watermark (reclamation does not), and
+// resizes bracket themselves in the log — RESIZE_BEGIN is written
 // DURABLY to the source table's stream 0 before the destination
 // epoch's streams exist, so recovery (persist/recovery.hpp) always
 // reopens at the last announced geometry and replays epochs in order
@@ -281,18 +281,20 @@ class KvStore {
       table_.store(tables_.back().get(), std::memory_order_release);
       epoch_.store(1, std::memory_order_release);
     }
-    if (metrics_) metrics_->start_sampler();
-    if (cfg_.admission.enabled) {
-      // After recovery replay (which must never be throttled) and after
-      // the sampler, so the controller's first observation is real.
+    // The controller is built before the sampler starts, since the
+    // sampler's gauge collector reads it through stats(); it starts
+    // after recovery replay (which must never be throttled) and after
+    // the sampler, so its first observation is real.
+    if (cfg_.admission.enabled)
       admit_ = std::make_unique<admit::AdmissionController>(cfg_.admission);
+    if (metrics_) metrics_->start_sampler();
+    if (admit_)
       admit_->start(metrics_ ? metrics_->sampler() : nullptr,
                     metrics_ ? metrics_->watchdog() : nullptr);
-    }
   }
 
-  // tables_ owns every table; shards flush (gate bypassed) before their
-  // WAL streams close durably, trackers drain last.  The sampler must
+  // tables_ owns every table; shards flush their retire bursts before
+  // their WAL streams close durably, trackers drain last.  The sampler must
   // stop FIRST: its gauge collector walks live store state (stats()),
   // and the WAL flushers still record fsync latency during teardown —
   // which is why metrics_ is declared before tables_ (destroyed after).
@@ -700,14 +702,10 @@ class KvStore {
   bool persist_enabled() const noexcept { return cfg_.persistence.enabled; }
 
   /// Barrier: returns once every record appended before the call is
-  /// durable on every current shard stream, then drains this thread's
-  /// now-ungated retire bursts.
+  /// durable on every current shard stream.
   void persist_sync(unsigned tid) {
-    {
-      TableGuard g(*this, tid);
-      for (auto& w : g.table->wals) w->flush_now();
-    }
-    flush_retired(tid);
+    TableGuard g(*this, tid);
+    for (auto& w : g.table->wals) w->flush_now();
   }
 
   /// Compaction: fuzzy-dump the store into snap-<id>.dat and truncate
@@ -861,9 +859,8 @@ class KvStore {
     std::size_t mask;     ///< shard_count - 1
     std::size_t buckets;  ///< per shard
     /// WAL streams, one per shard (empty when persistence is off).
-    /// Declared before `shards` so shard teardown — which flushes the
-    /// batch adapter with the gate bypassed — runs while the streams
-    /// are still alive, and each stream then closes durably.
+    /// Declared before `shards` so each stream outlives the shard that
+    /// points at it, and closes durably after the shard's teardown.
     std::vector<std::unique_ptr<persist::ShardWal>> wals;
     std::vector<std::unique_ptr<ShardT>> shards;
     /// One flag per (shard, bucket): 1 = every live pair of that source
@@ -1000,9 +997,14 @@ class KvStore {
                                                             : m.op_multi;
     const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - t0);
     h.record_owned(ns, tid);  // tid's lane: this thread is its only writer
-    if (ns >= m.opt.slow_op_ns)
-      m.trace.push(kind, static_cast<std::uint32_t>(shard_index(key)), ns,
-                   obs::tls_cause);
+    if (ns >= m.opt.slow_op_ns) {
+      // The op's own guard is gone, and a resize may free an unannounced
+      // table under shard_index_in.
+      TableGuard g(*this, tid);
+      m.trace.push(kind,
+                   static_cast<std::uint32_t>(shard_index_in(*g.table, key)),
+                   ns, obs::tls_cause);
+    }
   }
 
   /// Gauge collector for the registry/sampler: one stats() pass fans out
@@ -1704,8 +1706,7 @@ class KvStore {
 
   /// Secondary ordered index (null unless cfg.ordered_index).  Declared
   /// before tables_ so it outlives the primary table teardown; its
-  /// batched facade flushes in its own dtor (nothing gates it — the
-  /// index never attaches a WAL).
+  /// batched facade flushes in its own dtor.
   std::unique_ptr<OrderedIndex> index_;
 
   mutable std::mutex resize_mu_;  ///< serializes resize; guards tables_, history_

@@ -26,9 +26,11 @@
 // Durability (src/persist/): when the store attaches a WAL stream via
 // attach_wal(), every COMPLETED mutation appends one record AFTER its
 // memory effect — apply-then-append is what makes the fuzzy snapshot
-// consistent (persist/snapshot.hpp) — and the BatchedTracker facade
-// gates frees on the stream's durable-LSN watermark.  The net record
-// set is minimal: put/insert/update/cas log one PUT, a successful
+// consistent (persist/snapshot.hpp).  Reclamation never waits on the
+// stream: ShardWal::append copies key and value into its ring, so a
+// displaced block goes to the domain tracker on the ordinary retire
+// path whatever the durable-LSN watermark says.  The net record set is
+// minimal: put/insert/update/cas log one PUT, a successful
 // remove logs one REMOVE, failed ops and migrate_in log nothing
 // (migrated pairs are reconstructed from their source epoch's records).
 
@@ -60,13 +62,10 @@ class Shard {
         map_(batched_, buckets),
         ops_(cfg.max_threads) {}
 
-  /// Attaches this shard's WAL stream: mutations start logging and the
-  /// batch adapter gates frees on the durable watermark.  Called before
-  /// the shard takes traffic (table construction / end of recovery).
-  void attach_wal(persist::ShardWal* wal) noexcept {
-    wal_ = wal;
-    batched_.set_wal(wal);
-  }
+  /// Attaches this shard's WAL stream: completed mutations start
+  /// logging to it.  Called before the shard takes traffic (table
+  /// construction / end of recovery).
+  void attach_wal(persist::ShardWal* wal) noexcept { wal_ = wal; }
   persist::ShardWal* wal() const noexcept { return wal_; }
 
   // ---- plain ops for a standalone shard (one that never freezes):

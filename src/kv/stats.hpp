@@ -54,7 +54,7 @@ struct ShardStats {
 
   // ---- durability (0 when persistence is disabled) ----
   std::uint64_t wal_appended_lsn = 0;  ///< last LSN reserved on the stream
-  std::uint64_t wal_durable_lsn = 0;   ///< durable watermark (free gate)
+  std::uint64_t wal_durable_lsn = 0;   ///< durable watermark
   /// appended − durable (clamped): how far this stream's group commit is
   /// behind its mutators.  In total() this aggregates as the MAX over
   /// shards — the LSN fields themselves are per-stream ordinals and stay

@@ -22,9 +22,10 @@
 //
 // The watermark (durable_lsn) is the durability contract the kv layer
 // builds on: an op is *acknowledged durable* once its record's LSN is
-// covered, and the BatchedTracker free gate (kv/batch_retire.hpp) holds
-// displaced blocks until then.  In kNone mode the watermark advances
-// after write() — no fsync promise, matching the mode's name.
+// covered.  Memory reclamation never reads it — append() copies the
+// record into the ring, so a stalled watermark delays acks, not frees.
+// In kNone mode the watermark advances after write() — no fsync
+// promise, matching the mode's name.
 //
 // Segment rotation and the crash hooks (sync suppression, crash()) exist
 // for snapshot truncation and the recovery oracle respectively; both are
@@ -187,8 +188,7 @@ class ShardWal {
     return lsn2;
   }
 
-  /// Last reserved LSN (appenders may still be publishing it): the
-  /// conservative stamp the retire gate uses.
+  /// Last reserved LSN (appenders may still be publishing it).
   std::uint64_t appended_lsn() const noexcept {
     return reserved_.load(std::memory_order_acquire);
   }

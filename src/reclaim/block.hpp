@@ -6,7 +6,8 @@
 // node for the same reason).  Era-based schemes (HE, WFE, 2GEIBR) use the
 // two era stamps; every scheme uses the intrusive retire-list link; the
 // type-erased deleter lets trackers destroy nodes without knowing their
-// concrete type.
+// concrete type.  Those four words are the whole header: 32 bytes in
+// every node of every structure, which the static_assert below pins.
 
 #include <cstdint>
 
@@ -27,11 +28,6 @@ struct Block {
   std::uint64_t retire_era{0};
   /// Intrusive link for the owning thread's retire list.
   Block* retire_next{nullptr};
-  /// WAL LSN the block's unlink must wait out before it may be freed
-  /// (durability gate, kv/batch_retire.hpp): a displaced value cell is
-  /// handed to the domain tracker only once the record that superseded
-  /// it is durable.  0 = ungated (no persistence attached).
-  std::uint64_t persist_lsn{0};
   /// Destroys the complete node (set by Tracker::alloc).
   void (*deleter)(Block*) {nullptr};
 
@@ -42,6 +38,10 @@ struct Block {
  protected:
   ~Block() = default;  // deleted only through `deleter` / derived type
 };
+static_assert(sizeof(Block) == 32,
+              "the paper's block header is alloc era, retire era, retire "
+              "link and deleter; per-feature state belongs in the node, "
+              "not in the header every structure pays for");
 
 /// True when a reservation on `era` pins `b`: the block's lifespan
 /// [alloc_era, retire_era] contains the reserved era (HE Fig. 1 lines 56-59).

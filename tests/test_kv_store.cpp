@@ -161,6 +161,31 @@ TYPED_TEST(KvStoreTest, BatchedRetireFlushesInBursts) {
   EXPECT_EQ(s.retired, 10u);
 }
 
+// A stream whose fdatasync never lands (a stalled or failing disk)
+// freezes its durable-LSN watermark; that must stall acks, not the
+// shard's reclamation.  Every displaced value cell still reaches the
+// domain tracker in bursts of retire_batch, so at most one partial
+// burst stays buffered.
+TYPED_TEST(KvStoreTest, StalledWalWatermarkDoesNotPinRetires) {
+  test::ScratchDir dir("kv_stalled_wal");
+  auto cfg = small_cfg<TypeParam>(2, 1);
+  cfg.tracker.retire_batch = 8;
+  cfg.persistence.enabled = true;
+  cfg.persistence.dir = dir.path();
+  cfg.persistence.sync = persist::SyncMode::kBatched;
+  Store<TypeParam> store(cfg);
+  for (std::uint64_t k = 1; k <= 4; ++k) ASSERT_TRUE(store.insert(k, k, 0));
+
+  store.persist_suppress_sync(true);  // the watermark stops here
+  constexpr std::uint64_t kReplaces = 10000;
+  for (std::uint64_t i = 0; i < kReplaces; ++i)
+    ASSERT_FALSE(store.put(1 + i % 4, i, 0));
+  const kv::ShardStats s = store.stats().total();
+  EXPECT_LT(s.pending_retired, cfg.tracker.retire_batch);
+  EXPECT_EQ(s.retired + s.pending_retired, kReplaces);
+  store.persist_suppress_sync(false);
+}
+
 // Acceptance sweep: concurrent get/put/remove/update from 8 threads
 // under every scheme, then full drain and a block birth/retire balance
 // check against the counting allocator (TrackerBase counters).

@@ -9,9 +9,8 @@
 //   * concurrent snapshot/truncation is harmless: compactions run in
 //     the middle of the op storm (serialized with resize on the resize
 //     mutex) while writers keep appending;
-//   * the durable watermark trails the appended LSN sanely, and after a
-//     persist_sync barrier the retire gate drains (pending bursts hand
-//     over once their stamps are covered);
+//   * the durable watermark trails the appended LSN sanely and meets
+//     it at a persist_sync barrier;
 //   * clean close + reopen reconstructs the exact final state through
 //     snapshot-load + tail replay — end-to-end durability of everything
 //     the writers acknowledged.
@@ -276,8 +275,7 @@ void run_stress() {
     stop.store(true, std::memory_order_release);
     threads.back().join();
 
-    // Durability barrier, then the gate must be drainable: watermark ==
-    // appended on every stream, so a flush hands everything over.
+    // Durability barrier: watermark == appended on every stream.
     store.persist_sync(0);
     const kv::KvStats st = store.stats();
     EXPECT_TRUE(st.persist_enabled);

@@ -1,7 +1,7 @@
 // WAL unit contracts (src/persist/): the record codec, the segment /
 // stream readers' torn-tail and corruption behavior, ShardWal's
-// append/flush/durable/rotate/resume lifecycle, the snapshot file
-// format, and the BatchedTracker durability gate.
+// append/flush/durable/rotate/resume lifecycle, and the snapshot file
+// format.
 
 #include <gtest/gtest.h>
 
@@ -10,22 +10,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "kv/batch_retire.hpp"
 #include "obs/trace.hpp"
 #include "persist/group_commit.hpp"
 #include "persist/recovery.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
-#include "reclaim/ebr.hpp"
 #include "scratch_dir.hpp"
-#include "tracker_types.hpp"
 
 namespace {
 
@@ -348,94 +344,6 @@ TEST(Snapshot, TruncateSupersededKeepsNewestTwo) {
   ASSERT_EQ(ls.snapshots.size(), 2u);
   EXPECT_EQ(ls.snapshots[0].first, 4u);
   EXPECT_EQ(ls.snapshots[1].first, 3u);
-}
-
-// ---- the durability gate (kv/batch_retire.hpp) ----
-
-TEST(DurabilityGate, HoldsFreesUntilTheWatermarkCovers) {
-  TempDir td;
-  persist::Options opts;
-  opts.sync = persist::SyncMode::kBatched;
-  persist::ShardWal wal(td.path, 1, 0, opts);
-  wal.suppress_sync(true);  // watermark frozen: nothing becomes durable
-
-  reclaim::TrackerConfig tc;
-  tc.max_threads = 2;
-  tc.retire_batch = 1;  // every retire attempts a flush
-  reclaim::EbrTracker inner(tc);
-  kv::BatchedTracker<reclaim::EbrTracker> batched(inner);
-  batched.set_wal(&wal);
-
-  // Model the real op order: the displaced block is unlinked (retired)
-  // first, the superseding record appended right after — the stamp is
-  // exactly that record's LSN.
-  for (int i = 0; i < 16; ++i) {
-    batched.retire(batched.alloc<test::CountedNode>(0), 0);
-    wal.append(RecordType::kPut, static_cast<std::uint64_t>(i), 0);
-  }
-  // Stamps are > 0 = durable watermark, so nothing may reach the inner
-  // tracker no matter how often the batch trigger fires.
-  EXPECT_EQ(inner.retired(), 0u);
-  EXPECT_EQ(batched.pending_count(0), 16u);
-
-  wal.suppress_sync(false);
-  wal.flush_now();  // watermark catches up to every stamp
-  batched.flush(0);
-  EXPECT_EQ(inner.retired(), 16u);
-  EXPECT_EQ(batched.pending_count(0), 0u);
-}
-
-TEST(DurabilityGate, PartialWatermarkReleasesOnlyCoveredBlocks) {
-  TempDir td;
-  persist::Options opts;
-  persist::ShardWal wal(td.path, 1, 0, opts);
-
-  reclaim::TrackerConfig tc;
-  tc.max_threads = 2;
-  tc.retire_batch = 64;  // no auto flush: we drive it by hand
-  reclaim::EbrTracker inner(tc);
-  kv::BatchedTracker<reclaim::EbrTracker> batched(inner);
-  batched.set_wal(&wal);
-
-  // Three blocks whose superseding records get LSNs 1, 2, 3 (unlink
-  // then append, as the shard op order does); make only 1..2 durable.
-  for (int i = 0; i < 2; ++i) {
-    batched.retire(batched.alloc<test::CountedNode>(0), 0);
-    wal.append(RecordType::kPut, 1, 1);
-  }
-  wal.flush_now();
-  wal.suppress_sync(true);
-  batched.retire(batched.alloc<test::CountedNode>(0), 0);
-  wal.append(RecordType::kPut, 2, 2);
-  batched.flush(0);
-  EXPECT_EQ(inner.retired(), 2u);       // stamps 1 and 2 released
-  EXPECT_EQ(batched.pending_count(0), 1u);  // stamp 3 still gated
-  wal.suppress_sync(false);
-  wal.flush_now();
-  batched.flush(0);
-  EXPECT_EQ(inner.retired(), 3u);
-}
-
-TEST(DurabilityGate, TeardownBypassesTheGate) {
-  TempDir td;
-  persist::Options opts;
-  persist::ShardWal wal(td.path, 1, 0, opts);
-  wal.suppress_sync(true);
-
-  reclaim::TrackerConfig tc;
-  tc.max_threads = 2;
-  tc.retire_batch = 64;
-  reclaim::EbrTracker inner(tc);
-  {
-    kv::BatchedTracker<reclaim::EbrTracker> batched(inner);
-    batched.set_wal(&wal);
-    for (int i = 0; i < 5; ++i) {
-      batched.retire(batched.alloc<test::CountedNode>(0), 0);
-      wal.append(RecordType::kPut, 1, 1);
-    }
-    EXPECT_EQ(inner.retired(), 0u);
-  }  // ~BatchedTracker -> flush_all_unsafe: gate bypassed
-  EXPECT_EQ(inner.retired(), 5u);
 }
 
 }  // namespace
