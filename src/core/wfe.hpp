@@ -137,9 +137,8 @@ class WfeCore : public reclaim::TrackerBase {
   T* alloc(unsigned tid, Args&&... args) {
     auto& td = threads_[tid];
     if (td.alloc_since_bump++ % cfg_.era_freq == 0) increment_era(tid);
-    T* node = reclaim::construct_block<T>(std::forward<Args>(args)...);
+    T* node = make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_era_.value.load(std::memory_order_seq_cst);
-    count_alloc(tid);
     return node;
   }
 

@@ -23,10 +23,17 @@
 // The adapter satisfies `tracker_for`, so the Harris-Michael buckets
 // instantiate over it unchanged.  Each kv shard owns one inner tracker
 // (its reclamation domain) and one BatchedTracker facade over it.
+// alloc() and dealloc() pass straight through, so a shard's nodes and
+// cells come from, and go back to, the domain's per-thread free lists
+// (reclaim/tracker.hpp); a buffered block reaches them only after the
+// inner tracker has retired and reclaimed it.
 //
 // What retire() and flush() write is per thread: the pending burst, its
 // length and the flush count live in the thread's padded slot, and the
-// stats readers (pending_retired, batch_flushes) sum the slots.
+// stats readers (pending_retired, batch_flushes) sum the slots.  The
+// length and the flush count are owned lanes (util::owned_add): only the
+// slot's thread writes them, so they take a relaxed load and store, not
+// a lock-prefixed RMW.
 
 #include <atomic>
 #include <cstdint>
@@ -35,6 +42,7 @@
 
 #include "reclaim/block.hpp"
 #include "reclaim/tracker.hpp"
+#include "util/atomics.hpp"
 #include "util/cacheline.hpp"
 
 namespace wfe::kv {
@@ -89,8 +97,9 @@ class BatchedTracker {
     auto& p = pending_[tid];
     b->retire_next = p.head;
     p.head = b;
-    if (p.count.fetch_add(1, std::memory_order_relaxed) + 1 >= batch_)
-      flush(tid);
+    const std::uint64_t n = p.count.load(std::memory_order_relaxed) + 1;
+    p.count.store(n, std::memory_order_relaxed);  // owned lane
+    if (n >= batch_) flush(tid);
   }
 
   /// Hands tid's pending burst to the inner tracker (called when a batch
@@ -106,7 +115,7 @@ class BatchedTracker {
       inner_.retire(b, tid);
       b = next;
     }
-    p.flushes.fetch_add(1, std::memory_order_relaxed);
+    util::owned_add(p.flushes);
   }
 
   /// Every thread's buffer; only valid when no thread is mid-operation
@@ -140,11 +149,11 @@ class BatchedTracker {
  private:
   struct Pending {
     reclaim::Block* head{nullptr};
-    /// Owner-written, relaxed-readable by stats snapshots.
+    /// Owned lane, relaxed-readable by stats snapshots.
     std::atomic<std::uint64_t> count{0};
-    /// Flushes of this buffer.  Counted per thread, on the owner's
-    /// padded slot: a facade-wide counter would share a line with the
-    /// fields every op of every thread reads.
+    /// Flushes of this buffer, an owned lane too.  Counted per thread, on
+    /// the owner's padded slot: a facade-wide counter would share a line
+    /// with the fields every op of every thread reads.
     std::atomic<std::uint64_t> flushes{0};
   };
 

@@ -335,6 +335,7 @@ class Shard {
     s.retired = tracker_.retired();
     s.unreclaimed = tracker_.unreclaimed();
     s.retire_backlog = tracker_.retire_backlog();
+    s.cached_blocks = tracker_.cached_blocks();
     s.pending_retired = batched_.pending_retired();
     s.batch_flushes = batched_.batch_flushes();
     if constexpr (requires(const Tracker& t) { t.slow_path_entries(); })

@@ -4,8 +4,8 @@
 // Two layers: per-shard (one reclamation domain each) and the aggregate.
 // All numbers are racy relaxed reads — consistent enough for dashboards
 // and benches, never used for correctness.  Built on
-// util::PerThreadCounter (util/stats.hpp) so the hot path stays an
-// uncontended relaxed increment.
+// util::PerThreadCounters (util/stats.hpp) so the hot path stays an
+// owned-lane update: a relaxed load and store on the thread's own slot.
 
 #include <cstdint>
 #include <vector>
@@ -33,6 +33,10 @@ struct ShardStats {
   std::uint64_t retired = 0;
   std::uint64_t unreclaimed = 0;     ///< retired, not yet freed
   std::uint64_t retire_backlog = 0;  ///< queued on the domain's retire lists
+  /// Freed blocks the domain's per-thread free lists hold for reuse
+  /// (counted in `freed`; at most reclaim::kFreeListCap per block size
+  /// per thread).
+  std::uint64_t cached_blocks = 0;
   std::uint64_t pending_retired = 0; ///< buffered in the batch adapter
   std::uint64_t batch_flushes = 0;
   std::uint64_t slow_path_entries = 0;  ///< WFE help requests (else 0)
@@ -147,6 +151,7 @@ struct KvStats {
       t.retired += s.retired;
       t.unreclaimed += s.unreclaimed;
       t.retire_backlog += s.retire_backlog;
+      t.cached_blocks += s.cached_blocks;
       t.pending_retired += s.pending_retired;
       t.batch_flushes += s.batch_flushes;
       t.slow_path_entries += s.slow_path_entries;
@@ -178,6 +183,7 @@ inline void to_json(util::JsonWriter& j, const ShardStats& s) {
   j.kv("retired", s.retired);
   j.kv("unreclaimed", s.unreclaimed);
   j.kv("retire_backlog", s.retire_backlog);
+  j.kv("cached_blocks", s.cached_blocks);
   j.kv("pending_retired", s.pending_retired);
   j.kv("batch_flushes", s.batch_flushes);
   j.kv("slow_path_entries", s.slow_path_entries);

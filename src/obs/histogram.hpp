@@ -1,11 +1,12 @@
 #pragma once
 // Fixed-size log-bucketed (HDR-style) latency histogram.
 //
-// Same discipline as util::PerThreadCounters — the hot path is a relaxed
-// fetch_add on the recording thread's own padded lane, never a lock or a
-// shared line — but a lane here is a whole bucket array (~9KB), so it
-// cannot literally reuse that template (whose lanes must fit one padded
-// slot).  Snapshots merge the lanes and answer percentile queries.
+// Same discipline as util::PerThreadCounters — the per-op hot path is an
+// owned-lane update (record_owned) on the recording thread's own padded
+// lane, never a lock or a shared line — but a lane here is a whole
+// bucket array (~9KB), so it cannot literally reuse that template (whose
+// lanes must fit one padded slot).  Snapshots merge the lanes and answer
+// percentile queries.
 //
 // Bucketing: values below 2^kSubBits are exact (one bucket per ns);
 // above that, each power-of-two octave is split into 2^kSubBits
@@ -21,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/atomics.hpp"
 #include "util/cacheline.hpp"
 
 namespace wfe::obs {
@@ -60,8 +62,10 @@ class LatencyHistogram {
   unsigned lanes() const noexcept { return lanes_; }
 
   /// Shared-lane record: bucket increment + sum add + max CAS, all
-  /// relaxed RMWs.  Correct when several threads may hit the same lane
-  /// (the WAL flushers map streams onto lanes modulo the lane count).
+  /// relaxed RMWs, because a lane here has several writers: the WAL
+  /// flushers map streams onto lanes modulo the lane count (fsync
+  /// histogram), and every mutator waiting on a stream's commit records
+  /// on that stream's lane (commit-wait histogram).
   void record(std::uint64_t ns, unsigned lane) noexcept {
     Lane& l = slots_[lane];
     l.bucket[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
@@ -79,10 +83,8 @@ class LatencyHistogram {
   /// stay race-free because the cells are still atomics.
   void record_owned(std::uint64_t ns, unsigned lane) noexcept {
     Lane& l = slots_[lane];
-    auto& b = l.bucket[bucket_index(ns)];
-    b.store(b.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    l.sum.store(l.sum.load(std::memory_order_relaxed) + ns,
-                std::memory_order_relaxed);
+    util::owned_add(l.bucket[bucket_index(ns)]);
+    util::owned_add(l.sum, ns);
     if (ns > l.max.load(std::memory_order_relaxed))
       l.max.store(ns, std::memory_order_relaxed);
   }

@@ -8,7 +8,14 @@
 // type-erased deleter lets trackers destroy nodes without knowing their
 // concrete type.  Those four words are the whole header: 32 bytes in
 // every node of every structure, which the static_assert below pins.
+//
+// The deleter only destroys: it runs the node's destructor and returns
+// sizeof the node, and the tracker decides where the memory goes (the
+// freeing thread's free list for that size, or ::operator delete; see
+// reclaim/tracker.hpp).  The header is the node's first subobject, so the
+// block's address is its memory's address.
 
+#include <cstddef>
 #include <cstdint>
 
 namespace wfe::reclaim {
@@ -28,8 +35,9 @@ struct Block {
   std::uint64_t retire_era{0};
   /// Intrusive link for the owning thread's retire list.
   Block* retire_next{nullptr};
-  /// Destroys the complete node (set by Tracker::alloc).
-  void (*deleter)(Block*) {nullptr};
+  /// Destroys the complete node and returns its size in bytes, leaving
+  /// the memory to the caller (set by TrackerBase::make_block).
+  std::size_t (*deleter)(Block*) {nullptr};
 
   Block() = default;
   Block(const Block&) = delete;

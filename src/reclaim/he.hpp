@@ -74,9 +74,8 @@ class HeTracker : public TrackerBase {
     auto& td = threads_[tid];
     if (td.alloc_since_bump++ % cfg_.era_freq == 0)
       global_era_.value.fetch_add(1, std::memory_order_acq_rel);
-    T* node = construct_block<T>(std::forward<Args>(args)...);
+    T* node = make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_era_.value.load(std::memory_order_acquire);
-    count_alloc(tid);
     return node;
   }
 

@@ -70,9 +70,7 @@ class HpTracker : public TrackerBase {
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    T* node = construct_block<T>(std::forward<Args>(args)...);
-    count_alloc(tid);
-    return node;
+    return make_block<T>(tid, std::forward<Args>(args)...);
   }
 
   void retire(Block* b, unsigned tid) noexcept {

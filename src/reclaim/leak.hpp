@@ -1,8 +1,14 @@
 #pragma once
 // "Leak Memory" baseline (paper §5): no reclamation at all.  Retired
-// blocks are queued but never freed during the run, which upper-bounds the
-// throughput any real scheme could reach.  TrackerBase's destructor still
-// drains the queues so tests and sanitizers see no real leak.
+// blocks are queued but never freed during the run, so Leak prices a run
+// without reservations or scans.  It is not a throughput ceiling: every
+// allocation after a retire takes fresh memory, while a reclaiming
+// scheme reuses warm blocks from its thread's free list
+// (reclaim/tracker.hpp).  With those lists, EBR's 4-thread median in
+// Figs. 7 and 8 (4-vCPU x86 host, 6 rounds) was 1.85x and 1.42x Leak's,
+// and even freeing through glibc, EBR was ahead of Leak at some points
+// of Figs. 6 and 8.  TrackerBase's destructor still drains the queues
+// so tests and sanitizers see no real leak.
 
 #include <atomic>
 #include <cstdint>
@@ -31,9 +37,7 @@ class LeakTracker : public TrackerBase {
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    T* node = construct_block<T>(std::forward<Args>(args)...);
-    count_alloc(tid);
-    return node;
+    return make_block<T>(tid, std::forward<Args>(args)...);
   }
 
   /// No-op: this scheme never reclaims mid-run.

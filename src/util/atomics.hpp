@@ -150,4 +150,14 @@ inline bool wcas_is_native() noexcept {
   return __atomic_is_lock_free(16, nullptr);
 }
 
+/// Owned-lane update: adds `by` to a counter that only the calling thread
+/// writes (its own per-thread slot).  A relaxed load plus a relaxed store
+/// replaces the lock-prefixed RMW, so x86 drains no store buffer, and
+/// stats readers still load whole values because the lane stays atomic.
+/// A lane with a second writer would lose counts: it keeps its fetch_add.
+template <class T>
+inline void owned_add(std::atomic<T>& lane, std::type_identity_t<T> by = 1) noexcept {
+  lane.store(lane.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+}
+
 }  // namespace wfe::util

@@ -11,16 +11,20 @@
 #include <memory>
 #include <vector>
 
+#include "util/atomics.hpp"
 #include "util/cacheline.hpp"
 
 namespace wfe::util {
 
 /// Striped event counters: `Lanes` related counters packed into ONE
 /// padded slot per thread, summed per lane on demand by stats readers.
-/// The hot path is an uncontended relaxed increment on the thread's own
-/// cache-line pair, so op accounting never becomes the bottleneck it is
-/// measuring, and a thread's lanes (the kv shards count gets / puts /
-/// removes / updates) share a single line instead of one per counter.
+/// Every slot is owned: inc(lane, tid) must come from the thread that
+/// holds slot `tid` (the tracker's thread-slot contract), so the hot path
+/// is an owned-lane update (util::owned_add: relaxed load + store, no
+/// lock-prefixed RMW) on the thread's own cache-line pair.  Op accounting
+/// never becomes the bottleneck it is measuring, and a thread's lanes
+/// (the kv shards count gets / puts / removes / updates) share a single
+/// line instead of one per counter.
 template <unsigned Lanes>
 class PerThreadCounters {
   static_assert(Lanes >= 1 && Lanes * sizeof(std::atomic<std::uint64_t>) <=
@@ -32,7 +36,7 @@ class PerThreadCounters {
       : n_(threads), slots_(new Padded<Slot>[threads]) {}
 
   void inc(unsigned lane, unsigned tid, std::uint64_t by = 1) noexcept {
-    slots_[tid].value.lane[lane].fetch_add(by, std::memory_order_relaxed);
+    util::owned_add(slots_[tid].value.lane[lane], by);
   }
 
   std::uint64_t sum(unsigned lane) const noexcept {

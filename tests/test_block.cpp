@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <new>
 
 #include "reclaim/block.hpp"
+#include "reclaim/leak.hpp"
 #include "reclaim/tracker.hpp"
 
 namespace {
@@ -59,16 +63,24 @@ TEST(Block, PointSizedLifespan) {
   EXPECT_FALSE(era_overlaps(&b, 8));
 }
 
-TEST(Block, ConstructBlockInstallsDeleter) {
+// The deleter only destroys: it runs the node's destructor and reports
+// the size the memory was allocated at, and the memory stays with the
+// caller (a tracker keeps it on a free list or hands it to ::operator
+// delete at that size).
+TEST(Block, DeleterDestroysAndReportsSize) {
   static int dtors = 0;
   struct Counted : Block {
     ~Counted() { ++dtors; }
+    std::uint64_t payload[3] = {};
   };
   dtors = 0;
-  Counted* c = construct_block<Counted>();
+  LeakTracker tracker(TrackerConfig{});
+  Counted* c = tracker.alloc<Counted>(0);
   ASSERT_NE(c->deleter, nullptr);
-  c->deleter(c);
+  const std::size_t size = c->deleter(c);
+  EXPECT_EQ(size, sizeof(Counted));
   EXPECT_EQ(dtors, 1);
+  ::operator delete(static_cast<void*>(c), size);
 }
 
 TEST(Block, HeaderIsFirstSubobject) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -188,7 +189,12 @@ TYPED_TEST(KvStoreTest, StalledWalWatermarkDoesNotPinRetires) {
 
 // Acceptance sweep: concurrent get/put/remove/update from 8 threads
 // under every scheme, then full drain and a block birth/retire balance
-// check against the counting allocator (TrackerBase counters).
+// check against the counting allocator (TrackerBase counters).  The op
+// lanes are owned lanes (a relaxed load and store, no RMW), so their sums
+// must equal exactly the ops the threads issued: a lane two threads
+// wrote would lose counts here.  The domains' free lists must stay
+// within their cap: two block sizes per shard (node and value cell),
+// each at most kFreeListCap per thread.
 TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
   constexpr unsigned kThreads = 8;
   constexpr int kOpsPerThread = 8000;
@@ -204,13 +210,17 @@ TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
     for (std::uint64_t k = 0; k < kUpdKeys; ++k)
       ASSERT_TRUE(store.insert(kUpdBase + k, k, 0));
     std::atomic<long> balance{0};
+    // Ops each thread issued, by kind: insert, remove, update, get.
+    std::vector<std::array<std::uint64_t, 4>> issued(kThreads);
     std::vector<std::thread> threads;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       threads.emplace_back([&, tid] {
         util::Xoshiro256 rng(tid + 97);
         for (int i = 0; i < kOpsPerThread; ++i) {
           const std::uint64_t k = rng.next_bounded(1024) + 1;
-          switch (rng.next_bounded(4)) {
+          const std::uint64_t kind = rng.next_bounded(4);
+          ++issued[tid][kind];
+          switch (kind) {
             case 0:
               if (store.insert(k, k, tid)) balance.fetch_add(1);
               break;
@@ -232,6 +242,16 @@ TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
     ASSERT_EQ(static_cast<std::size_t>(balance.load()) + kUpdKeys,
               store.size_unsafe());
 
+    std::array<std::uint64_t, 4> sent{};
+    for (const auto& per_thread : issued)
+      for (std::size_t kind = 0; kind < sent.size(); ++kind)
+        sent[kind] += per_thread[kind];
+    const kv::ShardStats total = store.stats().total();
+    EXPECT_EQ(total.puts, kUpdKeys + sent[0]);  // preload + inserts
+    EXPECT_EQ(total.removes, sent[1]);
+    EXPECT_EQ(total.updates, sent[2]);
+    EXPECT_EQ(total.gets, sent[3]);
+
     // Birth/retire balance while the store is alive (see kv_balance.hpp
     // for the ledger and how conditional-install aborts are absorbed).
     test::expect_block_balance(store.stats().total(), store.size_unsafe(),
@@ -239,9 +259,13 @@ TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
     // And per shard — domains are independent, so the identity must
     // hold shard-locally too.
     const kv::KvStats st = store.stats();
-    for (std::size_t i = 0; i < st.shards.size(); ++i)
+    for (std::size_t i = 0; i < st.shards.size(); ++i) {
       test::expect_block_balance(st.shards[i], store.shard_at(i).size_unsafe(),
                                  "per-shard balance");
+      EXPECT_LE(st.shards[i].cached_blocks,
+                std::uint64_t{2} * kThreads * reclaim::kFreeListCap)
+          << "shard " << i;
+    }
   }
   // Store destroyed: every shard drained its domain — nothing leaks
   // (verified inside the tracker destructors via drain_all_unsafe; a

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "tracker_types.hpp"
@@ -50,6 +52,95 @@ TYPED_TEST(TrackerCommon, DeleterRunsExactlyOnce) {
     // b is freed at latest by the tracker destructor.
   }
   EXPECT_EQ(dtors.load(), 2);
+}
+
+// Recycling (reclaim::TrackerBase): a block freed by dealloc() or by a
+// cleanup pass is destroyed once, and its memory goes on the freeing
+// thread's free list for its exact size; that thread's next alloc of the
+// same size gets it back, freshly constructed.  Another thread or another
+// size never does.  A list holds at most kFreeListCap blocks (0 under
+// AddressSanitizer, where nothing is kept), and the ledger allocated ==
+// freed + live + retire_backlog closes after every step, because a kept
+// block counts as freed.
+TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
+  struct WideNode : CountedNode {
+    using CountedNode::CountedNode;
+    std::uint64_t pad[2] = {};
+  };
+  constexpr bool kKeeps = reclaim::kFreeListCap != 0;
+  constexpr bool kReclaims = !std::is_same_v<TypeParam, reclaim::LeakTracker>;
+  const auto addr = [](const void* p) { return reinterpret_cast<std::uintptr_t>(p); };
+  std::atomic<int> dtors{0};
+  TypeParam tracker(this->cfg_);
+  std::uint64_t live = 0;
+  const auto expect_ledger = [&](const char* step) {
+    EXPECT_EQ(tracker.allocated(), tracker.freed() + live + tracker.retire_backlog())
+        << step;
+  };
+
+  // dealloc: the same thread's next alloc of the same size reuses it.
+  CountedNode* a = tracker.template alloc<CountedNode>(1, &dtors, 5);
+  const std::uintptr_t a_addr = addr(a);
+  ++live;
+  tracker.dealloc(a, 1);
+  --live;
+  EXPECT_EQ(dtors.load(), 1);
+  EXPECT_EQ(tracker.cached_blocks(), kKeeps ? 1u : 0u);
+  expect_ledger("after dealloc");
+  CountedNode* other_thread = tracker.template alloc<CountedNode>(2, &dtors);
+  WideNode* other_size = tracker.template alloc<WideNode>(1, &dtors);
+  live += 2;
+  EXPECT_NE(addr(other_thread), a_addr);
+  EXPECT_NE(addr(other_size), a_addr);
+  CountedNode* b = tracker.template alloc<CountedNode>(1, &dtors, 7);
+  ++live;
+  if (kKeeps) EXPECT_EQ(addr(b), a_addr);
+  EXPECT_EQ(b->value, 7u);
+  EXPECT_EQ(b->retire_next, nullptr);
+  EXPECT_EQ(tracker.cached_blocks(), 0u);
+  EXPECT_EQ(dtors.load(), 1) << "reuse must not run a destructor";
+  expect_ledger("after reuse");
+
+  // A cleanup pass frees onto the sweeping thread's list the same way.
+  const std::uintptr_t b_addr = addr(b);
+  tracker.retire(b, 1);
+  --live;
+  expect_ledger("after retire");
+  tracker.flush(1);
+  expect_ledger("after cleanup");
+  if constexpr (kReclaims) {
+    EXPECT_EQ(dtors.load(), 2);
+    CountedNode* c = tracker.template alloc<CountedNode>(1, &dtors);
+    ++live;
+    if (kKeeps) EXPECT_EQ(addr(c), b_addr);
+    tracker.dealloc(c, 1);
+    --live;
+  }
+
+  // The cap: free 4x the cap (and a few more) on one thread.
+  std::vector<CountedNode*> many;
+  for (unsigned i = 0; i < 4 * reclaim::kFreeListCap + 4; ++i)
+    many.push_back(tracker.template alloc<CountedNode>(3, &dtors));
+  live += many.size();
+  expect_ledger("after the burst of allocs");
+  const int before = dtors.load();
+  for (CountedNode* n : many) {
+    tracker.dealloc(n, 3);
+    --live;
+    ASSERT_LE(tracker.cached_blocks(), reclaim::kFreeListCap + (kKeeps ? 1u : 0u));
+  }
+  EXPECT_EQ(dtors.load(), before + static_cast<int>(many.size()));
+  // Thread 1 holds the block c went back to; thread 3 holds exactly cap.
+  EXPECT_EQ(tracker.cached_blocks(),
+            reclaim::kFreeListCap + (kKeeps && kReclaims ? 1u : 0u));
+  expect_ledger("after the burst of deallocs");
+
+  tracker.dealloc(other_thread, 2);
+  tracker.dealloc(other_size, 1);
+  live -= 2;
+  expect_ledger("at the end");
+  EXPECT_EQ(live, 0u);
+  EXPECT_EQ(tracker.allocated(), tracker.freed() + tracker.retire_backlog());
 }
 
 TYPED_TEST(TrackerCommon, ProtectReturnsCurrentValue) {
