@@ -24,7 +24,11 @@
 //              ANY thread drives it — the tombstone winner until the
 //              leaf is unreachable, and every helper (an insert(),
 //              put() or update() that finds a tombstoned leaf in its
-//              way, or a competing remove()) best-effort.
+//              way, or a competing remove()) best-effort.  The winner's
+//              first flag + cleanup round runs on the seek record its
+//              mark CAS already holds, as Natarajan-Mittal's delete hands
+//              its injection record to cleanup; only when that round
+//              does not splice the leaf does it re-seek and retry.
 //
 // "Cell marked" is authoritative over the edge FLAG; the FLAG is now a
 // derived, physical-only signal:
@@ -75,7 +79,9 @@
 // path of the cursor, then the same leftmost step from the deepest
 // left turn on it) happens only when the stack is empty, after a
 // session fence, or on a restart.  The visitor runs on unmarked cells
-// only.
+// only.  range_keys() is the same walk without values: it reads each
+// leaf's cell word for its mark bit alone (the leaf is protected, so the
+// word is readable), and never protects or dereferences the cell.
 //
 // Every kScanChunk visited leaves the tracker session is fenced
 // (end_op/begin_op) and the stack dropped: the cursor is a key, so the
@@ -121,7 +127,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <utility>
 
 #include "reclaim/tracker.hpp"
 #include "util/marked_ptr.hpp"
@@ -241,20 +246,21 @@ class NatarajanBst {
   /// restart semantics.
   template <class Fn>
   std::size_t scan(K lo, K hi, Fn&& fn, unsigned tid) {
-    return scan_impl(lo, hi, tid, [&](const K& k, const V& v) {
+    return scan_impl<false>(lo, hi, tid, [&](const K& k, const V& v) {
       fn(k, v);
       return true;
     });
   }
 
-  /// Bounded collect: at most `max` pairs from [lo, hi] into out[],
-  /// ascending; returns the count.
-  std::size_t range_get(K lo, K hi, std::pair<K, V>* out, std::size_t max,
-                        unsigned tid) {
+  /// Bounded keys-only collect: at most `max` keys from [lo, hi] into
+  /// out[], ascending; returns the count.  The same walk as scan(), but
+  /// no value cell is protected or read (a membership set like the KV
+  /// index needs only the keys).
+  std::size_t range_keys(K lo, K hi, K* out, std::size_t max, unsigned tid) {
     if (max == 0) return 0;
     std::size_t n = 0;
-    scan_impl(lo, hi, tid, [&](const K& k, const V& v) {
-      out[n++] = {k, v};
+    scan_impl<true>(lo, hi, tid, [&](const K& k) {
+      out[n++] = k;
       return n < max;
     });
     return n;
@@ -539,7 +545,7 @@ class NatarajanBst {
         ValueCell* cell = util::unpack_ptr<ValueCell>(cw);
         std::optional<V> out(cell->value);
         tracker_.retire(cell, tid);
-        physical_remove(key, tid);
+        physical_remove(key, sr, tid);
         return out;
       }
       // Lost to a concurrent upsert or deletion: re-resolve from seek.
@@ -570,15 +576,17 @@ class NatarajanBst {
   }
 
   /// Physical phase driven by the tombstone winner: splice until no
-  /// tombstoned leaf for `key` is reachable.  Helping is key-addressed:
-  /// if our leaf was already spliced and the key re-inserted and
-  /// re-tombstoned, the loop simply helps the successor deletion, which
-  /// needs the same work.  A cleanup round that completed a sibling
-  /// key's deletion instead moves our leaf up to the ancestor, still
-  /// tombstoned, so only a splice on our own side ends the loop.
-  void physical_remove(K key, unsigned tid) {
-    SeekRecord sr;
-    for (;;) {
+  /// tombstoned leaf for `key` is reachable.  The first round runs on
+  /// `sr`, the record whose leaf the winner just marked (still pinned in
+  /// its slots), so an uncontended delete descends once; every later
+  /// round re-seeks.  Helping is key-addressed: if our leaf was already
+  /// spliced and the key re-inserted and re-tombstoned, the loop simply
+  /// helps the successor deletion, which needs the same work.  A cleanup
+  /// round that completed a sibling key's deletion instead moves our
+  /// leaf up to the ancestor, still tombstoned, so only a splice on our
+  /// own side ends the loop.
+  void physical_remove(K key, SeekRecord& sr, unsigned tid) {
+    while (!help_remove(key, sr, tid)) {
       seek(key, sr, tid);
       if (sr.leaf->key != key) return;  // unreachable: done
       const std::uintptr_t cw =
@@ -587,7 +595,6 @@ class NatarajanBst {
       // possible after ours was spliced (insert helps tombstones out of
       // its way first): done.
       if (!util::is_marked(cw)) return;
-      if (help_remove(key, sr, tid)) return;
     }
   }
 
@@ -775,8 +782,11 @@ class NatarajanBst {
     return node->key >= k ? node : nullptr;
   }
 
-  /// Shared scan loop; fn returns false to stop early.
-  template <class Fn>
+  /// Shared scan loop; fn returns false to stop early.  kKeysOnly calls
+  /// fn(key) and takes the mark from a plain load of the protected
+  /// leaf's cell word; otherwise the cell is protected and fn(key,
+  /// value) reads it.
+  template <bool kKeysOnly, class Fn>
   std::size_t scan_impl(K lo, K hi, unsigned tid, Fn&& fn) {
     if (hi > kMaxKey) hi = kMaxKey;
     if (lo > hi) return 0;
@@ -801,10 +811,16 @@ class NatarajanBst {
       // means the key is logically deleted (tombstoned, splice pending)
       // and is skipped without visiting.
       const std::uintptr_t cw =
-          tracker_.protect_word(leaf->cell, kSlotCell, tid, leaf);
+          kKeysOnly ? leaf->cell.load(std::memory_order_acquire)
+                    : tracker_.protect_word(leaf->cell, kSlotCell, tid, leaf);
       if (!util::is_marked(cw)) {
         ++visited;
-        if (!fn(leaf->key, util::unpack_ptr<ValueCell>(cw)->value)) break;
+        bool more;
+        if constexpr (kKeysOnly)
+          more = fn(leaf->key);
+        else
+          more = fn(leaf->key, util::unpack_ptr<ValueCell>(cw)->value);
+        if (!more) break;
       }
       if (leaf->key >= hi) break;  // also guards cursor overflow at kMaxKey
       cursor = leaf->key + 1;

@@ -190,9 +190,15 @@ struct KvConfig {
   /// space in its own tracker domain): enables scan(lo, hi)/range_get
   /// ordered range reads.  Requires unsigned 64-bit keys no larger than
   /// the BST's kMaxKey.  Geometry-independent — resharding never
-  /// touches it.  Writes pay one extra membership op on insert/remove
-  /// transitions; values are never duplicated (scans fetch them from
-  /// the primary table).
+  /// touches it.  Values are never duplicated (scans fetch them from
+  /// the primary table).  What each write pays:
+  ///   * put() and insert(): one BST insert, only when the key was
+  ///     absent; a replacing put touches no BST.
+  ///   * remove(): one primary probe (not counted as a get), then one
+  ///     BST remove only when the probe finds the key.
+  ///   * update() and cas(): nothing (membership never changes).
+  ///   * multi_put(), multi_remove() and txn_commit(): one BST op per
+  ///     key, whatever the key's state.
   bool ordered_index = false;
 };
 
@@ -331,7 +337,9 @@ class KvStore {
           fx.inserted = was_absent;
           return was_absent;
         },
-        /*add=*/[&](bool) { index_add(key, tid); });
+        /*add=*/[&](bool was_absent) {
+          if (was_absent) index_add(key, tid);
+        });
   }
 
   /// Insert-if-absent; false (no write) when present.
@@ -372,7 +380,9 @@ class KvStore {
           fx.removed = out.has_value();
           return out;
         },
-        NoHook{}, /*drop=*/[&] { index_drop(key, tid); });
+        NoHook{}, /*drop=*/[&] {
+          if (probe(key, tid)) index_drop(key, tid);
+        });
   }
 
   // ---- cross-shard multi-ops: group a span of keys by shard with one
@@ -469,14 +479,17 @@ class KvStore {
   // the index is off).  The index BST yields keys in ascending order in
   // bounded chunks; each chunk's values are then fetched from the
   // primary table, so a scan never reads a value the primary doesn't
-  // currently hold.  Keys present in the primary for the whole scan are
-  // visited exactly once; concurrently inserted/removed keys may or may
-  // not appear.  A stale index entry (possible only transiently, from a
-  // cross-thread put/remove race on one key) misses its primary lookup
-  // and is skipped.  Between chunks the scan drops every reservation
-  // (the cursor is a key, not a pointer) and beats the liveness
-  // watchdog, so arbitrarily wide scans neither pin reclamation nor
-  // false-positive as stalls. ----
+  // currently hold.  A key whose inserting write returned before the
+  // scan began, and which no remove touches during the scan, is visited
+  // exactly once; keys with an insert or remove in flight may or may
+  // not appear (index_add states what a thread's own replacing put
+  // does not guarantee).  At quiescence a scan visits exactly the
+  // store's pairs.  A stale index entry (left by a cross-thread
+  // insert/remove race on one key) misses its primary lookup and is
+  // skipped.  Between chunks the scan drops every reservation (the
+  // cursor is a key, not a pointer) and beats the liveness watchdog, so
+  // arbitrarily wide scans neither pin reclamation nor false-positive
+  // as stalls. ----
 
   /// Visit every pair with lo <= key <= hi in ascending key order:
   /// fn(key, value).  Returns the number of keys visited.
@@ -785,6 +798,8 @@ class KvStore {
       // tests/kv_balance.hpp closes: subtracting the BST's construction
       // sentinels leaves exactly kBlocksPerKey blocks per live key.
       ShardStats& ix = st.index;
+      ix.puts = counters_.sum(kIndexAdds);
+      ix.removes = counters_.sum(kIndexDrops);
       ix.allocated =
           index_->tracker.allocated() - OrderedIndex::Bst::kStructuralBlocks;
       ix.freed = index_->tracker.freed();
@@ -1044,6 +1059,8 @@ class KvStore {
       g("kv_scan_ops_total", st.scan_ops);
       g("kv_scan_keys_total", st.scan_keys);
       g("kv_scan_restarts_total", st.scan_restarts);
+      g("kv_index_adds_total", st.index.puts);
+      g("kv_index_drops_total", st.index.removes);
       g("kv_index_unreclaimed", st.index.unreclaimed);
       g("kv_index_pending_retired", st.index.pending_retired);
     }
@@ -1190,23 +1207,42 @@ class KvStore {
     return static_cast<std::uint64_t>(key);
   }
 
-  /// Membership hooks, called by run_op's index stages (index on only).
-  /// Mutators keep a per-thread program-order contract: put/insert add
-  /// the index entry AFTER the primary install (a scan after the call
-  /// returns sees the key), remove drops it BEFORE the primary erase (a
-  /// scan after the call returns does not).  Dropping it after the
-  /// primary remove instead could race a concurrent re-insert's
-  /// index_add and delete the LIVE entry.  Cross-thread races on one
-  /// key can strand a STALE entry — index key with no primary pair —
-  /// which scans skip (primary miss) and which the key's next
-  /// insert/remove cycle reuses or drops; stale entries are never
-  /// purged from the scan path, because a purge can race a concurrent
-  /// re-insert's index_add and delete a live entry.
+  /// Membership hooks, called by run_op's index stages (index on only):
+  /// an add runs AFTER the primary install that inserted the key, a drop
+  /// BEFORE the primary erase.  Each call is one BST op, counted in the
+  /// kIndexAdds / kIndexDrops lane.
+  ///
+  /// No lost entry.  Let P be the last install that made a key present,
+  /// with the key still present at quiescence.  P adds after it installs
+  /// (every entry point that can insert does), so the BST holds the key
+  /// once P's add is done.  A drop that lands after P's add belongs to a
+  /// remove whose erase comes later still, after P's install; that erase
+  /// would find the key and remove it, which contradicts the choice of
+  /// P.  So no drop follows P's add, and a quiescent store's index holds
+  /// every live key.  Dropping AFTER the erase would break this: an
+  /// erase before P's install could then drop P's entry.  The argument
+  /// needs no drop to happen, so a remove may skip its drop when its
+  /// probe finds the key absent, and a replacing put may skip its add.
+  ///
+  /// Mid-run, a thread sees its own writes in its later scans, with one
+  /// weakening: a replacing put adds nothing, so if a concurrent insert
+  /// of the same key has installed but not yet added, the putting
+  /// thread's own later scan can miss the key until that add lands.
+  ///
+  /// Stale entries.  Cross-thread races on one key can leave an index
+  /// key with no primary pair, at most one per key: a remove erases a
+  /// concurrent insert's pair whose add lands after the remove's drop,
+  /// or after a probe that missed it.  Scans skip it (primary miss); the
+  /// key's next insert reuses it and the next remove that finds the key
+  /// drops it.  Scans never purge one, because a purge can race a
+  /// concurrent re-insert's add and delete a live entry.
   void index_add(const K& key, unsigned tid) {
     index_->tree.insert(index_key(key), 1, tid);
+    counters_.inc(kIndexAdds, tid);
   }
   void index_drop(const K& key, unsigned tid) {
     index_->tree.remove(index_key(key), tid);
+    counters_.inc(kIndexDrops, tid);
   }
 
   /// Scan driver shared by scan() and range_get(); fn returns false to
@@ -1219,21 +1255,21 @@ class KvStore {
     if (!index_ || index_key(lo) > index_key(hi)) return 0;
     return run_op<obs::OpKind::kScan>(lo, 1, tid, [&] {
       static constexpr std::size_t kScanBatch = 128;
-      static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
-          chunk;
+      static thread_local std::vector<std::uint64_t> chunk;
       chunk.resize(kScanBatch);
       std::size_t visited = 0;
       std::uint64_t cursor = index_key(lo);
       const std::uint64_t end = index_key(hi);
       bool more = true;
       while (more) {
+        // Keys only: the marker values carry nothing a scan needs.
         const std::size_t n =
-            index_->tree.range_get(cursor, end, chunk.data(), kScanBatch, tid);
+            index_->tree.range_keys(cursor, end, chunk.data(), kScanBatch, tid);
         if (n == 0) break;
         {
           TableGuard g(*this, tid);
           for (std::size_t i = 0; i < n && more; ++i) {
-            const K k = static_cast<K>(chunk[i].first);
+            const K k = static_cast<K>(chunk[i]);
             // Each key restarts from the guarded table: forwarding is
             // per-key (wait_forward only waits on THAT key's bucket), so
             // a table reached by forwarding key A may not hold an
@@ -1245,8 +1281,8 @@ class KvStore {
             }
           }
         }
-        if (chunk[n - 1].first >= end || n < kScanBatch) break;
-        cursor = chunk[n - 1].first + 1;
+        if (chunk[n - 1] >= end || n < kScanBatch) break;
+        cursor = chunk[n - 1] + 1;
         // Liveness beat between chunks: restarts the watchdog's stall
         // clock so a legitimately wide scan is not reported as a hang.
         obs::beat();
@@ -1280,6 +1316,16 @@ class KvStore {
     std::optional<V> out;
     on_key(t, key, tid, [&](ShardT& s) { return s.try_get(key, tid, out); });
     return out;
+  }
+
+  /// Uncounted primary membership probe under its own table guard: the
+  /// remove hook's test, released before the BST drop runs.
+  bool probe(const K& key, unsigned tid) {
+    std::optional<V> out;
+    TableGuard g(*this, tid);
+    on_key(g.table, key, tid,
+           [&](ShardT& s) { return s.try_probe(key, tid, out); });
+    return out.has_value();
   }
 
   /// The op observed a frozen bucket: help migrate it (outside any
@@ -1719,7 +1765,7 @@ class KvStore {
 
   enum Lane : unsigned {
     kForwarded, kNetInserts, kNetRemoves, kHelpedBuckets, kHelpConflicts,
-    kTxnCommits, kScanOps, kScanKeys,
+    kTxnCommits, kScanOps, kScanKeys, kIndexAdds, kIndexDrops,
     kLanes
   };
   util::PerThreadCounters<kLanes> counters_;

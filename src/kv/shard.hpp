@@ -97,9 +97,14 @@ class Shard {
   // those as forwarded_ops). ----
 
   bool try_get(const K& key, unsigned tid, std::optional<V>& out) {
-    if (!in_session(tid, [&] { return map_.try_get(key, tid, out); })) return false;
+    if (!try_probe(key, tid, out)) return false;
     ops_.inc(kGet, tid);
     return true;
+  }
+  /// try_get without the op count, for lookups the store makes on its
+  /// own behalf (the ordered index's remove probe), not a user's.
+  bool try_probe(const K& key, unsigned tid, std::optional<V>& out) {
+    return in_session(tid, [&] { return map_.try_get(key, tid, out); });
   }
   bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
     if (!in_session(tid, [&] { return map_.try_insert(key, value, tid, inserted); }))

@@ -124,11 +124,12 @@ struct KvStats {
   std::uint64_t scan_ops = 0;       ///< scan()/range_get() calls completed
   std::uint64_t scan_keys = 0;      ///< keys visited across all scans
   std::uint64_t scan_restarts = 0;  ///< index descents restarted mid-splice
-  /// Reclamation ledger of the secondary index's own tracker domain
-  /// (op-lane counters stay zero; `allocated` has the index BST's
-  /// construction-time sentinel blocks already subtracted, so the
-  /// 3-blocks-per-live-key identity of tests/kv_balance.hpp closes on
-  /// it directly).
+  /// The secondary index's own tracker domain.  `puts` and `removes`
+  /// count the BST inserts and removes the store's index hooks issued
+  /// (gauges kv_index_adds_total / kv_index_drops_total); the other op
+  /// lanes stay zero.  `allocated` has the index BST's construction-time
+  /// sentinel blocks already subtracted, so the 3-blocks-per-live-key
+  /// identity of tests/kv_balance.hpp closes on it directly.
   ShardStats index;
 
   // ---- admission control (src/admit/; zeros when disabled) ----

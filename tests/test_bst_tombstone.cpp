@@ -3,8 +3,8 @@
 // the FLAG/TAG edge machinery is physical-only and helped by any thread.
 //
 // Pinned here:
-//   * lockstep oracle vs std::map — point ops AND ordered scans /
-//     bounded range_get, every scheme;
+//   * lockstep oracle vs std::map — point ops AND ordered scans, with
+//     values and keys-only (range_keys, bounded), every scheme;
 //   * remove / re-insert races on ONE key: the ABA shape where a helper
 //     could flag a freshly reallocated same-key leaf if "cell marked"
 //     were not re-checked under protection;
@@ -13,11 +13,11 @@
 //     helpers, not their tombstone winners);
 //   * two removers of sibling leaves: each must splice its own leaf,
 //     even when its cleanup round finished the sibling's splice;
-//   * scans under concurrent writers: strictly ascending, no
-//     duplicates, and every key NO writer touches is always seen —
-//     with the churn band beside the stable keys, and interleaved with
-//     them, so splices land between stable leaves and on the left turns
-//     an in-order scan retains;
+//   * scans under concurrent writers, with values and keys-only:
+//     strictly ascending, no duplicates, and every key NO writer
+//     touches is always seen — with the churn band beside the stable
+//     keys, and interleaved with them, so splices land between stable
+//     leaves and on the left turns an in-order scan retains;
 //   * the reclamation ledger: 3 blocks per live key (leaf + routing
 //     internal + value cell) over the construction sentinels, closing
 //     exactly via the shared expect_block_balance identity.
@@ -141,6 +141,18 @@ TYPED_TEST(BstTombstoneTest, LockstepOracleWithScans) {
         std::vector<std::pair<std::uint64_t, std::uint64_t>> want(
             model.lower_bound(lo), model.upper_bound(hi));
         ASSERT_EQ(seen, want) << "scan [" << lo << ", " << hi << "]";
+        // The keys-only walk sees the same keys, and a bounded one stops
+        // after the first half of them.
+        std::vector<std::uint64_t> want_keys;
+        for (const auto& kv : want) want_keys.push_back(kv.first);
+        std::vector<std::uint64_t> keys(hi - lo + 1);
+        keys.resize(bst.range_keys(lo, hi, keys.data(), keys.size(), 0));
+        ASSERT_EQ(keys, want_keys) << "range_keys [" << lo << ", " << hi << "]";
+        const std::size_t half = want_keys.size() / 2;
+        ASSERT_EQ(bst.range_keys(lo, hi, keys.data(), half, 0), half);
+        keys.resize(half);
+        want_keys.resize(half);
+        ASSERT_EQ(keys, want_keys) << "bounded range_keys";
         break;
       }
     }
@@ -154,24 +166,21 @@ TYPED_TEST(BstTombstoneTest, BoundedRangeGetStopsEarlyAndStaysSorted) {
   TypeParam tracker(this->cfg_);
   Bst<TypeParam> bst(tracker);
   for (std::uint64_t k = 2; k <= 100; k += 2) ASSERT_TRUE(bst.insert(k, 10 * k, 0));
-  std::pair<std::uint64_t, std::uint64_t> out[7];
+  std::uint64_t out[7];
   // Bounded collect honors max and ascends from the ceiling of lo.
-  ASSERT_EQ(bst.range_get(13, 90, out, 7, 0), 7u);
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(out[i].first, 14 + 2 * i);
-    EXPECT_EQ(out[i].second, 10 * out[i].first);
-  }
+  ASSERT_EQ(bst.range_keys(13, 90, out, 7, 0), 7u);
+  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(out[i], 14 + 2 * i);
   // Inclusive bounds on both ends.
-  ASSERT_EQ(bst.range_get(40, 44, out, 7, 0), 3u);
-  EXPECT_EQ(out[0].first, 40u);
-  EXPECT_EQ(out[2].first, 44u);
+  ASSERT_EQ(bst.range_keys(40, 44, out, 7, 0), 3u);
+  EXPECT_EQ(out[0], 40u);
+  EXPECT_EQ(out[2], 44u);
   // Empty window between keys, and a window past every key.
-  EXPECT_EQ(bst.range_get(41, 41, out, 7, 0), 0u);
-  EXPECT_EQ(bst.range_get(101, 5000, out, 7, 0), 0u);
+  EXPECT_EQ(bst.range_keys(41, 41, out, 7, 0), 0u);
+  EXPECT_EQ(bst.range_keys(101, 5000, out, 7, 0), 0u);
   // Tombstoned keys disappear from the ordered view immediately.
   ASSERT_TRUE(bst.remove(14, 0).has_value());
-  ASSERT_EQ(bst.range_get(13, 17, out, 7, 0), 1u);
-  EXPECT_EQ(out[0].first, 16u);
+  ASSERT_EQ(bst.range_keys(13, 17, out, 7, 0), 1u);
+  EXPECT_EQ(out[0], 16u);
 }
 
 // ---- remove / re-insert races on one hot key ----
@@ -319,6 +328,16 @@ TYPED_TEST(BstTombstoneTest, ScanUnderChurnSeesStableKeysInOrder) {
       }
     });
   }
+  // Ascending, no duplicates, and every stable key (present for the
+  // whole scan) visited.
+  const auto check_keys = [&](const std::vector<std::uint64_t>& keys) {
+    ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << "duplicate key visited";
+    std::size_t stable_seen = 0;
+    for (std::uint64_t k : keys) stable_seen += (k >= kStableLo && k <= kStableHi);
+    ASSERT_EQ(stable_seen, kStableHi - kStableLo + 1);
+  };
   std::thread scanner([&] {
     const unsigned tid = kThreads - 1;
     while (!stop.load(std::memory_order_acquire)) {
@@ -329,13 +348,11 @@ TYPED_TEST(BstTombstoneTest, ScanUnderChurnSeesStableKeysInOrder) {
         // holds 7k.  Any other value is a torn/reclaimed cell read.
         ASSERT_TRUE(v == k || v == 7 * k) << "key " << k << " value " << v;
       }, tid);
-      ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-      ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
-          << "duplicate key visited";
-      // Every stable key is present for the whole scan => visited.
-      std::size_t stable_seen = 0;
-      for (std::uint64_t k : keys) stable_seen += (k >= kStableLo && k <= kStableHi);
-      ASSERT_EQ(stable_seen, kStableHi - kStableLo + 1);
+      check_keys(keys);
+      // The keys-only walk, under the same churn.
+      keys.resize(5001);
+      keys.resize(bst.range_keys(0, 5000, keys.data(), keys.size(), tid));
+      check_keys(keys);
     }
   });
   for (auto& th : writers) th.join();
@@ -397,6 +414,21 @@ TYPED_TEST(BstTombstoneTest, ScanUnderInterleavedChurn) {
         lo = rng.next() % kRange;
         hi = lo + rng.next() % 256;
       }
+      const auto check_keys = [&](const std::vector<std::uint64_t>& keys) {
+        ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+        ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+            << "duplicate key visited";
+        ASSERT_TRUE(keys.empty() || (keys.front() >= lo && keys.back() <= hi));
+        // Every stable key in [lo, hi] is present for the whole scan, so
+        // it must be visited; report the first one missed.
+        std::size_t next = 0;
+        for (std::uint64_t k = (lo + 3) / 4 * 4; k <= hi && k < kRange; k += 4) {
+          while (next < keys.size() && keys[next] < k) ++next;
+          ASSERT_TRUE(next < keys.size() && keys[next] == k)
+              << "stable key " << k << " skipped by scan [" << lo << ", " << hi
+              << "]";
+        }
+      };
       std::vector<std::uint64_t> keys;
       bst.scan(lo, hi, [&](std::uint64_t k, std::uint64_t v) {
         keys.push_back(k);
@@ -407,19 +439,11 @@ TYPED_TEST(BstTombstoneTest, ScanUnderInterleavedChurn) {
         ASSERT_TRUE(stable(k) ? tag == kStableTag : tag + 1 < kThreads)
             << "key " << k << " value " << v;
       }, tid);
-      ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-      ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
-          << "duplicate key visited";
-      ASSERT_TRUE(keys.empty() || (keys.front() >= lo && keys.back() <= hi));
-      // Every stable key in [lo, hi] is present for the whole scan, so
-      // it must be visited; report the first one missed.
-      std::size_t next = 0;
-      for (std::uint64_t k = (lo + 3) / 4 * 4; k <= hi && k < kRange; k += 4) {
-        while (next < keys.size() && keys[next] < k) ++next;
-        ASSERT_TRUE(next < keys.size() && keys[next] == k)
-            << "stable key " << k << " skipped by scan [" << lo << ", " << hi
-            << "]";
-      }
+      check_keys(keys);
+      // The keys-only walk, under the same churn.
+      keys.resize(std::min<std::uint64_t>(hi, kRange) - lo + 1);
+      keys.resize(bst.range_keys(lo, hi, keys.data(), keys.size(), tid));
+      check_keys(keys);
     } while (!stop.load(std::memory_order_acquire));
   });
   for (auto& th : writers) th.join();

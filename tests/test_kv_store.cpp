@@ -1,10 +1,12 @@
 // Sharded kv store: contract, shard routing/distribution, stats
 // accounting, batched retirement, the concurrent sweep across every
 // reclamation scheme at 8 threads (acceptance gate for the kv engine),
+// the ordered index's hooks under same-key races and their counters,
 // and the auto-snapshot cadence of every write entry point.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -14,11 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "harness/runner.hpp"
 #include "kv/kv_store.hpp"
 #include "kv_balance.hpp"
 #include "scratch_dir.hpp"
 #include "tracker_types.hpp"
 #include "txn/txn.hpp"
+#include "util/barrier.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -270,6 +274,132 @@ TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
   // Store destroyed: every shard drained its domain — nothing leaks
   // (verified inside the tracker destructors via drain_all_unsafe; a
   // Leak tracker keeps blocks by design and is exercised for API only).
+}
+
+/// Entries the ordered index's BST holds, from its domain ledger: every
+/// block not freed, buffered or awaiting reclamation belongs to a live
+/// entry, 3 per entry (leaf + routing internal + marker cell).
+std::uint64_t index_entries(const kv::ShardStats& ix) {
+  const std::uint64_t held =
+      ix.allocated - ix.freed - ix.pending_retired - ix.unreclaimed;
+  EXPECT_EQ(held % 3, 0u) << "index ledger is not a whole number of entries";
+  return held / 3;
+}
+
+template <class TR>
+std::vector<std::pair<std::uint64_t, std::uint64_t>> full_scan(Store<TR>& store,
+                                                                unsigned tid) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  store.scan(0, ~std::uint64_t{0},
+             [&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); },
+             tid);
+  return out;
+}
+
+// Same-key races on the ordered index's hooks.  A put adds an index
+// entry only when it inserted, and a remove drops one only when its
+// primary probe finds the key, before the erase.  Here 4 threads put and
+// remove over ONE shared 64-key range, in rounds: each round every
+// thread sweeps the range in the same order, picking put or remove per
+// key at random, so the threads race on the same key at the same time.
+// After every round, with all threads parked, the index must hold every
+// live key (a full scan equals the primary's contents); at the end its
+// ledger must hold a whole number of entries, at least one per live key
+// (the rest are stale).  Then one thread puts and removes every key, and
+// the index must be empty: the next remove that finds a key drops a
+// stale entry too.  WFE_TEST_OPS sizes the run (ops per thread).
+TYPED_TEST(KvStoreTest, OrderedIndexKeepsEveryLiveKeyUnderSameKeyRaces) {
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kKeys = 64;
+  const auto rounds = static_cast<unsigned>(
+      harness::env_long("WFE_TEST_OPS", 4000) / kKeys + 1);
+  auto cfg = small_cfg<TypeParam>(kThreads, 4);
+  cfg.ordered_index = true;
+  Store<TypeParam> store(cfg);
+  const auto primary = [&] {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    store.for_each_unsafe(
+        [&](std::uint64_t k, std::uint64_t v) { out.emplace_back(k, v); });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  util::SpinBarrier barrier(kThreads);
+  unsigned lost_rounds = 0;  // written by thread 0 only
+  std::vector<std::thread> threads;
+  for (unsigned tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      util::Xoshiro256 rng(tid + 0x1d3);
+      for (unsigned r = 0; r < rounds; ++r) {
+        barrier.arrive_and_wait();
+        for (std::uint64_t k = 1; k <= kKeys; ++k) {
+          if (rng.next_bounded(2) == 0)
+            store.put(k, k << 32 | r, tid);
+          else
+            store.remove(k, tid);
+        }
+        barrier.arrive_and_wait();  // quiescent until the next round
+        if (tid == 0) lost_rounds += full_scan(store, 0) != primary();
+      }
+      store.flush_retired(tid);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(lost_rounds, 0u) << "rounds whose scan missed a live pair";
+
+  EXPECT_EQ(full_scan(store, 0), primary());
+  const std::uint64_t entries = index_entries(store.stats().index);
+  EXPECT_GE(entries, store.size_unsafe()) << "index lost a live key";
+  EXPECT_LE(entries, kKeys);
+
+  for (std::uint64_t k = 1; k <= kKeys; ++k) store.put(k, k, 0);
+  EXPECT_EQ(full_scan(store, 0).size(), kKeys);
+  for (std::uint64_t k = 1; k <= kKeys; ++k) ASSERT_TRUE(store.remove(k, 0));
+  EXPECT_TRUE(full_scan(store, 0).empty());
+  EXPECT_EQ(index_entries(store.stats().index), 0u)
+      << "a remove that found its key left its index entry behind";
+}
+
+// The index hooks touch the BST only when membership changes, and the
+// index's op lanes (exported as kv_index_adds_total and
+// kv_index_drops_total) count exactly the BST ops they issue.
+TYPED_TEST(KvStoreTest, IndexHooksCountOnlyMembershipChanges) {
+  constexpr std::uint64_t kN = 50;
+  auto cfg = small_cfg<TypeParam>(2, 4);
+  cfg.ordered_index = true;
+  cfg.metrics.enabled = true;
+  cfg.metrics.sampler = false;
+  Store<TypeParam> store(cfg);
+  struct Moves {
+    std::uint64_t adds, drops;
+    bool operator==(const Moves&) const = default;
+  };
+  const auto moves = [&] {
+    const kv::KvStats st = store.stats();
+    Moves m{st.index.puts, st.index.removes};
+    Moves gauges{~std::uint64_t{0}, ~std::uint64_t{0}};
+    for (const auto& g : store.metrics()->registry.snapshot().gauges) {
+      const auto v = static_cast<std::uint64_t>(g.value);
+      if (g.name == "kv_index_adds_total") gauges.adds = v;
+      if (g.name == "kv_index_drops_total") gauges.drops = v;
+    }
+    EXPECT_EQ(gauges, m) << "gauges disagree with KvStats::index";
+    return m;
+  };
+  EXPECT_EQ(moves(), (Moves{0, 0}));
+  for (std::uint64_t k = 1; k <= kN; ++k) ASSERT_TRUE(store.put(k, k, 0));
+  EXPECT_EQ(moves(), (Moves{kN, 0})) << "inserting puts";
+  for (std::uint64_t k = 1; k <= kN; ++k) ASSERT_FALSE(store.put(k, k + 1, 1));
+  EXPECT_EQ(moves(), (Moves{kN, 0})) << "replacing puts";
+  for (std::uint64_t k = kN + 1; k <= 2 * kN; ++k)
+    ASSERT_FALSE(store.remove(k, 1).has_value());
+  EXPECT_EQ(moves(), (Moves{kN, 0})) << "absent-key removes";
+  for (std::uint64_t k = 1; k <= kN; ++k) ASSERT_TRUE(store.remove(k, 0));
+  EXPECT_EQ(moves(), (Moves{kN, kN})) << "present-key removes";
+  for (std::uint64_t k = 1; k <= kN; ++k) ASSERT_TRUE(store.insert(k, k, 1));
+  EXPECT_EQ(moves(), (Moves{2 * kN, kN})) << "inserts";
+  // The remove probe is the store's own lookup, not a user get.
+  EXPECT_EQ(store.stats().total().gets, 0u);
+  EXPECT_EQ(index_entries(store.stats().index), kN);
 }
 
 // Slow-path observability: forcing WFE's slow path through the shard
