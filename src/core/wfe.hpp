@@ -34,11 +34,17 @@
 //
 // A layout is the tracker deriving from WfeCore<Layout>.  It passes its
 // request and private row counts to the constructor and supplies:
-//  * slot_of(idx) — the request row protect(idx) publishes into;
-//  * app_pins(b)  — whether any thread's application rows pin block b;
+//  * slot_of(idx)        — the request row protect(idx) publishes into;
+//  * add_app_rows(snap)  — adds every thread's application reservations
+//                          to a cleanup pass's EraSnapshot, each row
+//                          read once;
 //  * begin_op / end_op / clear_slot / copy_slot over its application rows.
 // WfeTracker's layout is Fig. 3's: max_hes application rows, each its own
 // request row (slot_of(idx) == idx), pinning by Hazard Eras' era points.
+//
+// One deviation from Fig. 4: cleanup() reads the rows once per pass into
+// an EraSnapshot, where Fig. 4's can_delete() re-reads them for each
+// retired block (see cleanup() and reclaim/tracker.hpp).
 //
 // API deviation from HE (paper §3.4): protect() takes the *parent* block
 // containing the hazardous reference (nullptr for roots), so helpers can
@@ -179,7 +185,8 @@ class WfeCore : public reclaim::TrackerBase {
 
  protected:
   /// Every thread gets `requests` request rows, the parent and handover
-  /// rows, then `private_rows` rows of the layout's own.
+  /// rows, then `private_rows` rows of the layout's own.  A cleanup pass
+  /// reads each row at most twice, which sizes its snapshot.
   WfeCore(const TrackerConfig& cfg, unsigned requests, unsigned private_rows)
       : TrackerBase(cfg), rows_(cfg.max_threads), requests_(requests) {
     const unsigned n = requests + 2 + private_rows;
@@ -190,11 +197,7 @@ class WfeCore : public reclaim::TrackerBase {
         r.resv[j].store_pair({kInfEra, 0}, std::memory_order_relaxed);
       r.req = std::make_unique<Request[]>(requests);
     }
-  }
-
-  /// True when thread t's reservation row r pins b.
-  bool row_pins(const Block* b, unsigned t, unsigned r) const noexcept {
-    return reclaim::era_overlaps(b, rows_[t].resv[r].load_a(std::memory_order_seq_cst));
+    size_snapshots(cfg.max_threads * 2 * n);
   }
 
   struct Request {
@@ -284,29 +287,35 @@ class WfeCore : public reclaim::TrackerBase {
   }
 
   /// cleanup() — Fig. 4 lines 56-67, implementing the scanning discipline
-  /// of Lemmas 4/5: application rows, then the parent row; and — unless
-  /// no helper can be active (ce == counter_start) — the handover row
-  /// followed by the application rows *again* (opposite order).  app_pins()
-  /// may read one thread's rows from the highest index down (WfeTracker
-  /// does, for copy_slot's hand-offs); that order lies inside one pass, so
-  /// the passes still meet each reservation in Lemma 5's order: a block
-  /// handed from a helper's parent or handover row to a requester's row is
-  /// caught by the order of the passes, one handed between two
-  /// application rows by the order within the pass.
+  /// of Lemmas 4/5 once per pass: counter_end, the application rows, the
+  /// parent rows, counter_start, and — unless no helper can be active
+  /// (ce == cs) — the handover rows followed by the application rows
+  /// *again* (opposite order), all into one EraSnapshot that the sweep
+  /// then tests every listed block against.  Fig. 4 runs that sequence
+  /// per block; running it once is every block's check at one instant
+  /// after all of their retires, which the per-block code already admits
+  /// (reclaim/tracker.hpp).  add_app_rows() may read one thread's rows
+  /// from the highest index down (WfeTracker does, for copy_slot's
+  /// hand-offs); that order lies inside one read of the rows, so the
+  /// reads still meet each reservation in Lemma 5's order: a block handed
+  /// from a helper's parent or handover row to a requester's row is
+  /// caught by the order of the reads, one handed between two
+  /// application rows by the order within a read.
   void cleanup(unsigned tid) noexcept {
-    sweep_retired(tid, [this](const Block* b) {
+    sweep_unpinned(tid, [this](reclaim::EraSnapshot& snap) {
       const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
-      if (layout().app_pins(b) || internal_pins(b, requests_)) return false;
-      if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return true;
-      return !internal_pins(b, requests_ + 1) && !layout().app_pins(b);
+      layout().add_app_rows(snap);
+      add_internal_rows(snap, requests_);  // parent
+      if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return;
+      add_internal_rows(snap, requests_ + 1);  // handover
+      layout().add_app_rows(snap);
     });
   }
 
-  /// True when any thread's internal row r (parent or handover) pins b.
-  bool internal_pins(const Block* b, unsigned r) const noexcept {
+  /// Adds every thread's internal row r (parent or handover).
+  void add_internal_rows(reclaim::EraSnapshot& snap, unsigned r) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t)
-      if (row_pins(b, t, r)) return true;
-    return false;
+      snap.add(rows_[t].resv[r].load_a(std::memory_order_seq_cst));
   }
 
   /// Both slow-path exits funnel here: record the episode's duration and
@@ -354,14 +363,13 @@ class WfeTracker : public WfeCore<WfeTracker> {
 
   static constexpr unsigned slot_of(unsigned idx) noexcept { return idx; }
 
-  /// HE's can_delete() over the application rows, each thread's read
+  /// HE's era points over the application rows, each thread's read
   /// from the highest slot down, as copy_slot's direction contract
   /// requires (reclaim/tracker.hpp).
-  bool app_pins(const Block* b) const noexcept {
+  void add_app_rows(reclaim::EraSnapshot& snap) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t)
       for (unsigned j = cfg_.max_hes; j-- != 0;)
-        if (row_pins(b, t, j)) return true;
-    return false;
+        snap.add(rows_[t].resv[j].load_a(std::memory_order_seq_cst));
   }
 };
 

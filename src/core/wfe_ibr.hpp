@@ -16,9 +16,12 @@
 //  * rows 1 and 2 are the engine's parent and handover rows;
 //  * row 3 is `lower`, private to this layout: begin_op() opens the
 //    interval at the current era, end_op() clears both bounds;
-//  * app_pins() is 2GEIBR's interval-overlap test.
+//  * add_app_rows() adds each open [lower, upper] to a cleanup pass's
+//    snapshot, which the sweep tests with 2GEIBR's interval overlap.
 // One request per thread suffices: 2GEIBR has one interval per thread,
-// not one reservation per index, and slot copies are no-ops.
+// not one reservation per index, and slot copies are no-ops.  Like WFE
+// (core/wfe.hpp), and unlike 2GEIBR's per-block can_delete(), a cleanup
+// pass reads each interval once, not once per retired block.
 
 #include <atomic>
 #include <cstdint>
@@ -56,14 +59,12 @@ class WfeIbrTracker : public WfeCore<WfeIbrTracker> {
 
   static constexpr unsigned slot_of(unsigned) noexcept { return kUpper; }
 
-  bool app_pins(const Block* b) const noexcept {
+  void add_app_rows(reclaim::EraSnapshot& snap) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
       const std::uint64_t lo = rows_[t].resv[kLower].load_a(std::memory_order_seq_cst);
       if (lo == kInfEra) continue;
-      const std::uint64_t up = rows_[t].resv[kUpper].load_a(std::memory_order_seq_cst);
-      if (b->alloc_era <= up && b->retire_era >= lo) return true;
+      snap.add(lo, rows_[t].resv[kUpper].load_a(std::memory_order_seq_cst));
     }
-    return false;
   }
 };
 

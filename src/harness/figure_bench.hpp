@@ -4,7 +4,12 @@
 // Each binary names a figure from the paper, a data-structure factory and
 // an operation mix; this header sweeps thread counts x reclamation
 // schemes and prints the two series every figure in §5 reports:
-// throughput (Mops/s) and average unreclaimed objects.
+// throughput (Mops/s) and average unreclaimed objects.  Each (scheme,
+// threads) point runs in a forked child that builds its own tracker and
+// structure and sends its two numbers back over a pipe, so no point runs
+// on the heap the points before it left (Leak's, say, which frees nothing
+// mid-run).  run_figure itself starts no thread, so none is alive at a
+// fork.
 //
 // Environment knobs:
 //   WFE_BENCH_SECONDS      run duration per data point (default 0.5; paper: 10)
@@ -16,6 +21,11 @@
 //                          JSON (same row format as BENCH_kv.json, so all
 //                          benches feed one perf trajectory)
 
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -67,6 +77,51 @@ struct Series {
   std::vector<double> unreclaimed;
 };
 
+/// Runs `measure()` (returning a RunResult) in a forked child and stores
+/// the child's Mop/s and average unreclaimed in `out`; false when the
+/// fork fails or the child dies before reporting.
+template <class Measure>
+bool run_isolated(Measure&& measure, RunResult& out) {
+  int fd[2];
+  if (::pipe(fd) != 0) return false;
+  std::fflush(nullptr);  // the child must not repeat buffered output
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fd[0]);
+    ::close(fd[1]);
+    return false;
+  }
+  if (pid == 0) {
+    ::close(fd[0]);
+    // noexcept: an exception terminates the child (naming it on stderr)
+    // instead of unwinding it into the sweep loop, which would then run
+    // the rest of the sweep a second time.
+    const RunResult r = [&]() noexcept { return measure(); }();
+    const double msg[2] = {r.mops, r.avg_unreclaimed};
+    const bool sent = ::write(fd[1], msg, sizeof msg) == sizeof msg;
+    ::_exit(sent ? 0 : 1);  // no atexit handlers, no parent destructors
+  }
+  ::close(fd[1]);
+  double msg[2];
+  std::size_t got = 0;
+  while (got < sizeof msg) {
+    const ssize_t n = ::read(fd[0], reinterpret_cast<char*>(msg) + got, sizeof msg - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd[0]);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (got != sizeof msg || !WIFEXITED(status) || WEXITSTATUS(status) != 0) return false;
+  out.mops = msg[0];
+  out.avg_unreclaimed = msg[1];
+  return true;
+}
+
 inline void print_table(const char* title, const std::vector<unsigned>& threads,
                         const std::vector<std::string>& schemes,
                         const std::map<std::string, Series>& data, bool second) {
@@ -105,35 +160,44 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
   const std::vector<unsigned> threads = thread_sweep();
   std::vector<std::string> schemes;
   std::map<std::string, detail::Series> data;
+  bool all_ran = true;
 
   for_each_tracker([&]<class TR>() {
     schemes.emplace_back(TR::name());
     detail::Series series;
     for (unsigned t : threads) {
-      reclaim::TrackerConfig cfg;
-      cfg.max_threads = t;
-      cfg.max_hes = spec.slots_needed;
-      TR tracker(cfg);
-      auto ds = factory.template operator()<TR>(tracker);
-      // Prefill (paper: 50K elements before each measurement).
-      if constexpr (Factory::kIsQueue) {
-        util::Xoshiro256 rng(42);
-        for (std::uint64_t i = 0; i < w.prefill; ++i)
-          ds->enqueue(rng.next_bounded(w.key_range) + 1, 0);
-      } else {
-        prefill(*ds, w.prefill, w.key_range);
+      RunResult r;
+      const bool ran = detail::run_isolated([&] {
+        reclaim::TrackerConfig cfg;
+        cfg.max_threads = t;
+        cfg.max_hes = spec.slots_needed;
+        TR tracker(cfg);
+        auto ds = factory.template operator()<TR>(tracker);
+        // Prefill (paper: 50K elements before each measurement).
+        if constexpr (Factory::kIsQueue) {
+          util::Xoshiro256 rng(42);
+          for (std::uint64_t i = 0; i < w.prefill; ++i)
+            ds->enqueue(rng.next_bounded(w.key_range) + 1, 0);
+        } else {
+          prefill(*ds, w.prefill, w.key_range);
+        }
+        rc.threads = t;
+        return run_timed(
+            rc,
+            [&](util::Xoshiro256& g, unsigned tid) {
+              if constexpr (Factory::kIsQueue) {
+                queue_op(*ds, w, g, tid);
+              } else {
+                kv_op(*ds, w, g, tid);
+              }
+            },
+            [&] { return tracker.unreclaimed(); });
+      }, r);
+      if (!ran) {
+        std::fprintf(stderr, "%s at %u threads: the point's child failed\n",
+                     TR::name(), t);
+        all_ran = false;
       }
-      rc.threads = t;
-      RunResult r = run_timed(
-          rc,
-          [&](util::Xoshiro256& g, unsigned tid) {
-            if constexpr (Factory::kIsQueue) {
-              queue_op(*ds, w, g, tid);
-            } else {
-              kv_op(*ds, w, g, tid);
-            }
-          },
-          [&] { return tracker.unreclaimed(); });
       series.mops.push_back(r.mops);
       series.unreclaimed.push_back(r.avg_unreclaimed);
     }
@@ -177,7 +241,7 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
     if (!j.write_file(json_path))
       std::fprintf(stderr, "WFE_BENCH_JSON: cannot write %s\n", json_path);
   }
-  return 0;
+  return all_ran ? 0 : 1;
 }
 
 }  // namespace wfe::harness

@@ -51,10 +51,13 @@ static_assert(sizeof(Block) == 32,
               "link and deleter; per-feature state belongs in the node, "
               "not in the header every structure pays for");
 
-/// True when a reservation on `era` pins `b`: the block's lifespan
-/// [alloc_era, retire_era] contains the reserved era (HE Fig. 1 lines 56-59).
-inline bool era_overlaps(const Block* b, std::uint64_t era) noexcept {
-  return era != kInfEra && b->alloc_era <= era && b->retire_era >= era;
+/// True when a reservation on the era interval [lower, upper] pins `b`:
+/// the block's lifespan [alloc_era, retire_era] meets it.  An era point
+/// e is the interval [e, e] (HE Fig. 1 lines 56-59); 2GEIBR reserves
+/// [lower, upper].  A lower bound of ∞ is no reservation and pins nothing.
+inline bool era_overlaps(const Block* b, std::uint64_t lower,
+                         std::uint64_t upper) noexcept {
+  return lower != kInfEra && b->alloc_era <= upper && b->retire_era >= lower;
 }
 
 }  // namespace wfe::reclaim

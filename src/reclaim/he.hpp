@@ -11,6 +11,11 @@
 // retire() carries the race-condition fix the paper mentions (§5): the
 // era is re-checked against the block's stamped retire_era before the
 // increment, so a stale thread does not bump the clock spuriously.
+//
+// One deviation from Fig. 1: cleanup() reads every thread's eras once
+// per pass into an EraSnapshot and sweeps the retire list against it,
+// where Fig. 1's can_delete() re-reads them for each block
+// (reclaim/tracker.hpp says why one snapshot is as safe).
 
 #include <atomic>
 #include <cstdint>
@@ -30,6 +35,7 @@ class HeTracker : public TrackerBase {
       for (unsigned j = 0; j < cfg.max_hes; ++j)
         slots_[t].era[j].store(kInfEra, std::memory_order_relaxed);
     }
+    size_snapshots(cfg.max_threads * cfg.max_hes);
   }
 
   static constexpr const char* name() noexcept { return "HE"; }
@@ -104,21 +110,15 @@ class HeTracker : public TrackerBase {
     std::unique_ptr<std::atomic<std::uint64_t>[]> era;
   };
 
-  // Fig. 1 cleanup()/can_delete().
+  // Fig. 1 cleanup(), with every era read once per pass.  Each thread's
+  // slots are read from the highest down, as copy_slot's direction
+  // contract requires (reclaim/tracker.hpp).
   void scan(unsigned tid) noexcept {
-    sweep_retired(tid, [this](const Block* b) { return can_delete(b); });
-  }
-
-  // Each thread's slots are read from the highest down, as copy_slot's
-  // direction contract requires (reclaim/tracker.hpp).
-  bool can_delete(const Block* b) const noexcept {
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      for (unsigned j = cfg_.max_hes; j-- != 0;) {
-        const std::uint64_t e = slots_[t].era[j].load(std::memory_order_seq_cst);
-        if (era_overlaps(b, e)) return false;
-      }
-    }
-    return true;
+    sweep_unpinned(tid, [this](EraSnapshot& snap) {
+      for (unsigned t = 0; t < cfg_.max_threads; ++t)
+        for (unsigned j = cfg_.max_hes; j-- != 0;)
+          snap.add(slots_[t].era[j].load(std::memory_order_seq_cst));
+    });
   }
 
   detail::PerThread<Slots> slots_;

@@ -11,6 +11,11 @@
 // A block is reclaimable when its lifespan overlaps no reservation
 // interval.  Scanners snapshot reservation intervals with one 128-bit load
 // so they never observe a torn {new lower, old upper} pair.
+//
+// One deviation from the paper's per-block can_delete(): a cleanup pass
+// loads each thread's interval once into an EraSnapshot and sweeps the
+// retire list against it (reclaim/tracker.hpp says why one snapshot is
+// as safe).
 
 #include <atomic>
 #include <cstdint>
@@ -27,6 +32,7 @@ class IbrTracker : public TrackerBase {
       : TrackerBase(cfg), resv_(cfg.max_threads) {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store_pair({kInfEra, kInfEra}, std::memory_order_relaxed);
+    size_snapshots(cfg.max_threads);
   }
 
   static constexpr const char* name() noexcept { return "2GEIBR"; }
@@ -84,18 +90,13 @@ class IbrTracker : public TrackerBase {
 
  private:
   void scan(unsigned tid) noexcept {
-    sweep_retired(tid, [this](const Block* b) { return can_delete(b); });
-  }
-
-  bool can_delete(const Block* b) const noexcept {
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      // Consistent {lower, upper} snapshot (see header comment).
-      const util::Pair iv = resv_[t].load_pair(std::memory_order_seq_cst);
-      if (iv.a == kInfEra) continue;  // inactive thread
-      const bool disjoint = b->alloc_era > iv.b || b->retire_era < iv.a;
-      if (!disjoint) return false;
-    }
-    return true;
+    sweep_unpinned(tid, [this](EraSnapshot& snap) {
+      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
+        // Consistent {lower, upper} snapshot (see header comment).
+        const util::Pair iv = resv_[t].load_pair(std::memory_order_seq_cst);
+        snap.add(iv.a, iv.b);
+      }
+    });
   }
 
   // .a = lower, .b = upper.

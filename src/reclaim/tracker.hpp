@@ -26,6 +26,20 @@
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free of a block no other thread can reach
 //
+// Cleanup pass: every scheme reads each reservation once per pass, then
+// sweeps its retire list against what it read (sweep_retired).  HP
+// collects a sorted hazard set, EBR/QSBR a minimum epoch, and the era
+// schemes (HE, WFE, 2GEIBR, WFE-IBR) an EraSnapshot of era intervals
+// through sweep_unpinned(): a block stays listed while its [alloc_era,
+// retire_era] meets an interval.  The papers' can_delete() re-reads the
+// reservations for each block; one snapshot serves them all because
+// every listed block was retired, by this thread, before the pass began.
+// A per-block check is safe at any instant after its block's retire (a
+// reader that can still reach the block published a covering
+// reservation before the retire's unlink and keeps it until it drops
+// the reference), and the snapshot is every block's check run at one
+// such instant, an interleaving the per-block reads already admit.
+//
 // TrackerBase's destructor frees whatever the retire lists still hold, so
 // no scheme writes its own teardown.  TrackerBase also owns the memory:
 // every scheme's alloc<T> goes through make_block, and every free
@@ -202,6 +216,40 @@ struct ThreadData {
 
 }  // namespace detail
 
+/// The reservations one cleanup pass of an era scheme read, as era
+/// intervals (an era point e is [e, e]).  A pass builds it on the stack
+/// over its thread's storage in TrackerBase, sized at construction
+/// (size_snapshots) for the most a pass can add, so a pass never
+/// allocates.
+class EraSnapshot {
+ public:
+  struct Interval {
+    std::uint64_t lower, upper;
+  };
+
+  explicit EraSnapshot(Interval* storage) noexcept : iv_(storage) {}
+
+  /// Adds the reservation [lower, upper].  An empty one (lower ∞) and a
+  /// repeat of the last interval added pin nothing new and are skipped.
+  void add(std::uint64_t lower, std::uint64_t upper) noexcept {
+    if (lower == kInfEra) return;
+    if (n_ != 0 && iv_[n_ - 1].lower == lower && iv_[n_ - 1].upper == upper) return;
+    iv_[n_++] = {lower, upper};
+  }
+  void add(std::uint64_t era) noexcept { add(era, era); }
+
+  /// True when b's lifespan meets any interval added.
+  bool pins(const Block* b) const noexcept {
+    for (unsigned i = 0; i < n_; ++i)
+      if (era_overlaps(b, iv_[i].lower, iv_[i].upper)) return true;
+    return false;
+  }
+
+ private:
+  Interval* iv_;
+  unsigned n_ = 0;
+};
+
 /// Base with the allocation/stats plumbing shared by every tracker.
 /// Derived classes implement the reservation logic and `scan()`.
 ///
@@ -330,10 +378,32 @@ class TrackerBase {
     util::owned_add(td.retire_count, 0 - n);  // n fewer queued
   }
 
+  /// An era scheme's constructor calls this once with `intervals`, the
+  /// most one cleanup pass adds to a thread's EraSnapshot; each thread
+  /// gets room for that many.
+  void size_snapshots(unsigned intervals) {
+    intervals_ = std::make_unique_for_overwrite<EraSnapshot::Interval[]>(
+        std::size_t{cfg_.max_threads} * intervals);
+    intervals_per_pass_ = intervals;
+  }
+
+  /// An era scheme's cleanup pass: `read(snap)` adds every reservation,
+  /// each read once, to tid's snapshot; then every listed block whose
+  /// lifespan meets no interval of it is freed.
+  template <class Read>
+  void sweep_unpinned(unsigned tid, Read&& read) noexcept {
+    EraSnapshot snap(&intervals_[std::size_t{tid} * intervals_per_pass_]);
+    read(snap);
+    sweep_retired(tid, [&snap](const Block* b) { return !snap.pins(b); });
+  }
+
   TrackerConfig cfg_;
   detail::PerThread<detail::ThreadData> threads_;
 
  private:
+  std::unique_ptr<EraSnapshot::Interval[]> intervals_;  ///< per thread, back to back
+  unsigned intervals_per_pass_ = 0;
+
   /// Destroys b and keeps its memory on td's free list for its size, or
   /// returns it to ::operator delete when that list is full.
   static void release(Block* b, detail::ThreadData& td) noexcept {

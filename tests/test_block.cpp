@@ -1,5 +1,6 @@
 // reclaim::Block header semantics and the era-overlap predicate every
-// era-family scheme's can_delete() builds on.
+// era-family scheme's cleanup pass builds on (an era point e is the
+// interval [e, e]).
 
 #include <gtest/gtest.h>
 
@@ -31,17 +32,17 @@ TEST(Block, EraOverlapInterior) {
   TestBlock b;
   b.alloc_era = 10;
   b.retire_era = 20;
-  EXPECT_TRUE(era_overlaps(&b, 10));  // inclusive lower bound
-  EXPECT_TRUE(era_overlaps(&b, 15));
-  EXPECT_TRUE(era_overlaps(&b, 20));  // inclusive upper bound
+  EXPECT_TRUE(era_overlaps(&b, 10, 10));  // inclusive lower bound
+  EXPECT_TRUE(era_overlaps(&b, 15, 15));
+  EXPECT_TRUE(era_overlaps(&b, 20, 20));  // inclusive upper bound
 }
 
 TEST(Block, EraOverlapExterior) {
   TestBlock b;
   b.alloc_era = 10;
   b.retire_era = 20;
-  EXPECT_FALSE(era_overlaps(&b, 9));
-  EXPECT_FALSE(era_overlaps(&b, 21));
+  EXPECT_FALSE(era_overlaps(&b, 9, 9));
+  EXPECT_FALSE(era_overlaps(&b, 21, 21));
 }
 
 TEST(Block, InfiniteEraNeverOverlaps) {
@@ -50,17 +51,31 @@ TEST(Block, InfiniteEraNeverOverlaps) {
   TestBlock b;
   b.alloc_era = 0;
   b.retire_era = kInfEra;
-  EXPECT_FALSE(era_overlaps(&b, kInfEra));
-  EXPECT_TRUE(era_overlaps(&b, 5));
+  EXPECT_FALSE(era_overlaps(&b, kInfEra, kInfEra));
+  EXPECT_TRUE(era_overlaps(&b, 5, 5));
+}
+
+TEST(Block, EraOverlapInterval) {
+  // 2GEIBR's reservation [lower, upper] meets a lifespan that reaches
+  // either end of it, or spans it, and no other.
+  TestBlock b;
+  b.alloc_era = 10;
+  b.retire_era = 20;
+  EXPECT_TRUE(era_overlaps(&b, 5, 10));    // upper == alloc_era
+  EXPECT_TRUE(era_overlaps(&b, 20, 25));   // lower == retire_era
+  EXPECT_TRUE(era_overlaps(&b, 12, 15));   // inside the lifespan
+  EXPECT_TRUE(era_overlaps(&b, 5, 25));    // spans the lifespan
+  EXPECT_FALSE(era_overlaps(&b, 5, 9));    // ends before alloc_era
+  EXPECT_FALSE(era_overlaps(&b, 21, 25));  // starts after retire_era
 }
 
 TEST(Block, PointSizedLifespan) {
   TestBlock b;
   b.alloc_era = 7;
   b.retire_era = 7;
-  EXPECT_TRUE(era_overlaps(&b, 7));
-  EXPECT_FALSE(era_overlaps(&b, 6));
-  EXPECT_FALSE(era_overlaps(&b, 8));
+  EXPECT_TRUE(era_overlaps(&b, 7, 7));
+  EXPECT_FALSE(era_overlaps(&b, 6, 6));
+  EXPECT_FALSE(era_overlaps(&b, 8, 8));
 }
 
 // The deleter only destroys: it runs the node's destructor and reports

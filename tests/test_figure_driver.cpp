@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <memory>
 
@@ -96,6 +98,24 @@ TEST_F(FigureDriverTest, PrefillAboveKeyRangeTerminates) {
   harness::prefill(list, 512, 256);
   EXPECT_EQ(list.size_unsafe(), 256u);
   for (std::uint64_t k = 1; k <= 256; ++k) EXPECT_TRUE(list.get(k, 0)) << k;
+}
+
+// Each point runs in a forked child: one that dies before reporting
+// fails the run, and run_figure itself survives to print the table.
+struct DyingFactory {
+  static constexpr bool kIsQueue = false;
+  template <class TR>
+  std::unique_ptr<TinyList<TR>> operator()(TR&) const {
+    ::_exit(3);
+  }
+};
+
+TEST_F(FigureDriverTest, DeadPointChildFailsTheRun) {
+  ::setenv("WFE_BENCH_THREAD_LIST", "1", 1);
+  harness::FigureSpec spec{"Fig T5", "Tiny List",
+                           {harness::OpMix::kWrite5050, 256, 64},
+                           false, kListSlots};
+  EXPECT_EQ(harness::run_figure(spec, DyingFactory{}), 1);
 }
 
 TEST(FigureDriverDefaults, MixNamesAreStable) {

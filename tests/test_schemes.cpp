@@ -1,11 +1,13 @@
 // Scheme-specific semantics: the properties that DIFFER between EBR, HP,
-// HE and 2GEIBR — reservation granularity, stall behaviour, era clocks.
+// HE and 2GEIBR — reservation granularity, stall behaviour, era clocks —
+// and what one cleanup pass of each era scheme must see.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "tracker_types.hpp"
 
@@ -214,6 +216,99 @@ TEST(Ibr, StalledIntervalBoundsMemory) {
   EXPECT_LE(tracker.unreclaimed(), 10u)
       << "2GEIBR pins only interval-overlapping blocks, unlike EBR";
   tracker.end_op(1);
+}
+
+// ---- One cleanup pass (HE, WFE, 2GEIBR, WFE-IBR) ----
+//
+// A pass reads every reservation once, then sweeps the retire list.  A
+// second thread reserves e1 in its lowest slot and later e2 in its
+// highest (an interval scheme opens [e1, e1] and grows it to [e1, e2]);
+// one flush must keep exactly the retired blocks whose lifespans meet a
+// reservation, boundaries included, and free every other one.  Every
+// alloc advances the era by one (era_freq 1) and no retire starts a
+// pass, so the order below sets each lifespan.
+
+template <class TR>
+class OnePass : public ::testing::Test {};
+
+using EraTrackers = ::testing::Types<core::WfeTracker, reclaim::HeTracker,
+                                     reclaim::IbrTracker, core::WfeIbrTracker>;
+TYPED_TEST_SUITE(OnePass, EraTrackers);
+
+TYPED_TEST(OnePass, KeepsExactlyWhatReservationsMeet) {
+  constexpr bool kInterval = std::is_same_v<TypeParam, reclaim::IbrTracker> ||
+                             std::is_same_v<TypeParam, core::WfeIbrTracker>;
+  reclaim::TrackerConfig cfg;
+  cfg.max_threads = 2;
+  cfg.max_hes = 4;
+  cfg.era_freq = 1;
+  cfg.cleanup_freq = 1u << 30;
+  TypeParam tracker(cfg);
+  CountedNode* live = tracker.template alloc<CountedNode>(0);
+  std::atomic<CountedNode*> root{live};
+
+  enum { kSpan, kBefore, kEndsAtE1, kStartsAtE1, kBetween, kEndsAtE2,
+         kStartsAtE2, kAfter, kBlocks };
+  std::atomic<int> dtors[kBlocks] = {};
+  CountedNode* b[kBlocks];
+  auto born = [&](int i) {
+    b[i] = tracker.template alloc<CountedNode>(0, &dtors[i]);
+  };
+
+  born(kSpan);
+  born(kBefore);
+  tracker.retire(b[kBefore], 0);
+  born(kEndsAtE1);
+  born(kStartsAtE1);
+  tracker.retire(b[kEndsAtE1], 0);
+  if constexpr (kInterval) {
+    tracker.begin_op(1);  // opens [e1, e1]
+  } else {
+    reclaim::protect(tracker, root, 0, 1, nullptr);  // lowest slot
+  }
+  const std::uint64_t e1 = tracker.era();
+  born(kBetween);
+  tracker.retire(b[kStartsAtE1], 0);
+  tracker.retire(b[kBetween], 0);
+  born(kEndsAtE2);
+  born(kStartsAtE2);
+  tracker.retire(b[kEndsAtE2], 0);
+  // Highest slot; an interval scheme grows its upper bound to e2.
+  reclaim::protect(tracker, root, kInterval ? 0 : cfg.max_hes - 1, 1, nullptr);
+  const std::uint64_t e2 = tracker.era();
+  born(kAfter);
+  tracker.retire(b[kStartsAtE2], 0);
+  tracker.retire(b[kAfter], 0);
+  tracker.retire(b[kSpan], 0);
+
+  ASSERT_LT(b[kBefore]->retire_era, e1);
+  ASSERT_EQ(b[kEndsAtE1]->retire_era, e1);
+  ASSERT_EQ(b[kStartsAtE1]->alloc_era, e1);
+  ASSERT_GT(b[kBetween]->alloc_era, e1);
+  ASSERT_LT(b[kBetween]->retire_era, e2);
+  ASSERT_EQ(b[kEndsAtE2]->retire_era, e2);
+  ASSERT_EQ(b[kStartsAtE2]->alloc_era, e2);
+  ASSERT_GT(b[kAfter]->alloc_era, e2);
+  ASSERT_LT(b[kSpan]->alloc_era, e1);
+  ASSERT_GT(b[kSpan]->retire_era, e2);
+
+  tracker.flush(0);
+  // Era points pin their own boundaries and the span; the interval also
+  // pins the block between its ends.
+  const bool kept[kBlocks] = {true, false, true, true,
+                              kInterval, true, true, false};
+  unsigned n_kept = 0;
+  for (int i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(dtors[i].load(), kept[i] ? 0 : 1) << "block " << i;
+    n_kept += kept[i] ? 1 : 0;
+  }
+  EXPECT_EQ(tracker.unreclaimed(), n_kept);
+
+  tracker.end_op(1);
+  tracker.flush(0);
+  EXPECT_EQ(tracker.unreclaimed(), 0u);
+  for (int i = 0; i < kBlocks; ++i) EXPECT_EQ(dtors[i].load(), 1) << "block " << i;
+  tracker.dealloc(live, 0);
 }
 
 // ---- Leak ----

@@ -249,6 +249,54 @@ TYPED_TEST(WaitFree, UnreclaimedBoundedUnderStalledReservation) {
   tracker.dealloc(pinned, 0);
 }
 
+// Lemmas 4/5 in one cleanup pass: a helper's parent row pins always, and
+// its handover row while a help request is open (counter_start !=
+// counter_end).  The probe sets those rows as help_thread() does, so the
+// pass meets them without a race to arrange.
+class HelperRowsProbe : public WfeTracker {
+ public:
+  using WfeTracker::WfeTracker;
+  static constexpr unsigned kParent = 0, kHandover = 1;
+  void hold(unsigned row, unsigned t, std::uint64_t era) {
+    rows_[t].resv[requests_ + row].store_a(era);
+  }
+  void open_request() { counter_start_.value.fetch_add(1); }
+  void close_request() { counter_end_.value.fetch_add(1); }
+};
+
+TEST(Wfe, OnePassSeesHelperRows) {
+  reclaim::TrackerConfig cfg;
+  cfg.max_threads = 2;
+  cfg.max_hes = 2;
+  cfg.era_freq = 1;  // every alloc advances the era: one block per era
+  cfg.cleanup_freq = 1u << 30;
+  HelperRowsProbe tracker(cfg);
+  std::atomic<int> dtors[3] = {};
+  CountedNode* b[3];
+  for (int i = 0; i < 3; ++i) {
+    b[i] = tracker.alloc<CountedNode>(0, &dtors[i]);
+    tracker.retire(b[i], 0);
+  }
+  tracker.hold(HelperRowsProbe::kParent, 1, b[0]->alloc_era);
+  tracker.hold(HelperRowsProbe::kHandover, 1, b[1]->alloc_era);
+  tracker.open_request();
+  tracker.flush(0);
+  EXPECT_EQ(dtors[0].load(), 0) << "parent row";
+  EXPECT_EQ(dtors[1].load(), 0) << "handover row, request open";
+  EXPECT_EQ(dtors[2].load(), 1);
+
+  tracker.hold(HelperRowsProbe::kHandover, 1, reclaim::kInfEra);
+  tracker.close_request();
+  tracker.flush(0);
+  EXPECT_EQ(dtors[0].load(), 0) << "parent row, no request open";
+  EXPECT_EQ(dtors[1].load(), 1);
+
+  tracker.hold(HelperRowsProbe::kParent, 1, reclaim::kInfEra);
+  tracker.flush(0);
+  EXPECT_EQ(dtors[0].load(), 1);
+  EXPECT_EQ(tracker.unreclaimed(), 0u);
+}
+
 TEST(Wfe, ReservationSlotsBeyondMaxHesAreInternal) {
   // The two internal reservations (max_hes, max_hes+1) exist and start
   // clear; applications never touch them, but the tracker must size the
