@@ -52,7 +52,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "obs/clock.hpp"
 #include "obs/histogram.hpp"
@@ -78,7 +77,7 @@ class WfeCore : public reclaim::TrackerBase {
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned idx,
                               unsigned tid, const Block* parent = nullptr) noexcept {
     const unsigned q = Layout::slot_of(idx);
-    util::AtomicPair& rsv = rows_[tid].resv[q];
+    util::AtomicPair& rsv = resv_[tid][q];
     std::uint64_t prev_era = rsv.load_a(std::memory_order_acquire);
 
     // ---- fast path: identical to Hazard Eras (lines 16-24) ----
@@ -97,7 +96,7 @@ class WfeCore : public reclaim::TrackerBase {
     const std::uint64_t parent_era = parent ? parent->alloc_era : kInfEra;
     counter_start_.value.fetch_add(1, std::memory_order_seq_cst);
 
-    Request& st = rows_[tid].req[q];
+    Request& st = req_[tid][q];
     st.pointer.store(&src, std::memory_order_relaxed);
     st.era.store(parent_era, std::memory_order_relaxed);
     const std::uint64_t tag = rsv.load_b(std::memory_order_relaxed);
@@ -188,16 +187,11 @@ class WfeCore : public reclaim::TrackerBase {
   /// rows, then `private_rows` rows of the layout's own.  A cleanup pass
   /// reads each row at most twice, which sizes its snapshot.
   WfeCore(const TrackerConfig& cfg, unsigned requests, unsigned private_rows)
-      : TrackerBase(cfg), rows_(cfg.max_threads), requests_(requests) {
-    const unsigned n = requests + 2 + private_rows;
-    for (unsigned t = 0; t < cfg.max_threads; ++t) {
-      auto& r = rows_[t];
-      r.resv = std::make_unique<util::AtomicPair[]>(n);
-      for (unsigned j = 0; j < n; ++j)
-        r.resv[j].store_pair({kInfEra, 0}, std::memory_order_relaxed);
-      r.req = std::make_unique<Request[]>(requests);
-    }
-    size_snapshots(cfg.max_threads * 2 * n);
+      : TrackerBase(cfg),
+        resv_(cfg.max_threads, requests + 2 + private_rows, util::Pair{kInfEra, 0}),
+        req_(cfg.max_threads, requests),
+        requests_(requests) {
+    size_snapshots(cfg.max_threads * 2 * resv_.width());
   }
 
   struct Request {
@@ -206,14 +200,12 @@ class WfeCore : public reclaim::TrackerBase {
     std::atomic<const std::atomic<std::uintptr_t>*> pointer{nullptr};
   };
 
-  struct Rows {
-    std::unique_ptr<util::AtomicPair[]> resv;  // requests + 2 + private rows
-    std::unique_ptr<Request[]> req;            // `requests` entries
-  };
-
   // The rows table leads, so the fast path finds it on the line holding
   // cfg_; the clock and each counter sit on padded lines of their own.
-  reclaim::detail::PerThread<Rows> rows_;
+  // Each thread's rows, and its requests, start on a cache-line pair of
+  // their own (detail::PerThreadRows).
+  reclaim::detail::PerThreadRows<util::AtomicPair> resv_;  ///< requests + 2 + private rows
+  reclaim::detail::PerThreadRows<Request> req_;            ///< `requests` entries
   util::Padded<std::atomic<std::uint64_t>> global_era_{1};
   util::Padded<std::atomic<std::uint64_t>> counter_start_{0};
   util::Padded<std::atomic<std::uint64_t>> counter_end_{0};
@@ -231,7 +223,7 @@ class WfeCore : public reclaim::TrackerBase {
     if (cs != ce) {
       for (unsigned i = 0; i < cfg_.max_threads; ++i) {
         for (unsigned q = 0; q < requests_; ++q) {
-          if (rows_[i].req[q].result.load_a(std::memory_order_seq_cst) == kInvPtr)
+          if (req_[i][q].result.load_a(std::memory_order_seq_cst) == kInvPtr)
             help_thread(i, q, tid);
         }
       }
@@ -242,22 +234,22 @@ class WfeCore : public reclaim::TrackerBase {
   /// help_thread() — Fig. 4 lines 100-134: dereference the requester's
   /// hazardous pointer on its behalf and hand over a reservation.
   void help_thread(unsigned i, unsigned q, unsigned tid) noexcept {
-    Request& st = rows_[i].req[q];
+    Request& st = req_[i][q];
     util::Pair res = st.result.load_pair(std::memory_order_seq_cst);
     if (res.a != kInvPtr) return;
 
     // Pin the requester's parent block before touching its interior
     // pointer (Lemma 4; first internal reservation).
     const std::uint64_t parent_era = st.era.load(std::memory_order_acquire);
-    util::AtomicPair& parent_rsv = rows_[tid].resv[requests_];
+    util::AtomicPair& parent_rsv = resv_[tid][requests_];
     parent_rsv.store_a(parent_era, std::memory_order_seq_cst);
 
     const std::atomic<std::uintptr_t>* ptr = st.pointer.load(std::memory_order_acquire);
-    util::AtomicPair& req_rsv = rows_[i].resv[q];
+    util::AtomicPair& req_rsv = resv_[i][q];
     const std::uint64_t tag = req_rsv.load_b(std::memory_order_seq_cst);
     if (tag == res.b) {
       // All state fields were read consistently; serve the request.
-      util::AtomicPair& handover_rsv = rows_[tid].resv[requests_ + 1];
+      util::AtomicPair& handover_rsv = resv_[tid][requests_ + 1];
       std::uint64_t prev_era = global_era_.value.load(std::memory_order_seq_cst);
       do {  // bounded by the number of in-flight threads (Lemma 2)
         // Second internal reservation: keeps the dereferenced block alive
@@ -315,7 +307,7 @@ class WfeCore : public reclaim::TrackerBase {
   /// Adds every thread's internal row r (parent or handover).
   void add_internal_rows(reclaim::EraSnapshot& snap, unsigned r) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t)
-      snap.add(rows_[t].resv[r].load_a(std::memory_order_seq_cst));
+      snap.add(resv_[t][r].load_a(std::memory_order_seq_cst));
   }
 
   /// Both slow-path exits funnel here: record the episode's duration and
@@ -340,11 +332,11 @@ class WfeTracker : public WfeCore<WfeTracker> {
   /// must survive — they number slow-path cycles across operations.
   void end_op(unsigned tid) noexcept {
     for (unsigned j = 0; j < cfg_.max_hes; ++j)
-      rows_[tid].resv[j].store_a(kInfEra, std::memory_order_release);
+      resv_[tid][j].store_a(kInfEra, std::memory_order_release);
   }
 
   void clear_slot(unsigned idx, unsigned tid) noexcept {
-    rows_[tid].resv[idx].store_a(kInfEra, std::memory_order_release);
+    resv_[tid][idx].store_a(kInfEra, std::memory_order_release);
   }
 
   /// Slot `to` takes over protecting the era slot `from` holds.  Only the
@@ -353,9 +345,9 @@ class WfeTracker : public WfeCore<WfeTracker> {
   /// stored again: the skip protect() makes when the era is unchanged
   /// (lines 16-24), since scanners already see it.
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    const std::uint64_t era = rows_[tid].resv[from].load_a(std::memory_order_relaxed);
-    if (rows_[tid].resv[to].load_a(std::memory_order_relaxed) != era)
-      rows_[tid].resv[to].store_a(era, std::memory_order_seq_cst);
+    const std::uint64_t era = resv_[tid][from].load_a(std::memory_order_relaxed);
+    if (resv_[tid][to].load_a(std::memory_order_relaxed) != era)
+      resv_[tid][to].store_a(era, std::memory_order_seq_cst);
   }
 
  private:
@@ -369,7 +361,7 @@ class WfeTracker : public WfeCore<WfeTracker> {
   void add_app_rows(reclaim::EraSnapshot& snap) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t)
       for (unsigned j = cfg_.max_hes; j-- != 0;)
-        snap.add(rows_[t].resv[j].load_a(std::memory_order_seq_cst));
+        snap.add(resv_[t][j].load_a(std::memory_order_seq_cst));
   }
 };
 

@@ -39,13 +39,13 @@ class WfeIbrTracker : public WfeCore<WfeIbrTracker> {
 
   void begin_op(unsigned tid) noexcept {
     const std::uint64_t e = global_era_.value.load(std::memory_order_seq_cst);
-    rows_[tid].resv[kLower].store_a(e, std::memory_order_seq_cst);
-    rows_[tid].resv[kUpper].store_a(e, std::memory_order_seq_cst);
+    resv_[tid][kLower].store_a(e, std::memory_order_seq_cst);
+    resv_[tid][kUpper].store_a(e, std::memory_order_seq_cst);
   }
 
   void end_op(unsigned tid) noexcept {
-    rows_[tid].resv[kLower].store_a(kInfEra, std::memory_order_release);
-    rows_[tid].resv[kUpper].store_a(kInfEra, std::memory_order_release);
+    resv_[tid][kLower].store_a(kInfEra, std::memory_order_release);
+    resv_[tid][kUpper].store_a(kInfEra, std::memory_order_release);
   }
 
   void clear_slot(unsigned, unsigned) noexcept {}
@@ -61,9 +61,9 @@ class WfeIbrTracker : public WfeCore<WfeIbrTracker> {
 
   void add_app_rows(reclaim::EraSnapshot& snap) const noexcept {
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      const std::uint64_t lo = rows_[t].resv[kLower].load_a(std::memory_order_seq_cst);
+      const std::uint64_t lo = resv_[t][kLower].load_a(std::memory_order_seq_cst);
       if (lo == kInfEra) continue;
-      snap.add(lo, rows_[t].resv[kUpper].load_a(std::memory_order_seq_cst));
+      snap.add(lo, resv_[t][kUpper].load_a(std::memory_order_seq_cst));
     }
   }
 };

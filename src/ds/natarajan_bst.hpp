@@ -56,11 +56,15 @@
 // key owns three blocks (leaf + routing internal + cell) on top of the
 // five construction-time sentinel blocks (kStructuralBlocks).
 //
-// Protection: six reservation slots — the seek record (ancestor,
-// successor, parent, leaf) plus the node being read, plus the value
-// cell (for WFE the leaf is the cell read's parent block, paper §3.4).
-// Scans use the same six, the seek record's first three holding their
-// retained left turns (below).
+// Protection: eleven reservation slots.  Slots 0..2 hold the seek
+// record's ancestor, successor and parent, 8 its leaf, 9 the node being
+// read and 10 the value cell (for WFE the leaf is the cell read's parent
+// block, paper §3.4).  Slots 0..7 pin a scan's retained left turns
+// (below); a scan never forms a seek record, so the two uses share slots
+// 0..2.  Every copy_slot runs from a higher slot to a lower one, as the
+// tracker contract requires (reclaim/tracker.hpp): current (9) → leaf
+// (8) → a turn, parent, successor or ancestor slot (0..7), parent (2) →
+// ancestor (0).
 // For era-family trackers (HE, WFE, 2GEIBR, EBR) this is the discipline
 // the reference IBR benchmark uses; HP inherits the same link-stability
 // validation as that benchmark.
@@ -69,19 +73,29 @@
 //
 // scan(lo, hi, fn) iterates the range in ascending key order by walking
 // the leaves in order.  The walk keeps a KEY-valued cursor (one past the
-// last leaf it passed) and, pinned in the three seek-record slots a scan
-// leaves idle (ancestor, successor, parent), the deepest left-turn
-// ancestors of the current leaf: a bounded TurnStack that drops its
-// shallowest entry when full.  The next leaf is the leftmost leaf of the
-// deepest retained turn's right subtree, so a step costs a pop and a
-// short leftward descent (about two edges per leaf, amortized) instead
-// of a ~20-level root descent.  A root descent (seek_ceil: the search
-// path of the cursor, then the same leftmost step from the deepest
-// left turn on it) happens only when the stack is empty, after a
-// session fence, or on a restart.  The visitor runs on unmarked cells
-// only.  range_keys() is the same walk without values: it reads each
-// leaf's cell word for its mark bit alone (the leaf is protected, so the
-// word is readable), and never protects or dereferences the cell.
+// last leaf it passed) and, pinned in slots 0..7, the deepest left-turn
+// ancestors of the current leaf: a bounded TurnStack of eight turns that
+// drops its shallowest entry when full.  The next leaf is the leftmost
+// leaf of the deepest retained turn's right subtree, so a step costs a
+// pop and a short leftward descent (about two edges per leaf, amortized)
+// instead of a ~20-level root descent.  A root descent (seek_ceil: the
+// search path of the cursor, then the same leftmost step from the
+// deepest left turn on it) happens only when the stack is empty, after a
+// session fence, or on a restart; scan_descents() counts them.  Eight
+// turns make that one descent per chunk of kScanChunk leaves.  A walk
+// needs turn T again only when it crosses from T's left subtree into its
+// right, and within 64 leaves that means it started among the last 64
+// leaves of T's left subtree; in a balanced tree such a leaf has at most
+// log2(64) = 6 left turns below T, so T is still among the deepest eight
+// when the walk pops it.  A random tree rarely has more (test_bst pins
+// both: exactly one descent per window of at most 64 keys of a balanced
+// 256-key tree, at most 1.2 per 64-key scan of a random one).  With
+// three retained turns that random tree took 6.8 descents per scan.
+//
+// The visitor runs on unmarked cells only.  range_keys() is the same
+// walk without values: it reads each leaf's cell word for its mark bit
+// alone (the leaf is protected, so the word is readable), and never
+// protects or dereferences the cell.
 //
 // Every kScanChunk visited leaves the tracker session is fenced
 // (end_op/begin_op) and the stack dropped: the cursor is a key, so the
@@ -141,7 +155,7 @@ class NatarajanBst {
   /// Largest usable key: the top three values are the ∞₀ < ∞₁ < ∞₂
   /// sentinels.
   static constexpr K kMaxKey = std::numeric_limits<K>::max() - 3;
-  static constexpr unsigned kSlotsNeeded = 6;
+  static constexpr unsigned kSlotsNeeded = 11;
   /// Construction-time blocks (three sentinel leaves + the S and R
   /// internals; sentinels carry no cells), for ledger arithmetic.
   static constexpr std::size_t kStructuralBlocks = 5;
@@ -272,6 +286,13 @@ class NatarajanBst {
     return scan_restarts_.load(std::memory_order_relaxed);
   }
 
+  /// Root descents scans made, restarts included (monotonic; racy
+  /// snapshot).  Once per kScanChunk leaves when the retained turns
+  /// suffice (header).
+  std::uint64_t scan_descents() const noexcept {
+    return scan_descents_.load(std::memory_order_relaxed);
+  }
+
   /// Quiescent count of live (non-sentinel, unmarked) leaves.
   std::size_t size_unsafe() const noexcept { return count_leaves(r_); }
 
@@ -280,18 +301,17 @@ class NatarajanBst {
   static constexpr K kInf1 = std::numeric_limits<K>::max() - 1;
   static constexpr K kInf2 = std::numeric_limits<K>::max();
 
-  // Seek-record slot assignment.
+  // Slot assignment (header: every copy_slot runs downward).
   static constexpr unsigned kSlotAncestor = 0;
   static constexpr unsigned kSlotSuccessor = 1;
   static constexpr unsigned kSlotParent = 2;
-  static constexpr unsigned kSlotLeaf = 3;
-  static constexpr unsigned kSlotCurrent = 4;
-  static constexpr unsigned kSlotCell = 5;
-  /// Scans never form a seek record: slots 0..2 (ancestor, successor,
-  /// parent) pin a scan's retained left turns instead (TurnStack).
-  static constexpr unsigned kTurnSlots = 3;
-  static_assert(kSlotAncestor == 0 && kSlotSuccessor == 1 && kSlotParent == 2,
-                "TurnStack maps its ring positions to slots 0..2");
+  /// A scan's retained left turns (TurnStack) pin slots 0..kTurnSlots-1;
+  /// scans never form a seek record, so they share slots 0..2 with it.
+  static constexpr unsigned kTurnSlots = 8;
+  static constexpr unsigned kSlotLeaf = kTurnSlots;
+  static constexpr unsigned kSlotCurrent = kSlotLeaf + 1;
+  static constexpr unsigned kSlotCell = kSlotCurrent + 1;
+  static_assert(kSlotCell + 1 == kSlotsNeeded);
 
   struct ValueCell : reclaim::Block {
     explicit ValueCell(const V& v) : value(v) {}
@@ -792,12 +812,18 @@ class NatarajanBst {
     if (lo > hi) return 0;
     std::size_t visited = 0;
     std::size_t chunk = 0;
+    std::uint64_t descents = 0;
     K cursor = lo;
     TurnStack turns;
     tracker_.begin_op(tid);
     for (;;) {
-      Node* leaf = turns.empty() ? seek_ceil(cursor, turns, tid)
-                                 : next_leaf(cursor, turns, tid);
+      Node* leaf;
+      if (turns.empty()) {
+        ++descents;
+        leaf = seek_ceil(cursor, turns, tid);
+      } else {
+        leaf = next_leaf(cursor, turns, tid);
+      }
       if (leaf == nullptr) {
         // Transient mid-splice view, or a helped edge (helping reuses
         // the turn slots): retry the same cursor from the root.
@@ -835,6 +861,7 @@ class NatarajanBst {
       }
     }
     tracker_.end_op(tid);
+    scan_descents_.fetch_add(descents, std::memory_order_relaxed);
     return visited;
   }
 
@@ -867,6 +894,7 @@ class NatarajanBst {
   Node* r_;  // root sentinel (key ∞₂)
   Node* s_;  // second sentinel (key ∞₁)
   std::atomic<std::uint64_t> scan_restarts_{0};
+  std::atomic<std::uint64_t> scan_descents_{0};
 };
 
 }  // namespace wfe::ds

@@ -17,8 +17,13 @@
 // retire_era stamp above.  Every kv shard and the ordered index run over
 // it, and perfbench's kvbench.cpp builds its index rung over it and
 // reports retire_batch and pending_retired.  The KV benches and the kv
-// example run retire_batch 8, which was never measured against 1 (every
-// BENCH_kv_pr*.json row that records retire_batch has 8).
+// example run retire_batch 8.  Against 1, on perfbench's read50 (10
+// alternating 10 s pairs, 4-vCPU x86 host, nothing else changed), batch
+// 1 traded throughput −3.0% and write p50 +6.8% for write p99 −6.4%:
+// seven of eight retires become a list push and the eighth pays for the
+// burst, so the facade moves cost from the median write to the tail.
+// Whether the −3.0% exceeds code-placement noise is still open, and so
+// is whether the facade stays.
 //
 // The adapter satisfies `tracker_for`, so the Harris-Michael buckets
 // instantiate over it unchanged.  Each kv shard owns one inner tracker

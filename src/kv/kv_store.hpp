@@ -115,6 +115,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -477,13 +478,18 @@ class KvStore {
 
   // ---- ordered range scans (KvConfig::ordered_index; 0 results when
   // the index is off).  The index BST yields keys in ascending order in
-  // bounded chunks; each chunk's values are then fetched from the
-  // primary table, so a scan never reads a value the primary doesn't
-  // currently hold.  A key whose inserting write returned before the
-  // scan began, and which no remove touches during the scan, is visited
-  // exactly once; keys with an insert or remove in flight may or may
-  // not appear (index_add states what a thread's own replacing put
-  // does not guarantee).  At quiescence a scan visits exactly the
+  // bounded chunks, one root descent per 64 keys (ds/natarajan_bst.hpp).
+  // Each chunk's values are then fetched from the primary table the way
+  // multi_get fetches them: grouped by shard, one tracker session per
+  // shard, under one table guard.  So a scan never reads a value the
+  // primary doesn't currently hold.  The visitor then runs over the
+  // chunk in key order, after the guard is released, so a slow visitor
+  // pins neither a table nor a reclamation domain (it sees the values as
+  // they were when fetched).  A key whose inserting write returned
+  // before the scan began, and which no remove touches during the scan,
+  // is visited exactly once; keys with an insert or remove in flight may
+  // or may not appear (index_add states what a thread's own replacing
+  // put does not guarantee).  At quiescence a scan visits exactly the
   // store's pairs.  A stale index entry (left by a cross-thread
   // insert/remove race on one key) misses its primary lookup and is
   // skipped.  Between chunks the scan drops every reservation (the
@@ -495,22 +501,17 @@ class KvStore {
   /// fn(key, value).  Returns the number of keys visited.
   template <class Fn>
   std::size_t scan(const K& lo, const K& hi, Fn&& fn, unsigned tid) {
-    return scan_bounded(lo, hi, tid, [&](const K& k, const V& v) {
-      fn(k, v);
-      return true;
-    });
+    return scan_bounded(lo, hi, std::numeric_limits<std::size_t>::max(), tid, fn);
   }
 
   /// Bounded collect: at most `max` ascending pairs from [lo, hi] into
-  /// out[]; returns the count.
+  /// out[]; returns the count.  The index is asked for no more keys than
+  /// `max` still needs.
   std::size_t range_get(const K& lo, const K& hi, std::pair<K, V>* out,
                         std::size_t max, unsigned tid) {
-    if (max == 0) return 0;
     std::size_t n = 0;
-    scan_bounded(lo, hi, tid, [&](const K& k, const V& v) {
-      out[n++] = {k, v};
-      return n < max;
-    });
+    scan_bounded(lo, hi, max, tid,
+                 [&](const K& k, const V& v) { out[n++] = {k, v}; });
     return n;
   }
 
@@ -794,6 +795,7 @@ class KvStore {
       st.scan_ops = counters_.sum(kScanOps);
       st.scan_keys = counters_.sum(kScanKeys);
       st.scan_restarts = index_->tree.scan_restarts();
+      st.scan_descents = index_->tree.scan_descents();
       // The index domain's reclamation ledger, in the shape
       // tests/kv_balance.hpp closes: subtracting the BST's construction
       // sentinels leaves exactly kBlocksPerKey blocks per live key.
@@ -1059,6 +1061,7 @@ class KvStore {
       g("kv_scan_ops_total", st.scan_ops);
       g("kv_scan_keys_total", st.scan_keys);
       g("kv_scan_restarts_total", st.scan_restarts);
+      g("kv_index_scan_descents_total", st.scan_descents);
       g("kv_index_adds_total", st.index.puts);
       g("kv_index_drops_total", st.index.removes);
       g("kv_index_unreclaimed", st.index.unreclaimed);
@@ -1245,43 +1248,51 @@ class KvStore {
     counters_.inc(kIndexDrops, tid);
   }
 
-  /// Scan driver shared by scan() and range_get(); fn returns false to
-  /// stop early.  Chunked: up to kScanBatch ascending keys from the
-  /// index per round, then per-key primary lookups under one table
-  /// guard, then a watchdog beat — the scan holds no reservation and no
-  /// announcement across rounds.
+  /// Scan loop shared by scan() and range_get(): fn(key, value) for
+  /// at most `max` present keys of [lo, hi], ascending.  Chunked: up to
+  /// kScanBatch ascending keys from the index per round (fewer when
+  /// `max` is nearer), then their values fetched the way multi_get
+  /// fetches them — dispatch_grouped under one table guard, one tracker
+  /// session per shard, frozen-bucket keys deferred and regrouped
+  /// against the forwarded table — then fn over the chunk in key order,
+  /// outside the guard, then a watchdog beat.  The scan holds no
+  /// reservation and no announcement across rounds, and none while fn
+  /// runs.
   template <class Fn>
-  std::size_t scan_bounded(const K& lo, const K& hi, unsigned tid, Fn&& fn) {
-    if (!index_ || index_key(lo) > index_key(hi)) return 0;
+  std::size_t scan_bounded(const K& lo, const K& hi, std::size_t max,
+                           unsigned tid, Fn&& fn) {
+    if (!index_ || max == 0 || index_key(lo) > index_key(hi)) return 0;
     return run_op<obs::OpKind::kScan>(lo, 1, tid, [&] {
       static constexpr std::size_t kScanBatch = 128;
-      static thread_local std::vector<std::uint64_t> chunk;
-      chunk.resize(kScanBatch);
+      // On the stack, not thread_local: fn may run another scan.  Each
+      // round writes [0, n) of all three before reading them.
+      std::uint64_t chunk[kScanBatch];
+      K keys[kScanBatch];
+      std::optional<V> vals[kScanBatch];
       std::size_t visited = 0;
       std::uint64_t cursor = index_key(lo);
       const std::uint64_t end = index_key(hi);
-      bool more = true;
-      while (more) {
+      for (;;) {
         // Keys only: the marker values carry nothing a scan needs.
+        const std::size_t want = std::min(kScanBatch, max - visited);
         const std::size_t n =
-            index_->tree.range_keys(cursor, end, chunk.data(), kScanBatch, tid);
+            index_->tree.range_keys(cursor, end, chunk, want, tid);
         if (n == 0) break;
+        for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<K>(chunk[i]);
         {
           TableGuard g(*this, tid);
-          for (std::size_t i = 0; i < n && more; ++i) {
-            const K k = static_cast<K>(chunk[i]);
-            // Each key restarts from the guarded table: forwarding is
-            // per-key (wait_forward only waits on THAT key's bucket), so
-            // a table reached by forwarding key A may not hold an
-            // un-migrated key B yet.
-            const std::optional<V> v = lookup(g.table, k, tid);
-            if (v.has_value()) {
-              ++visited;
-              more = fn(k, *v);
-            }
-          }
+          dispatch_grouped(
+              g.table, n, tid, [&](std::uint32_t i) -> const K& { return keys[i]; },
+              [&](ShardT& s, const std::uint32_t* idx, std::size_t m, auto& defer) {
+                s.multi_get(keys, idx, m, vals, tid, defer);
+              });
         }
-        if (chunk[n - 1] >= end || n < kScanBatch) break;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!vals[i].has_value()) continue;  // stale index entry
+          ++visited;
+          fn(keys[i], *vals[i]);
+        }
+        if (visited == max || chunk[n - 1] >= end || n < want) break;
         cursor = chunk[n - 1] + 1;
         // Liveness beat between chunks: restarts the watchdog's stall
         // clock so a legitimately wide scan is not reported as a hang.
@@ -1311,7 +1322,7 @@ class KvStore {
     while (!attempt(shard_in(*t, key))) t = wait_forward(*t, key, tid);
   }
 
-  /// Primary point lookup under the caller's table guard (get, scan).
+  /// Primary point lookup under the caller's table guard (get).
   std::optional<V> lookup(Table* t, const K& key, unsigned tid) {
     std::optional<V> out;
     on_key(t, key, tid, [&](ShardT& s) { return s.try_get(key, tid, out); });

@@ -43,8 +43,9 @@ struct ShardStats {
   /// Old value cells retired by in-place upserts (put/update on a
   /// present key); the retire traffic that used to be whole nodes.
   std::uint64_t value_cell_retires = 0;
-  /// Operations that arrived through multi_get/multi_put (grouped into
-  /// one tracker session per shard).
+  /// Operations that ran grouped, one tracker session per shard:
+  /// multi_get/multi_put/multi_remove keys, txn_commit slices, and the
+  /// value lookups of scan()/range_get() (each also counted in `gets`).
   std::uint64_t batched_ops = 0;
   /// Keys copied INTO this shard by a resize migration (allocated in
   /// this shard's domain; not user puts).
@@ -124,6 +125,10 @@ struct KvStats {
   std::uint64_t scan_ops = 0;       ///< scan()/range_get() calls completed
   std::uint64_t scan_keys = 0;      ///< keys visited across all scans
   std::uint64_t scan_restarts = 0;  ///< index descents restarted mid-splice
+  /// Root descents of the index BST's scan walks, restarts included
+  /// (gauge kv_index_scan_descents_total): one per 64 keys when its
+  /// retained turns suffice.
+  std::uint64_t scan_descents = 0;
   /// The secondary index's own tracker domain.  `puts` and `removes`
   /// count the BST inserts and removes the store's index hooks issued
   /// (gauges kv_index_adds_total / kv_index_drops_total); the other op

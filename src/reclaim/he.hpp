@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "reclaim/tracker.hpp"
 #include "util/cacheline.hpp"
@@ -29,12 +28,7 @@ namespace wfe::reclaim {
 class HeTracker : public TrackerBase {
  public:
   explicit HeTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), slots_(cfg.max_threads) {
-    for (unsigned t = 0; t < cfg.max_threads; ++t) {
-      slots_[t].era = std::make_unique<std::atomic<std::uint64_t>[]>(cfg.max_hes);
-      for (unsigned j = 0; j < cfg.max_hes; ++j)
-        slots_[t].era[j].store(kInfEra, std::memory_order_relaxed);
-    }
+      : TrackerBase(cfg), era_(cfg.max_threads, cfg.max_hes, kInfEra) {
     size_snapshots(cfg.max_threads * cfg.max_hes);
   }
 
@@ -45,31 +39,31 @@ class HeTracker : public TrackerBase {
   // Fig. 1 clear(): reset every reservation of the calling thread.
   void end_op(unsigned tid) noexcept {
     for (unsigned j = 0; j < cfg_.max_hes; ++j)
-      slots_[tid].era[j].store(kInfEra, std::memory_order_release);
+      era_[tid][j].store(kInfEra, std::memory_order_release);
   }
 
   void clear_slot(unsigned idx, unsigned tid) noexcept {
-    slots_[tid].era[idx].store(kInfEra, std::memory_order_release);
+    era_[tid][idx].store(kInfEra, std::memory_order_release);
   }
 
   /// Slot `to` takes over protecting whatever era `from` holds; an era
   /// `to` already holds is not stored again (scanners already see it).
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    const std::uint64_t era = slots_[tid].era[from].load(std::memory_order_relaxed);
-    if (slots_[tid].era[to].load(std::memory_order_relaxed) != era)
-      slots_[tid].era[to].store(era, std::memory_order_seq_cst);
+    const std::uint64_t era = era_[tid][from].load(std::memory_order_relaxed);
+    if (era_[tid][to].load(std::memory_order_relaxed) != era)
+      era_[tid][to].store(era, std::memory_order_seq_cst);
   }
 
   // Fig. 1 get_protected(): lock-free era publish + validate.
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned idx,
                               unsigned tid, const Block* /*parent*/ = nullptr) noexcept {
-    std::uint64_t prev_era = slots_[tid].era[idx].load(std::memory_order_acquire);
+    std::uint64_t prev_era = era_[tid][idx].load(std::memory_order_acquire);
     for (;;) {
       const std::uintptr_t ret = src.load(std::memory_order_acquire);
       const std::uint64_t new_era = global_era_.value.load(std::memory_order_seq_cst);
       if (prev_era == new_era) return ret;
       // seq_cst publish before the retry's re-read (StoreLoad).
-      slots_[tid].era[idx].store(new_era, std::memory_order_seq_cst);
+      era_[tid][idx].store(new_era, std::memory_order_seq_cst);
       prev_era = new_era;
     }
   }
@@ -106,10 +100,6 @@ class HeTracker : public TrackerBase {
   }
 
  private:
-  struct Slots {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> era;
-  };
-
   // Fig. 1 cleanup(), with every era read once per pass.  Each thread's
   // slots are read from the highest down, as copy_slot's direction
   // contract requires (reclaim/tracker.hpp).
@@ -117,11 +107,11 @@ class HeTracker : public TrackerBase {
     sweep_unpinned(tid, [this](EraSnapshot& snap) {
       for (unsigned t = 0; t < cfg_.max_threads; ++t)
         for (unsigned j = cfg_.max_hes; j-- != 0;)
-          snap.add(slots_[t].era[j].load(std::memory_order_seq_cst));
+          snap.add(era_[t][j].load(std::memory_order_seq_cst));
     });
   }
 
-  detail::PerThread<Slots> slots_;
+  detail::PerThreadRows<std::atomic<std::uint64_t>> era_;  ///< max_hes eras per thread
   util::Padded<std::atomic<std::uint64_t>> global_era_{1};
 };
 

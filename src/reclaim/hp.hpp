@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "reclaim/tracker.hpp"
@@ -24,13 +23,9 @@ namespace wfe::reclaim {
 class HpTracker : public TrackerBase {
  public:
   explicit HpTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), slots_(cfg.max_threads), scratch_(cfg.max_threads) {
-    for (unsigned t = 0; t < cfg.max_threads; ++t) {
-      slots_[t].hp = std::make_unique<std::atomic<std::uintptr_t>[]>(cfg.max_hes);
-      for (unsigned j = 0; j < cfg.max_hes; ++j)
-        slots_[t].hp[j].store(0, std::memory_order_relaxed);
-    }
-  }
+      : TrackerBase(cfg),
+        hp_(cfg.max_threads, cfg.max_hes, std::uintptr_t{0}),
+        scratch_(cfg.max_threads) {}
 
   static constexpr const char* name() noexcept { return "HP"; }
 
@@ -38,11 +33,11 @@ class HpTracker : public TrackerBase {
 
   void end_op(unsigned tid) noexcept {
     for (unsigned j = 0; j < cfg_.max_hes; ++j)
-      slots_[tid].hp[j].store(0, std::memory_order_release);
+      hp_[tid][j].store(0, std::memory_order_release);
   }
 
   void clear_slot(unsigned idx, unsigned tid) noexcept {
-    slots_[tid].hp[idx].store(0, std::memory_order_release);
+    hp_[tid][idx].store(0, std::memory_order_release);
   }
 
   /// Slot `to` takes over protecting whatever `from` protects.  Safe
@@ -50,9 +45,9 @@ class HpTracker : public TrackerBase {
   /// A hazard `to` already holds is not stored again (scanners already
   /// see it).
   void copy_slot(unsigned from, unsigned to, unsigned tid) noexcept {
-    const std::uintptr_t hazard = slots_[tid].hp[from].load(std::memory_order_relaxed);
-    if (slots_[tid].hp[to].load(std::memory_order_relaxed) != hazard)
-      slots_[tid].hp[to].store(hazard, std::memory_order_seq_cst);
+    const std::uintptr_t hazard = hp_[tid][from].load(std::memory_order_relaxed);
+    if (hp_[tid][to].load(std::memory_order_relaxed) != hazard)
+      hp_[tid][to].store(hazard, std::memory_order_seq_cst);
   }
 
   std::uintptr_t protect_word(const std::atomic<std::uintptr_t>& src, unsigned idx,
@@ -61,7 +56,7 @@ class HpTracker : public TrackerBase {
     for (;;) {
       // seq_cst publish: the hazard must hit memory before the validating
       // re-read (StoreLoad), or a concurrent scanner may miss it.
-      slots_[tid].hp[idx].store(util::strip(prev), std::memory_order_seq_cst);
+      hp_[tid][idx].store(util::strip(prev), std::memory_order_seq_cst);
       const std::uintptr_t cur = src.load(std::memory_order_acquire);
       if (cur == prev) return cur;
       prev = cur;
@@ -81,10 +76,6 @@ class HpTracker : public TrackerBase {
   void flush(unsigned tid) noexcept { scan(tid); }
 
  private:
-  struct Slots {
-    std::unique_ptr<std::atomic<std::uintptr_t>[]> hp;
-  };
-
   void scan(unsigned tid) noexcept {
     // Snapshot all published hazards, then free retired blocks whose
     // address is absent from the snapshot.  Each thread's slots are read
@@ -94,7 +85,7 @@ class HpTracker : public TrackerBase {
     hazards.clear();
     for (unsigned t = 0; t < cfg_.max_threads; ++t) {
       for (unsigned j = cfg_.max_hes; j-- != 0;) {
-        const std::uintptr_t h = slots_[t].hp[j].load(std::memory_order_seq_cst);
+        const std::uintptr_t h = hp_[t][j].load(std::memory_order_seq_cst);
         if (h != 0) hazards.push_back(h);
       }
     }
@@ -109,7 +100,7 @@ class HpTracker : public TrackerBase {
     std::vector<std::uintptr_t> addresses;
   };
 
-  detail::PerThread<Slots> slots_;
+  detail::PerThreadRows<std::atomic<std::uintptr_t>> hp_;  ///< max_hes hazards per thread
   detail::PerThread<Scratch> scratch_;
 };
 

@@ -129,6 +129,72 @@ class PerThread {
   std::unique_ptr<util::Padded<T>[]> slots_;
 };
 
+/// One row of `width` Ts per thread, in one allocation aligned to
+/// kFalseSharingRange, each row rounded up to it: row t starts at
+/// t × stride, so no two threads' rows share a cache-line pair whatever
+/// the heap held before.  Reservation slots live here (HP, HE, WFE's
+/// rows and requests) and so does each thread's EraSnapshot storage.
+/// rows[t] is a plain pointer to row t's first element.
+template <class T>
+class PerThreadRows {
+ public:
+  static_assert(util::kFalseSharingRange % alignof(T) == 0);
+
+  PerThreadRows() noexcept = default;
+
+  /// Builds every element as T(init...).
+  template <class... Args>
+  PerThreadRows(unsigned threads, unsigned width, const Args&... init)
+      : threads_(threads),
+        width_(width),
+        stride_((std::size_t{width} * sizeof(T) + util::kFalseSharingRange - 1) /
+                util::kFalseSharingRange * util::kFalseSharingRange),
+        mem_(static_cast<std::byte*>(::operator new(
+            std::size_t{threads} * stride_, std::align_val_t{util::kFalseSharingRange}))) {
+    for (unsigned t = 0; t < threads; ++t)
+      for (unsigned j = 0; j < width; ++j)
+        ::new (mem_ + t * stride_ + j * sizeof(T)) T(init...);
+  }
+
+  PerThreadRows(PerThreadRows&& o) noexcept { swap(o); }
+  PerThreadRows& operator=(PerThreadRows&& o) noexcept {
+    PerThreadRows(std::move(o)).swap(*this);
+    return *this;
+  }
+
+  ~PerThreadRows() {
+    if (mem_ == nullptr) return;
+    if constexpr (!std::is_trivially_destructible_v<T>)
+      for (unsigned t = 0; t < threads_; ++t)
+        for (unsigned j = 0; j < width_; ++j) (*this)[t][j].~T();
+    ::operator delete(mem_, std::align_val_t{util::kFalseSharingRange});
+  }
+
+  T* operator[](unsigned t) noexcept {
+    return std::launder(reinterpret_cast<T*>(mem_ + t * stride_));
+  }
+  const T* operator[](unsigned t) const noexcept {
+    return std::launder(reinterpret_cast<const T*>(mem_ + t * stride_));
+  }
+  unsigned width() const noexcept { return width_; }
+  /// Bytes from one thread's row to the next: a multiple of
+  /// kFalseSharingRange.
+  std::size_t stride() const noexcept { return stride_; }
+
+ private:
+  void swap(PerThreadRows& o) noexcept {
+    std::swap(threads_, o.threads_);
+    std::swap(width_, o.width_);
+    std::swap(stride_, o.stride_);
+    std::swap(mem_, o.mem_);
+  }
+
+  unsigned threads_ = 0;
+  unsigned width_ = 0;
+  std::size_t stride_ = 0;
+  std::byte* mem_ = nullptr;
+};
+
 /// Reclaimed memory one thread keeps for its own next allocations: one
 /// LIFO list per block size, at most kSizes sizes (a block of any further
 /// size goes straight to ::operator delete).  Each list holds at most
@@ -382,9 +448,7 @@ class TrackerBase {
   /// most one cleanup pass adds to a thread's EraSnapshot; each thread
   /// gets room for that many.
   void size_snapshots(unsigned intervals) {
-    intervals_ = std::make_unique_for_overwrite<EraSnapshot::Interval[]>(
-        std::size_t{cfg_.max_threads} * intervals);
-    intervals_per_pass_ = intervals;
+    intervals_ = detail::PerThreadRows<EraSnapshot::Interval>(cfg_.max_threads, intervals);
   }
 
   /// An era scheme's cleanup pass: `read(snap)` adds every reservation,
@@ -392,7 +456,7 @@ class TrackerBase {
   /// lifespan meets no interval of it is freed.
   template <class Read>
   void sweep_unpinned(unsigned tid, Read&& read) noexcept {
-    EraSnapshot snap(&intervals_[std::size_t{tid} * intervals_per_pass_]);
+    EraSnapshot snap(intervals_[tid]);
     read(snap);
     sweep_retired(tid, [&snap](const Block* b) { return !snap.pins(b); });
   }
@@ -401,8 +465,7 @@ class TrackerBase {
   detail::PerThread<detail::ThreadData> threads_;
 
  private:
-  std::unique_ptr<EraSnapshot::Interval[]> intervals_;  ///< per thread, back to back
-  unsigned intervals_per_pass_ = 0;
+  detail::PerThreadRows<EraSnapshot::Interval> intervals_;  ///< one row per thread
 
   /// Destroys b and keeps its memory on td's free list for its size, or
   /// returns it to ::operator delete when that list is full.

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -19,7 +21,8 @@ using namespace wfe;
 reclaim::TrackerConfig bst_cfg() {
   reclaim::TrackerConfig c;
   c.max_threads = 4;
-  // Seek record (ancestor, successor, parent, leaf), current node, cell.
+  // Seek record (ancestor, successor, parent, leaf), current node, cell,
+  // and slots 3..7 for a scan's deeper retained turns.
   c.max_hes = ds::NatarajanBst<std::uint64_t, reclaim::LeakTracker>::kSlotsNeeded;
   c.era_freq = 8;
   c.cleanup_freq = 4;
@@ -144,6 +147,73 @@ TYPED_TEST(BstTest, NoLeaksAfterChurn) {
     for (auto& t : threads) t.join();
   }
   EXPECT_EQ(tracker.allocated(), tracker.freed() + tracker.unreclaimed());
+}
+
+// ---- root descents per scan: the retained turns carry a chunk ----
+
+/// Inserts keys[lo, hi) median first, so the tree is balanced.
+template <class Bst>
+void insert_median_first(Bst& bst, const std::vector<std::uint64_t>& keys,
+                         std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  ASSERT_TRUE(bst.insert(keys[mid], keys[mid], 0));
+  insert_median_first(bst, keys, lo, mid);
+  insert_median_first(bst, keys, mid + 1, hi);
+}
+
+// In a balanced 256-key tree, every walk over at most 64 consecutive keys
+// finds each next leaf from its retained left turns: one root descent
+// per range_keys call, whether the range or `max` ends the walk.
+TYPED_TEST(BstTest, ScanOfAtMost64KeysDescendsOnceInABalancedTree) {
+  TypeParam tracker(this->cfg_);
+  ds::NatarajanBst<std::uint64_t, TypeParam> bst(tracker);
+  std::vector<std::uint64_t> keys(256);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 10 * (i + 1);
+  insert_median_first(bst, keys, 0, keys.size());
+  std::uint64_t out[64];
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t w = 1; w <= 64 && i + w <= keys.size(); ++w) {
+      std::uint64_t before = bst.scan_descents();
+      ASSERT_EQ(bst.range_keys(keys[i], keys[i + w - 1], out, 64, 0), w);
+      ASSERT_EQ(bst.scan_descents() - before, 1u)
+          << "range [" << keys[i] << ", " << keys[i + w - 1] << "]";
+      ASSERT_TRUE(std::equal(out, out + w, keys.begin() + i));
+      before = bst.scan_descents();
+      ASSERT_EQ(bst.range_keys(keys[i] - 5, keys.back(), out, w, 0), w);
+      ASSERT_EQ(bst.scan_descents() - before, 1u)
+          << "max " << w << " from " << keys[i] - 5;
+    }
+  }
+  EXPECT_EQ(bst.scan_restarts(), 0u);
+}
+
+// A random tree is deeper and lopsided, so a walk sometimes climbs past
+// its deepest eight turns; 64-key scans still average at most 1.2
+// descents (with three retained turns they averaged 6.8 here).
+TYPED_TEST(BstTest, ScansOfARandomTreeAverageAtMostOnePointTwoDescents) {
+  constexpr std::uint64_t kRange = 40000, kLive = 20000;
+  constexpr int kScans = 1000;
+  TypeParam tracker(this->cfg_);
+  ds::NatarajanBst<std::uint64_t, TypeParam> bst(tracker);
+  std::vector<std::uint64_t> keys(kRange);
+  std::iota(keys.begin(), keys.end(), 1);
+  util::Xoshiro256 rng(0x5ca9);
+  for (std::size_t i = keys.size() - 1; i > 0; --i)  // Fisher-Yates
+    std::swap(keys[i], keys[rng.next_bounded(i + 1)]);
+  for (std::uint64_t i = 0; i < kLive; ++i) ASSERT_TRUE(bst.insert(keys[i], i, 0));
+  std::uint64_t out[64];
+  const std::uint64_t before = bst.scan_descents();
+  for (int s = 0; s < kScans; ++s) {
+    // Far enough below the top that 64 live keys follow.
+    const std::uint64_t lo = rng.next_bounded(kRange - 1000) + 1;
+    ASSERT_EQ(bst.range_keys(lo, kRange, out, 64, 0), 64u);
+    ASSERT_TRUE(std::is_sorted(out, out + 64));
+  }
+  const double per_scan =
+      static_cast<double>(bst.scan_descents() - before) / kScans;
+  EXPECT_LE(per_scan, 1.2);
+  EXPECT_EQ(bst.scan_restarts(), 0u);
 }
 
 // ---- randomized model check, parameterized over seeds ----

@@ -402,6 +402,58 @@ TYPED_TEST(KvStoreTest, IndexHooksCountOnlyMembershipChanges) {
   EXPECT_EQ(index_entries(store.stats().index), kN);
 }
 
+// range_get returns the first `max` pairs of [lo, hi], ascending, and
+// equals the same slice of for_each_unsafe: for max 0, for a max below
+// the range's live keys, and for ranges spanning several 128-key index
+// chunks (stopped by the range or by max, mid-chunk or at a chunk edge).
+// The descents the scans made show in KvStats and in their gauge.
+TYPED_TEST(KvStoreTest, RangeGetMatchesThePrimarysSlice) {
+  auto cfg = small_cfg<TypeParam>(2, 4);
+  cfg.ordered_index = true;
+  cfg.metrics.enabled = true;
+  cfg.metrics.sampler = false;
+  Store<TypeParam> store(cfg);
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+  // About 1,960 live keys in [1, 3000]: every third key never written,
+  // and every 50th from 5 on removed after its put.
+  for (std::uint64_t k = 1; k <= 3000; ++k)
+    if (k % 3 != 0) ASSERT_TRUE(store.put(k, k * 7, 0));
+  for (std::uint64_t k = 5; k <= 3000; k += 50) store.remove(k, 0);
+  std::vector<Pair> all;
+  store.for_each_unsafe([&](std::uint64_t k, std::uint64_t v) { all.emplace_back(k, v); });
+  std::sort(all.begin(), all.end());
+  ASSERT_GT(all.size(), 10 * std::size_t{128});
+
+  std::vector<Pair> buf(all.size() + 1);
+  const auto check = [&](std::uint64_t lo, std::uint64_t hi, std::size_t max) {
+    std::vector<Pair> want;
+    for (const Pair& p : all)
+      if (p.first >= lo && p.first <= hi && want.size() < max) want.push_back(p);
+    std::fill(buf.begin(), buf.end(), Pair{0, 0});
+    const std::size_t n = store.range_get(lo, hi, buf.data(), max, 1);
+    const std::vector<Pair> got(buf.begin(), buf.begin() + n);
+    EXPECT_EQ(got, want) << "range_get [" << lo << ", " << hi << "] max " << max;
+    EXPECT_EQ(buf[n], (Pair{0, 0})) << "wrote past its count";
+  };
+  check(1, 3000, 0);
+  check(100, 200, 10);      // 66 live keys in range, max stops it
+  check(1, 3000, 64);
+  check(1, 3000, 128);      // exactly one chunk
+  check(1, 3000, 129);      // one key into the second chunk
+  check(250, 2900, 300);    // stops mid-way through the third chunk
+  check(250, 2900, 100000); // the range stops it, after many chunks
+  check(1, 3000, all.size());
+  check(2990, 3000, 100);   // fewer live keys than max
+  check(3001, 5000, 10);    // no key in range
+
+  const kv::KvStats st = store.stats();
+  EXPECT_GT(st.scan_descents, 0u);
+  double gauge = -1;
+  for (const auto& g : store.metrics()->registry.snapshot().gauges)
+    if (g.name == "kv_index_scan_descents_total") gauge = g.value;
+  EXPECT_EQ(gauge, static_cast<double>(st.scan_descents));
+}
+
 // Slow-path observability: forcing WFE's slow path through the shard
 // config must surface in the stats snapshot.
 TEST(KvStoreWfe, SlowPathEntriesSurfaceInStats) {

@@ -352,4 +352,45 @@ TYPED_TEST(TrackerCommon, ProtectedBlockSurvivesScans) {
   tracker.end_op(1);
 }
 
+// detail::PerThreadRows, the storage of HP's hazards, HE's eras, WFE's
+// rows and requests and every era scheme's snapshot: each thread's row
+// starts on a kFalseSharingRange boundary, and no two threads' rows
+// share a 128-byte range, for any width and element size.
+template <class T, class... Init>
+void expect_padded_rows(unsigned threads, unsigned width, const Init&... init) {
+  constexpr std::size_t kRange = util::kFalseSharingRange;
+  static_assert(kRange == 128);
+  reclaim::detail::PerThreadRows<T> rows(threads, width, init...);
+  ASSERT_EQ(rows.stride() % kRange, 0u);
+  ASSERT_GE(rows.stride(), width * sizeof(T));
+  const auto addr = [&](unsigned t) { return reinterpret_cast<std::uintptr_t>(rows[t]); };
+  for (unsigned t = 0; t < threads; ++t) {
+    EXPECT_EQ(addr(t) % kRange, 0u) << "row " << t << " of width " << width;
+    for (unsigned u = t + 1; u < threads; ++u) {
+      // Row t covers ranges [first, last] of 128 bytes; u's start later.
+      const std::uintptr_t last_t = (addr(t) + width * sizeof(T) - 1) / kRange;
+      EXPECT_LT(last_t, addr(u) / kRange) << "rows " << t << " and " << u;
+    }
+  }
+}
+
+TEST(PerThreadRows, EachRowIsAlignedAndNoTwoRowsShareARange) {
+  for (unsigned width : {1u, 3u, 11u, 16u, 17u})
+    expect_padded_rows<std::atomic<std::uintptr_t>>(5, width, std::uintptr_t{0});
+  for (unsigned width : {1u, 8u, 13u})
+    expect_padded_rows<util::AtomicPair>(5, width, util::Pair{reclaim::kInfEra, 0});
+  for (unsigned width : {1u, 4u, 5u})
+    expect_padded_rows<reclaim::EraSnapshot::Interval>(3, width);
+}
+
+TEST(PerThreadRows, EveryElementStartsFromItsInitialValue) {
+  reclaim::detail::PerThreadRows<std::atomic<std::uint64_t>> rows(4, 11, reclaim::kInfEra);
+  for (unsigned t = 0; t < 4; ++t)
+    for (unsigned j = 0; j < rows.width(); ++j) EXPECT_EQ(rows[t][j].load(), reclaim::kInfEra);
+  rows[2][10].store(7);
+  auto moved = std::move(rows);
+  EXPECT_EQ(moved[2][10].load(), 7u);
+  EXPECT_EQ(moved[3][0].load(), reclaim::kInfEra);
+}
+
 }  // namespace

@@ -258,7 +258,7 @@ class HelperRowsProbe : public WfeTracker {
   using WfeTracker::WfeTracker;
   static constexpr unsigned kParent = 0, kHandover = 1;
   void hold(unsigned row, unsigned t, std::uint64_t era) {
-    rows_[t].resv[requests_ + row].store_a(era);
+    resv_[t][requests_ + row].store_a(era);
   }
   void open_request() { counter_start_.value.fetch_add(1); }
   void close_request() { counter_end_.value.fetch_add(1); }

@@ -2,7 +2,7 @@
 """Fold the per-PR bench files into one trajectory and gate on regressions.
 
 Usage:
-    python3 tools/bench_diff.py [options] BENCH_kv_pr*.json
+    python3 tools/bench_diff.py [options] BENCH_kv_pr*.json [BENCH_perf_pr*.json]
 
     --out FILE        trajectory output (default BENCH_trajectory.json)
     --threshold X     allowed within-run ratio degradation (default 0.08)
@@ -15,6 +15,10 @@ Usage:
                       malformed-input error, not a silent pass
     --warn-only       report regressions but always exit 0
     --no-trajectory   gate only, do not rewrite the trajectory file
+    --check-trajectory FILE
+                      fail (exit 1) when a perfbench file given is missing
+                      from FILE's "perf" list, or its entry there differs
+                      from what the file folds to now; writes nothing
 
 Exit codes: 0 = clean, 1 = regression findings, 2 = malformed input
 (unreadable file, missing column, missing expected mode) — distinct so
@@ -57,7 +61,13 @@ host seconds apart, where the methodology noise mostly cancels:
 
 The trajectory file keeps a compact per-PR summary (medians per mode)
 so the numbers remain inspectable over time without re-parsing every
-raw file.
+raw file.  Its "perf" list folds the perfbench pair files
+(BENCH_perf_pr*.json): per workload and metric, the parent and change
+medians from the file's own summary (and trace_summary), with the
+file's parent commit and host.  Those are within-session pairs; the
+host is recorded because runs from different hosts must never be
+pooled.  Perf files are folded, not gated: their claims were judged
+when the pairs ran.
 """
 
 import argparse
@@ -103,6 +113,62 @@ def load_rows(path):
 
 def median(xs):
     return statistics.median(xs) if xs else None
+
+
+def is_perf_file(path):
+    return re.search(r"BENCH_perf_pr\d+\.json$", path) is not None
+
+
+def summarize_perf(path):
+    """Trajectory entry for one perfbench pair file: per workload and
+    metric, the parent and change medians its summary recorded."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise MalformedInput("%s: unreadable (%s)" % (path, e))
+    if not isinstance(doc, dict) or not isinstance(doc.get("summary"), dict):
+        raise MalformedInput("%s: no 'summary' object" % path)
+    cfg = doc.get("config", {})
+    out = {"file": path, "parent": cfg.get("parent"),
+           "host": cfg.get("cpu_family_model"), "workloads": {}}
+    for section in ("summary", "trace_summary"):
+        for workload, metrics in sorted(doc.get(section, {}).items()):
+            folded = {}
+            for metric, m in metrics.items():
+                if not isinstance(m, dict) or "parent_q1_median_q3" not in m:
+                    continue  # pair counts, or a per-seed breakdown
+                p = m["parent_q1_median_q3"][1]
+                c = m["change_q1_median_q3"][1]
+                folded[metric] = {
+                    "parent_median": p, "change_median": c,
+                    "change_vs_parent": round((c - p) / p, 4) if p else None,
+                    "change_wins": m.get("change_wins")}
+            if folded:
+                key = workload + ("_trace" if section == "trace_summary" else "")
+                out["workloads"][key] = folded
+    if not out["workloads"]:
+        raise MalformedInput("%s: summary holds no parent/change medians" % path)
+    return out
+
+
+def check_trajectory(path, perf):
+    """Findings for perf entries missing from, or stale in, the committed
+    trajectory at `path`."""
+    try:
+        with open(path) as f:
+            committed = json.load(f).get("perf", [])
+    except (OSError, json.JSONDecodeError) as e:
+        raise MalformedInput("%s: unreadable (%s)" % (path, e))
+    by_file = {e.get("file"): e for e in committed}
+    findings = []
+    for entry in perf:
+        have = by_file.get(entry["file"])
+        if have is None:
+            findings.append("%s is missing from %s" % (entry["file"], path))
+        elif have != entry:
+            findings.append("%s: its entry in %s is stale" % (entry["file"], path))
+    return findings
 
 
 def summarize(path, meta, rows):
@@ -369,13 +435,19 @@ def main():
                     help="comma list of modes every file must contain")
     ap.add_argument("--warn-only", action="store_true")
     ap.add_argument("--no-trajectory", action="store_true")
+    ap.add_argument("--check-trajectory", metavar="FILE")
     args = ap.parse_args()
     expected = [m for m in args.expect_modes.split(",") if m]
 
     trajectory = []
+    perf = []
     findings = []
+    missing = []
     try:
         for path in sorted(args.files, key=pr_key):
+            if is_perf_file(path):
+                perf.append(summarize_perf(path))
+                continue
             meta, rows = load_rows(path)
             present = {r.get("mode") or "op" for r in rows}
             for m in expected:
@@ -387,16 +459,19 @@ def main():
             findings.extend(
                 check(path, rows, args.threshold, args.sat_threshold,
                       args.scan_threshold))
+        if args.check_trajectory:
+            missing = check_trajectory(args.check_trajectory, perf)
     except MalformedInput as e:
         print("MALFORMED INPUT: %s" % e, file=sys.stderr)
         return 2
 
-    if not args.no_trajectory:
+    if not args.no_trajectory and not args.check_trajectory:
         with open(args.out, "w") as f:
-            json.dump({"threshold": args.threshold, "entries": trajectory},
-                      f, indent=1)
+            json.dump({"threshold": args.threshold, "entries": trajectory,
+                       "perf": perf}, f, indent=1)
             f.write("\n")
-        print("wrote %s (%d bench files)" % (args.out, len(trajectory)))
+        print("wrote %s (%d bench files, %d perf files)"
+              % (args.out, len(trajectory), len(perf)))
 
     for t in trajectory:
         line = "  %-22s" % t["file"]
@@ -418,7 +493,21 @@ def main():
                 line += " sat_on=%.2f/off=%.2f" % (
                     s["peak_goodput_on"], s.get("peak_goodput_off", 0))
         print(line)
+    for e in perf:
+        line = "  %-22s" % e["file"]
+        for workload, metrics in e["workloads"].items():
+            for metric in ("throughput_mops", "read_p50_us"):
+                if metric in metrics and metrics[metric]["change_vs_parent"] is not None:
+                    line += " %s.%s=%+.1f%%" % (
+                        workload, metric, 100 * metrics[metric]["change_vs_parent"])
+        print(line)
 
+    if missing:
+        for m in missing:
+            print("TRAJECTORY: " + m)
+        print("fold them in: python3 tools/bench_diff.py BENCH_kv_pr*.json "
+              "BENCH_perf_pr*.json")
+        return 1
     if findings:
         print("\n%d regression finding(s):" % len(findings))
         for f in findings:
