@@ -20,10 +20,11 @@ void sweep(const char* label, const wfe::harness::Workload& w,
   for (std::uint64_t f : freqs) {
     reclaim::TrackerConfig cfg;
     cfg.max_threads = rc.threads;
-    cfg.max_hes = 3;  // HmList::kSlotsNeeded
+    using List = ds::HmList<std::uint64_t, std::uint64_t, TR>;
+    cfg.max_hes = List::kSlotsNeeded;
     cfg.era_freq = f;
     TR tracker(cfg);
-    ds::HmList<std::uint64_t, std::uint64_t, TR> list(tracker);
+    List list(tracker);
     harness::prefill(list, w.prefill, w.key_range);
     auto r = harness::run_timed(
         rc,

@@ -30,14 +30,14 @@ int main() {
   std::printf("%10s%12s%16s%18s\n", "attempts", "Mops/s", "slow entries",
               "slow/Mops ratio");
 
-  auto run_one = [&](unsigned budget, bool force) {
+  using List = ds::HmList<std::uint64_t, std::uint64_t, core::WfeTracker>;
+  auto run_one = [&](unsigned budget) {
     reclaim::TrackerConfig cfg;
     cfg.max_threads = rc.threads;
-    cfg.max_hes = 3;  // HmList::kSlotsNeeded
-    cfg.fast_path_attempts = budget;
-    cfg.force_slow_path = force;
+    cfg.max_hes = List::kSlotsNeeded;
+    cfg.fast_path_attempts = budget;  // 0: every protect takes the slow path
     core::WfeTracker tracker(cfg);
-    ds::HmList<std::uint64_t, std::uint64_t, core::WfeTracker> list(tracker);
+    List list(tracker);
     harness::prefill(list, w.prefill, w.key_range);
 
     auto r = harness::run_timed(
@@ -46,7 +46,7 @@ int main() {
         [&] { return tracker.unreclaimed(); });
     const double slow = static_cast<double>(tracker.slow_path_entries());
     char label[16];
-    if (force) {
+    if (budget == 0) {
       std::snprintf(label, sizeof label, "forced");
     } else {
       std::snprintf(label, sizeof label, "%u", budget);
@@ -55,7 +55,7 @@ int main() {
                 r.mops > 0 ? slow / (r.mops * 1e6 * rc.seconds * rc.repeats) : 0.0);
   };
 
-  for (unsigned a : attempts) run_one(a, false);
-  run_one(0, true);  // paper's stress validation: slow path taken always
+  for (unsigned a : attempts) run_one(a);
+  run_one(0);  // paper's stress validation: slow path taken always
   return 0;
 }

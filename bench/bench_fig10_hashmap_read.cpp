@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 10", "Hash Map",
-                           {harness::OpMix::kRead9010, 100000, 50000},
-                           bench::HashMapFactory::kIsQueue,
-                           bench::HashMapFactory::kSlots};
+                           {harness::OpMix::kRead9010, 100000, 50000}};
   return harness::run_figure(spec, bench::HashMapFactory{});
 }

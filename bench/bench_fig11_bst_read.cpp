@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 11", "Natarajan BST",
-                           {harness::OpMix::kRead9010, 100000, 50000},
-                           bench::BstFactory::kIsQueue,
-                           bench::BstFactory::kSlots};
+                           {harness::OpMix::kRead9010, 100000, 50000}};
   return harness::run_figure(spec, bench::BstFactory{});
 }

@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 5c/5d", "CRTurn queue",
-                           {harness::OpMix::kQueue5050, 100000, 50000},
-                           bench::CrTurnQueueFactory::kIsQueue,
-                           bench::CrTurnQueueFactory::kSlots};
+                           {harness::OpMix::kQueue5050, 100000, 50000}};
   return harness::run_figure(spec, bench::CrTurnQueueFactory{});
 }

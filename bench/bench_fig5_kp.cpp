@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 5a/5b", "Kogan-Petrank queue",
-                           {harness::OpMix::kQueue5050, 100000, 50000},
-                           bench::KpQueueFactory::kIsQueue,
-                           bench::KpQueueFactory::kSlots};
+                           {harness::OpMix::kQueue5050, 100000, 50000}};
   return harness::run_figure(spec, bench::KpQueueFactory{});
 }

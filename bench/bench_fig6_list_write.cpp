@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 6", "Linked List",
-                           {harness::OpMix::kWrite5050, 100000, 50000},
-                           bench::ListFactory::kIsQueue,
-                           bench::ListFactory::kSlots};
+                           {harness::OpMix::kWrite5050, 100000, 50000}};
   return harness::run_figure(spec, bench::ListFactory{});
 }

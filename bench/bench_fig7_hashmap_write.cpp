@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 7", "Hash Map",
-                           {harness::OpMix::kWrite5050, 100000, 50000},
-                           bench::HashMapFactory::kIsQueue,
-                           bench::HashMapFactory::kSlots};
+                           {harness::OpMix::kWrite5050, 100000, 50000}};
   return harness::run_figure(spec, bench::HashMapFactory{});
 }

@@ -5,8 +5,6 @@
 int main() {
   using namespace wfe;
   harness::FigureSpec spec{"Fig 8", "Natarajan BST",
-                           {harness::OpMix::kWrite5050, 100000, 50000},
-                           bench::BstFactory::kIsQueue,
-                           bench::BstFactory::kSlots};
+                           {harness::OpMix::kWrite5050, 100000, 50000}};
   return harness::run_figure(spec, bench::BstFactory{});
 }

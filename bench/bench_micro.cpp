@@ -52,7 +52,7 @@ void BM_alloc_retire(benchmark::State& state) {
 void BM_wfe_slow_path(benchmark::State& state) {
   reclaim::TrackerConfig cfg;
   cfg.max_threads = 1;
-  cfg.force_slow_path = true;
+  cfg.fast_path_attempts = 0;  // every protect takes the slow path
   core::WfeTracker tracker(cfg);
   TestNode* node = tracker.alloc<TestNode>(0);
   std::atomic<std::uintptr_t> root{reinterpret_cast<std::uintptr_t>(node)};

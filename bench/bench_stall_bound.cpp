@@ -25,9 +25,10 @@ void stall_run(double seconds, unsigned churners) {
   using namespace wfe;
   reclaim::TrackerConfig cfg;
   cfg.max_threads = churners + 1;
-  cfg.max_hes = 3;  // HmList::kSlotsNeeded
+  using List = ds::HmList<std::uint64_t, std::uint64_t, TR>;
+  cfg.max_hes = List::kSlotsNeeded;
   TR tracker(cfg);
-  ds::HmList<std::uint64_t, std::uint64_t, TR> list(tracker);
+  List list(tracker);
   constexpr std::uint64_t kRange = 4096;
   util::Xoshiro256 prefill_rng(7);
   for (int i = 0; i < 1024; ++i)

@@ -9,7 +9,6 @@
 #include "ds/hm_list.hpp"
 #include "ds/kp_queue.hpp"
 #include "ds/natarajan_bst.hpp"
-#include "reclaim/leak.hpp"
 
 namespace wfe::bench {
 
@@ -18,8 +17,6 @@ using Val = std::uint64_t;
 
 struct ListFactory {
   static constexpr bool kIsQueue = false;
-  // HmList::kSlotsNeeded: prev + cur + value cell.
-  static constexpr unsigned kSlots = 3;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::HmList<Key, Val, TR>>(trk);
@@ -28,7 +25,6 @@ struct ListFactory {
 
 struct HashMapFactory {
   static constexpr bool kIsQueue = false;
-  static constexpr unsigned kSlots = 3;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::HashMap<Key, Val, TR>>(trk);
@@ -37,10 +33,6 @@ struct HashMapFactory {
 
 struct BstFactory {
   static constexpr bool kIsQueue = false;
-  // Seek record + current node + value cell; the count does not depend
-  // on the tracker.
-  static constexpr unsigned kSlots =
-      ds::NatarajanBst<Val, reclaim::LeakTracker>::kSlotsNeeded;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::NatarajanBst<Val, TR>>(trk);
@@ -49,7 +41,6 @@ struct BstFactory {
 
 struct KpQueueFactory {
   static constexpr bool kIsQueue = true;
-  static constexpr unsigned kSlots = 4;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::KpQueue<Val, TR>>(trk);
@@ -58,7 +49,6 @@ struct KpQueueFactory {
 
 struct CrTurnQueueFactory {
   static constexpr bool kIsQueue = true;
-  static constexpr unsigned kSlots = 3;
   template <class TR>
   auto operator()(TR& trk) const {
     return std::make_unique<ds::CrTurnQueue<Val, TR>>(trk);

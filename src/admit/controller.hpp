@@ -15,7 +15,7 @@
 // (p99 + max(0, delta since last sample)): commit wait is the earliest
 // rising signal under write overload, and acting on its slope throttles
 // BEFORE the ring fills rather than after.  severity <= 1 opens the
-// throttle multiplicatively (recover_gain per tick, up to
+// throttle multiplicatively (kRecoverGain per tick, up to
 // max_write_rate); severity > 1 divides the rate by the severity
 // (floored at min_write_rate), so a 4x-over-target backlog cuts the
 // admitted write rate to a quarter in one step — multiplicative
@@ -55,6 +55,9 @@
 
 namespace wfe::admit {
 
+/// Multiplicative rate recovery per tick while severity <= 1.
+inline constexpr double kRecoverGain = 1.25;
+
 struct AdmitOptions {
   bool enabled = false;
   /// Token-bucket ceiling/floor for admitted writes, ops/second.  The
@@ -77,8 +80,6 @@ struct AdmitOptions {
   /// reads) are refused outright instead of merely rate-limited.
   double shed_write_severity = 4.0;
   double shed_read_severity = 16.0;
-  /// Multiplicative rate recovery per tick while severity <= 1.
-  double recover_gain = 1.25;
   /// EWMA weight of the newest severity sample (0..1].
   double severity_alpha = 0.5;
   /// Driver cadence: token refill every tick; the law re-evaluates
@@ -188,7 +189,7 @@ class AdmissionController {
     severity_.store(smoothed_, std::memory_order_relaxed);
     double r = rate_.load(std::memory_order_relaxed);
     if (smoothed_ <= 1.0) {
-      r = std::min(opt.max_write_rate, r * opt.recover_gain);
+      r = std::min(opt.max_write_rate, r * kRecoverGain);
     } else {
       // Multiplicative decrease, capped so one wild sample cannot park
       // the store; the EWMA plus repeated ticks reach any depth anyway.

@@ -81,7 +81,7 @@ class WfeCore : public reclaim::TrackerBase {
     std::uint64_t prev_era = rsv.load_a(std::memory_order_acquire);
 
     // ---- fast path: identical to Hazard Eras (lines 16-24) ----
-    unsigned attempts = cfg_.force_slow_path ? 0 : cfg_.fast_path_attempts;
+    unsigned attempts = cfg_.fast_path_attempts;
     while (attempts-- != 0) {
       const std::uintptr_t ret = src.load(std::memory_order_acquire);
       const std::uint64_t new_era = global_era_.value.load(std::memory_order_seq_cst);

@@ -526,11 +526,6 @@ class HmList {
 
   // ---- migration primitives (cooperative: see the file header) ----
 
-  /// True once freeze() has begun on this bucket (sticky).
-  bool frozen() const noexcept {
-    return util::is_frozen(head_.load(std::memory_order_acquire));
-  }
-
   /// Migration step 1: freeze the bucket.  Freezes head, then every
   /// node's `next` (BEFORE following it) and cell word.  IDEMPOTENT and
   /// safe to run from any number of threads concurrently — every store

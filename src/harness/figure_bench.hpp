@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/wfe.hpp"
@@ -66,8 +67,6 @@ struct FigureSpec {
   const char* figure;   ///< e.g. "Fig 6"
   const char* ds_name;  ///< e.g. "Linked List"
   Workload workload;
-  bool is_queue = false;
-  unsigned slots_needed = 5;  ///< max_hes for the trackers
 };
 
 namespace detail {
@@ -144,7 +143,8 @@ inline void print_table(const char* title, const std::vector<unsigned>& threads,
 
 /// `Factory::operator()<TR>(TR&) -> std::unique_ptr<DS>` builds the
 /// structure under test; prefill and per-op dispatch are chosen by
-/// `spec.is_queue`.
+/// `Factory::kIsQueue`, and every tracker gets `DS::kSlotsNeeded`
+/// reservation slots.
 template <class Factory>
 int run_figure(const FigureSpec& spec, Factory&& factory) {
   Workload w = spec.workload;
@@ -168,9 +168,11 @@ int run_figure(const FigureSpec& spec, Factory&& factory) {
     for (unsigned t : threads) {
       RunResult r;
       const bool ran = detail::run_isolated([&] {
+        using DS = typename decltype(factory.template operator()<TR>(
+            std::declval<TR&>()))::element_type;
         reclaim::TrackerConfig cfg;
         cfg.max_threads = t;
-        cfg.max_hes = spec.slots_needed;
+        cfg.max_hes = DS::kSlotsNeeded;
         TR tracker(cfg);
         auto ds = factory.template operator()<TR>(tracker);
         // Prefill (paper: 50K elements before each measurement).

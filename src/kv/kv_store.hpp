@@ -253,8 +253,8 @@ class KvStore {
         cfg_.metrics.flight = false;
     }
     if (cfg_.metrics.enabled) {
-      // Before any table exists: make_table/open_persistent attach the
-      // WAL and slow-path probes as streams and shards are built.
+      // Before any table exists: make_table and attach_wals attach the
+      // slow-path and WAL probes as shards and streams are built.
       metrics_ = std::make_unique<obs::KvMetrics>(cfg_.metrics,
                                                   cfg_.tracker.max_threads);
       metrics_->registry.add_collector(
@@ -269,6 +269,7 @@ class KvStore {
         ic.max_hes =
             std::max<unsigned>(ic.max_hes, OrderedIndex::Bst::kSlotsNeeded);
         index_ = std::make_unique<OrderedIndex>(ic);
+        attach_tracker_probe(index_->tracker);
       } else {
         std::fprintf(stderr,
                      "KvStore: ordered_index requires unsigned 64-bit keys\n");
@@ -284,7 +285,7 @@ class KvStore {
         std::abort();
       }
     } else {
-      tables_.push_back(make_table(cfg_.shards, /*epoch=*/1, /*wals=*/false));
+      tables_.push_back(make_table(cfg_.shards, /*epoch=*/1));
       table_.store(tables_.back().get(), std::memory_order_release);
       epoch_.store(1, std::memory_order_release);
     }
@@ -938,8 +939,7 @@ class KvStore {
   };
   friend struct TableGuard;
 
-  std::unique_ptr<Table> make_table(std::size_t shards, std::uint64_t epoch,
-                                    bool wals) {
+  std::unique_ptr<Table> make_table(std::size_t shards, std::uint64_t epoch) {
     auto t = std::make_unique<Table>();
     t->epoch = epoch;
     t->mask = shards - 1;
@@ -958,26 +958,27 @@ class KvStore {
       }
       t->migrated.push_back(std::move(flags));
       t->claim.push_back(std::move(claims));
-      if (wals) {
-        t->wals.push_back(std::make_unique<persist::ShardWal>(
-            cfg_.persistence.dir, epoch, static_cast<unsigned>(i),
-            cfg_.persistence));
-        t->shards.back()->attach_wal(t->wals.back().get());
-        attach_wal_metrics(*t->wals.back(), i);
-      }
-      attach_tracker_probe(*t->shards.back());
+      attach_tracker_probe(t->shards.back()->tracker());
     }
     return t;
   }
 
-  /// WAL latency probes: fsync + commit-wait histograms on a fixed
-  /// per-stream lane (the flusher has no kv thread slot).
-  void attach_wal_metrics(persist::ShardWal& wal, std::size_t shard) {
-    if (!metrics_) return;
-    wal.set_metrics(&metrics_->wal_fsync, &metrics_->wal_commit_wait,
-                    &metrics_->trace,
-                    static_cast<unsigned>(shard) % cfg_.tracker.max_threads,
-                    metrics_->watchdog());
+  /// The one place a table gets its WAL streams: one per shard, resuming
+  /// whatever is on disk for (epoch, shard), with the fsync and
+  /// commit-wait probes on a fixed per-stream lane (the flusher has no
+  /// kv thread slot).
+  void attach_wals(Table& t) {
+    for (std::size_t i = 0; i <= t.mask; ++i) {
+      t.wals.push_back(std::make_unique<persist::ShardWal>(
+          cfg_.persistence.dir, t.epoch, static_cast<unsigned>(i),
+          cfg_.persistence));
+      t.shards[i]->attach_wal(t.wals.back().get());
+      if (metrics_)
+        t.wals.back()->set_metrics(
+            &metrics_->wal_fsync, &metrics_->wal_commit_wait, &metrics_->trace,
+            static_cast<unsigned>(i) % cfg_.tracker.max_threads,
+            metrics_->watchdog());
+    }
   }
 
   /// The watchdog (null when disabled): kv op entry points arm their
@@ -987,13 +988,14 @@ class KvStore {
   }
 
   /// WFE-family trackers expose a slow-path latency probe; other
-  /// schemes simply don't have the hook.
-  void attach_tracker_probe(ShardT& sh) {
+  /// schemes simply don't have the hook.  Every domain gets it: each
+  /// shard's and the ordered index's.
+  void attach_tracker_probe(Tracker& tr) {
     if constexpr (requires {
-                    sh.tracker().set_slow_path_probe(
+                    tr.set_slow_path_probe(
                         static_cast<obs::LatencyHistogram*>(nullptr));
                   }) {
-      if (metrics_) sh.tracker().set_slow_path_probe(&metrics_->wfe_slow_path);
+      if (metrics_) tr.set_slow_path_probe(&metrics_->wfe_slow_path);
     }
   }
 
@@ -1044,7 +1046,8 @@ class KvStore {
     g("kv_unreclaimed", t.unreclaimed);
     g("kv_wal_durable_lag", t.wal_durable_lag);
     g("kv_wal_fsyncs_total", t.wal_fsyncs);
-    g("kv_slow_path_entries_total", t.slow_path_entries);
+    g("kv_slow_path_entries_total",
+      t.slow_path_entries + st.index.slow_path_entries);
     g("kv_helped_buckets_total", st.helped_buckets);
     g("kv_help_conflicts_total", st.help_conflicts);
     g("kv_forwarded_ops_total", st.forwarded_ops);
@@ -1525,8 +1528,9 @@ class KvStore {
       src->wals[0]->log_durable(persist::RecordType::kResizeBegin,
                                 persist::pack_shards(src->mask + 1, want),
                                 src->epoch + 1);
-    tables_.push_back(make_table(want, src->epoch + 1, !src->wals.empty()));
+    tables_.push_back(make_table(want, src->epoch + 1));
     Table* dst = tables_.back().get();
+    if (!src->wals.empty()) attach_wals(*dst);
     src->next.store(dst, std::memory_order_release);
 
     // Freeze ahead of the migrate cursor: a frozen-but-unclaimed bucket
@@ -1648,7 +1652,7 @@ class KvStore {
             ? ds::round_up_pow2(static_cast<std::size_t>(plan.shard_count))
             : cfg_.shards;
     const std::uint64_t epoch0 = std::max<std::uint64_t>(plan.epoch, 1);
-    tables_.push_back(make_table(shards0, epoch0, /*wals=*/false));
+    tables_.push_back(make_table(shards0, epoch0));
     table_.store(tables_.back().get(), std::memory_order_release);
     epoch_.store(epoch0, std::memory_order_release);
     // Transaction id resolution before replay: committed ids gate their
@@ -1664,13 +1668,7 @@ class KvStore {
         },
         [&](std::uint64_t k) { remove(persist::decode<K>(k), 0); });
     replaying_ = false;
-    Table* t = tables_.back().get();
-    for (std::size_t i = 0; i <= t->mask; ++i) {
-      t->wals.push_back(std::make_unique<persist::ShardWal>(
-          po.dir, epoch0, static_cast<unsigned>(i), po));
-      t->shards[i]->attach_wal(t->wals.back().get());
-      attach_wal_metrics(*t->wals.back(), i);
-    }
+    attach_wals(*tables_.back());
     snap_seq_ = plan.max_snapshot_id;
     if (po.snapshot_on_open && plan.has_state) {
       std::lock_guard<std::mutex> lk(resize_mu_);

@@ -175,37 +175,6 @@ struct KvStats {
   }
 };
 
-/// Serializes one ShardStats as a flat JSON object (shared by the kv
-/// bench's BENCH_kv.json and any future stats endpoint).
-inline void to_json(util::JsonWriter& j, const ShardStats& s) {
-  j.begin_object();
-  j.kv("shard", s.shard);
-  j.kv("gets", s.gets);
-  j.kv("puts", s.puts);
-  j.kv("removes", s.removes);
-  j.kv("updates", s.updates);
-  j.kv("allocated", s.allocated);
-  j.kv("freed", s.freed);
-  j.kv("retired", s.retired);
-  j.kv("unreclaimed", s.unreclaimed);
-  j.kv("retire_backlog", s.retire_backlog);
-  j.kv("cached_blocks", s.cached_blocks);
-  j.kv("pending_retired", s.pending_retired);
-  j.kv("batch_flushes", s.batch_flushes);
-  j.kv("slow_path_entries", s.slow_path_entries);
-  j.kv("value_cell_retires", s.value_cell_retires);
-  j.kv("batched_ops", s.batched_ops);
-  j.kv("migrated_in", s.migrated_in);
-  j.kv("cas_ops", s.cas_ops);
-  j.kv("txn_ops", s.txn_ops);
-  j.kv("wal_appended_lsn", s.wal_appended_lsn);
-  j.kv("wal_durable_lsn", s.wal_durable_lsn);
-  j.kv("wal_durable_lag", s.wal_durable_lag);
-  j.kv("wal_fsyncs", s.wal_fsyncs);
-  j.kv("wal_backpressure_waits", s.wal_backpressure_waits);
-  j.end_object();
-}
-
 /// Serializes one resize ledger entry (bench resize sweep rows).
 inline void to_json(util::JsonWriter& j, const ResizeRecord& r) {
   j.begin_object();

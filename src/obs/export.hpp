@@ -9,10 +9,8 @@
 // as an auxiliary `<name>_max` gauge (the one tail statistic a summary
 // cannot recover).
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -20,6 +18,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 
 namespace wfe::obs {
@@ -125,40 +124,11 @@ inline std::string serialize(const RegistrySnapshot& s, ExportFormat fmt) {
   return fmt == ExportFormat::kJson ? to_json_string(s) : to_prometheus(s);
 }
 
-/// Crash-atomic dump: tmp + fdatasync + rename + directory fsync (the
-/// same discipline persist/snapshot.hpp uses), so a reader can never
-/// observe a torn metrics dump — it sees the old file or the new one.
+/// Crash-atomic dump through util::replace_file: a reader at `path`
+/// sees the old dump or the new one, never a torn mix.
 inline bool dump_to_file(const char* path, const std::string& text) {
-  const std::string tmp = std::string(path) + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  bool ok = true;
-  const char nl = '\n';
-  std::size_t off = 0;
-  while (ok && off < text.size()) {
-    const ssize_t w = ::write(fd, text.data() + off, text.size() - off);
-    if (w <= 0) ok = false;
-    else off += static_cast<std::size_t>(w);
-  }
-  ok = ok && ::write(fd, &nl, 1) == 1;
-  ok = ok && ::fdatasync(fd) == 0;
-  ok = (::close(fd) == 0) && ok;
-  ok = ok && ::rename(tmp.c_str(), path) == 0;
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Durable name: fsync the containing directory so the rename itself
-  // survives a crash (best effort — the content is already atomic).
-  std::string dir(path);
-  const std::size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
+  const std::string line = text + '\n';
+  return util::replace_file(path, line.data(), line.size());
 }
 
 inline bool dump_to_fd(int fd, const std::string& text) {

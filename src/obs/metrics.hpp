@@ -24,6 +24,9 @@
 
 namespace wfe::obs {
 
+/// The flight recorder's ring capacity.
+inline constexpr std::size_t kFlightBytes = std::size_t{1} << 20;
+
 struct MetricsOptions {
   bool enabled = false;
   /// Per-thread op sampling: the op probes time every 2^sample_shift-th
@@ -47,7 +50,6 @@ struct MetricsOptions {
   /// (and disables it when the store has no persist dir to put it in).
   bool flight = false;
   std::string flight_path;
-  std::size_t flight_bytes = std::size_t{1} << 20;  ///< ring capacity
   /// Liveness watchdog (see obs/watchdog.hpp).
   WatchdogOptions watchdog;
 };
@@ -76,7 +78,7 @@ class KvMetrics {
     warm_up();  // pay TSC calibration here, not in a measurement window
     if (opt.flight && !opt.flight_path.empty()) {
       flight_ =
-          std::make_unique<FlightRecorder>(opt.flight_path, opt.flight_bytes);
+          std::make_unique<FlightRecorder>(opt.flight_path, kFlightBytes);
       if (!flight_->ok()) {
         flight_.reset();  // unopenable path degrades to no box, never aborts
       } else {

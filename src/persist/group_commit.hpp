@@ -44,7 +44,6 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/clock.hpp"
@@ -53,8 +52,15 @@
 #include "obs/watchdog.hpp"
 #include "persist/wal.hpp"
 #include "util/backoff.hpp"
+#include "util/file_io.hpp"
 
 namespace wfe::persist {
+
+/// kBatched fsync pacing: the flusher keeps write()-ing eagerly but
+/// fsyncs only once this many records accumulated since the last sync —
+/// or when it is about to go idle, so the watermark never lags a quiet
+/// stream by more than flush_idle_us.
+inline constexpr std::uint64_t kGroupRecords = 512;
 
 /// Post-crash state of one stream, for the recovery oracle: which bytes
 /// of the live segment the simulated kernel had persisted vs merely
@@ -80,7 +86,6 @@ class ShardWal {
         shard_(shard),
         sync_(opts.sync),
         flush_idle_us_(opts.flush_idle_us == 0 ? 1 : opts.flush_idle_us),
-        group_records_(opts.group_records == 0 ? 1 : opts.group_records),
         cap_(round_pow2(opts.ring_capacity == 0 ? 1024 : opts.ring_capacity)),
         ring_(new Slot[cap_]) {
     for (std::uint64_t i = 0; i < cap_; ++i)
@@ -117,14 +122,6 @@ class ShardWal {
     watchdog_.store(watchdog, std::memory_order_release);
   }
 
-  /// Appends one record; returns its LSN.  Honors the stream's sync
-  /// mode: kAlways blocks until the watermark covers the record.
-  std::uint64_t log(RecordType type, std::uint64_t key, std::uint64_t value) {
-    const std::uint64_t lsn = append(type, key, value);
-    if (sync_ == SyncMode::kAlways) wait_durable(lsn);
-    return lsn;
-  }
-
   /// Appends and always waits for durability (control records such as
   /// RESIZE_BEGIN, regardless of the data sync mode).
   std::uint64_t log_durable(RecordType type, std::uint64_t key,
@@ -134,10 +131,10 @@ class ShardWal {
     return lsn;
   }
 
-  /// Deferred half of log(): after a run of plain append()s, blocks
-  /// until `lsn` is durable IF the sync mode asks for per-op acks —
-  /// lets batch ops append a whole group fire-and-forget and pay one
-  /// wait for the last record (kv multi-ops).
+  /// After a run of plain append()s, blocks until `lsn` is durable IF
+  /// the sync mode asks for per-op acks (kAlways) — lets batch ops
+  /// append a whole group fire-and-forget and pay one wait for the last
+  /// record (kv multi-ops).
   void ack(std::uint64_t lsn) {
     if (sync_ == SyncMode::kAlways && lsn != 0) wait_durable(lsn);
   }
@@ -278,42 +275,15 @@ class ShardWal {
   /// test harness where the synced/unsynced boundary lies so it can
   /// truncate the file to any crash-consistent (or torn) length.
   CrashedTail crash() {
-    CrashedTail t;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      crashed_.store(true, std::memory_order_release);
-      stop_ = true;
-      cv_flush_.notify_one();
-      cv_durable_.notify_all();
-    }
-    if (flusher_.joinable()) flusher_.join();
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    t.segment_path = seg_path_;
-    t.synced_bytes = synced_bytes_;
-    t.written_bytes = written_bytes_;
-    t.durable_lsn = durable_.load(std::memory_order_acquire);
-    t.appended_lsn = reserved_.load(std::memory_order_acquire);
-    return t;
+    stop(/*crash=*/true);
+    return {seg_path_, synced_bytes_, written_bytes_,
+            durable_.load(std::memory_order_acquire),
+            reserved_.load(std::memory_order_acquire)};
   }
 
   /// Clean shutdown: drain the ring, write, fsync, advance the
   /// watermark to the last appended LSN.  Idempotent.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stop_) return;
-      stop_ = true;
-      cv_flush_.notify_one();
-    }
-    if (flusher_.joinable()) flusher_.join();
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+  void close() { stop(/*crash=*/false); }
 
  private:
   struct Slot {
@@ -334,58 +304,40 @@ class ShardWal {
 
   void open_resuming() {
     // Adopt whatever segments already exist for this stream (recovery):
-    // the valid, LSN-contiguous prefix is kept — earlier segments
-    // become closed segments, the newest resumes as the live segment
-    // with its torn tail cut off.  Everything past a mid-stream gap
-    // (the bit-rot case the stream reader also stops at) is deleted:
-    // those records are unreachable to replay, and leaving the files
-    // would collide with future rotations of the resumed live segment.
+    // the valid, LSN-contiguous prefix that replay reads (scan_stream)
+    // is kept — earlier segments become closed segments, the last one
+    // resumes as the live segment with its torn tail cut off.  Every
+    // segment past the prefix (the bit-rot case) is deleted: those
+    // records are unreachable to replay, and leaving the files would
+    // collide with future rotations of the resumed live segment.
     StreamFiles mine;
     for (StreamFiles& s : list_dir(dir_).streams)
       if (s.epoch == epoch_ && s.shard == shard_) mine = std::move(s);
-    std::uint64_t next_lsn = 1;
-    bool have_lsn = false;
-    std::size_t adopted = 0;
-    for (; adopted < mine.segments.size(); ++adopted) {
-      const auto& [seg, path] = mine.segments[adopted];
-      std::uint64_t bytes = 0;
-      const std::vector<Record> recs = read_segment(path, bytes);
-      if (!recs.empty() && have_lsn && recs.front().lsn != next_lsn)
-        break;  // gap: this and every later segment is garbage
-      struct ::stat st{};
-      const bool torn = ::stat(path.c_str(), &st) != 0 ||
-                        static_cast<std::uint64_t>(st.st_size) != bytes;
-      seg_seq_ = seg;
-      seg_path_ = path;
-      written_bytes_ = bytes;
-      live_first_lsn_ = recs.empty() ? 0 : recs.front().lsn;
-      if (!recs.empty()) {
-        next_lsn = recs.back().lsn + 1;
-        have_lsn = true;
-      }
-      if (torn) {
-        // Cut the torn tail; segments after a torn one are unreachable.
-        ::truncate(path.c_str(), static_cast<off_t>(bytes));
-        ++adopted;
-        break;
-      }
-      if (adopted + 1 < mine.segments.size()) {
-        // Not the newest: closes here, unless empty (then just drop it).
-        if (!recs.empty())
-          closed_.push_back({path, recs.front().lsn, recs.back().lsn});
-        else
-          ::unlink(path.c_str());
-      }
-    }
-    for (std::size_t i = adopted; i < mine.segments.size(); ++i)
+    const std::vector<SegmentScan> prefix = scan_stream(mine);
+    for (std::size_t i = prefix.size(); i < mine.segments.size(); ++i)
       ::unlink(mine.segments[i].second.c_str());
-    // If the newest adopted segment had been registered as closed (it
-    // was followed only by garbage), un-register it: it is live again.
-    if (!closed_.empty() && closed_.back().path == seg_path_) closed_.pop_back();
-    if (seg_path_.empty()) {
-      seg_seq_ = 0;
+    std::uint64_t next_lsn = 1;
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      const SegmentScan& s = prefix[i];
+      if (!s.records.empty()) next_lsn = s.records.back().lsn + 1;
+      if (i + 1 == prefix.size()) break;  // the live segment
+      if (s.records.empty())
+        ::unlink(s.path.c_str());  // an empty closed segment is dropped
+      else
+        closed_.push_back(
+            {s.path, s.records.front().lsn, s.records.back().lsn});
+    }
+    seg_first_lsn_ = next_lsn;
+    if (prefix.empty()) {
       seg_path_ = dir_ + "/" + segment_name(epoch_, shard_, seg_seq_);
-      written_bytes_ = 0;
+    } else {
+      const SegmentScan& live = prefix.back();
+      seg_seq_ = mine.segments[prefix.size() - 1].first;
+      seg_path_ = live.path;
+      written_bytes_ = live.valid_bytes;
+      if (!live.records.empty()) seg_first_lsn_ = live.records.front().lsn;
+      if (live.torn)
+        ::truncate(seg_path_.c_str(), static_cast<off_t>(written_bytes_));
     }
     fd_ = ::open(seg_path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
     if (fd_ >= 0) ::fdatasync(fd_);  // adopted bytes count as durable
@@ -394,7 +346,6 @@ class ShardWal {
     consumed_pub_.store(next_lsn - 1, std::memory_order_release);
     durable_.store(next_lsn - 1, std::memory_order_release);
     consumed_ = next_lsn - 1;
-    seg_first_lsn_ = live_first_lsn_ != 0 ? live_first_lsn_ : next_lsn;
   }
 
   void flusher_loop() {
@@ -407,7 +358,7 @@ class ShardWal {
     // rather than fabricating durable acks.
     std::vector<unsigned char> buf;
     std::size_t buf_off = 0;
-    std::uint64_t buf_last = 0;
+    std::uint64_t buf_last = consumed_;  // last LSN encoded into buf
     // Heartbeat: this thread starts before set_metrics runs, so the
     // watchdog is picked up lazily.  Armed per iteration (fresh episode
     // each pass), disarmed across the idle waits — an idle stream is
@@ -434,21 +385,10 @@ class ShardWal {
         rotate_goal = rotate_at_;
       }
       if (buf_off == buf.size()) {
-        // Previous batch fully on disk: collect the next contiguous
-        // published prefix, capped at the rotation boundary.
-        buf.clear();
+        // Previous batch fully on disk: encode the next one, capped at
+        // the rotation boundary.
+        buf_last = encode_run(consumed_ + 1, rotate_goal, buf);
         buf_off = 0;
-        std::uint64_t next = consumed_ + 1;
-        while (buf.size() < (cap_ << 5) &&
-               !(rotate_goal != 0 && next > rotate_goal)) {
-          Slot& s = ring_[(next - 1) & (cap_ - 1)];
-          if (s.seq.load(std::memory_order_acquire) != next) break;
-          Record r{s.type, next, s.key, s.value};
-          buf.resize(buf.size() + kRecordSize);
-          encode_record(r, buf.data() + buf.size() - kRecordSize);
-          ++next;
-        }
-        buf_last = next - 1;
       }
       bool io_clean = true;
       if (buf_off < buf.size()) {
@@ -471,7 +411,7 @@ class ShardWal {
       if (io_clean && sync_ != SyncMode::kNone && durable_lagging()) {
         const bool must = sync_ == SyncMode::kAlways || !more ||
                           consumed_ - durable_.load(std::memory_order_relaxed) >=
-                              group_records_;
+                              kGroupRecords;
         if (must) advance_durable_synced();
       }
       // Rotation: the batch loop never writes past the goal, so once we
@@ -494,46 +434,79 @@ class ShardWal {
     if (!crashed_.load(std::memory_order_acquire) && fd_ >= 0) {
       if (buf_off < buf.size())
         buf_off += write_some(buf.data() + buf_off, buf.size() - buf_off);
-      std::uint64_t last = buf_off == buf.size() ? buf_last : consumed_;
       if (buf_off == buf.size()) {
-        buf.clear();
-        buf_off = 0;
-        std::uint64_t next = last + 1;
-        for (;;) {
-          Slot& s = ring_[(next - 1) & (cap_ - 1)];
-          if (s.seq.load(std::memory_order_acquire) != next) break;
-          Record r{s.type, next, s.key, s.value};
-          buf.resize(buf.size() + kRecordSize);
-          encode_record(r, buf.data() + buf.size() - kRecordSize);
-          ++next;
-        }
-        if (write_some(buf.data(), buf.size()) == buf.size()) last = next - 1;
+        consumed_ = buf_last;
+        buf_last = encode_run(consumed_ + 1, 0, buf);
+        if (write_some(buf.data(), buf.size()) == buf.size())
+          consumed_ = buf_last;
       }
-      consumed_ = last;
       consumed_pub_.store(consumed_, std::memory_order_release);
-      if (::fdatasync(fd_) == 0) {
-        fsyncs_.fetch_add(1, std::memory_order_relaxed);
-        synced_bytes_ = written_bytes_;
-        durable_.store(consumed_, std::memory_order_release);
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        cv_durable_.notify_all();
-      }
+      if (sync_segment()) durable_.store(consumed_, std::memory_order_release);
+      wake_durable_waiters();
     }
+  }
+
+  /// The one ring encoder (flusher batches and the close drain):
+  /// replaces `buf` by the records of the contiguous published run that
+  /// starts at LSN `from`, ending at `last` unless it is 0, and returns
+  /// the run's last LSN (from - 1 when empty).  A run never exceeds the
+  /// ring: no appender publishes more than cap_ past consumed_pub_.
+  std::uint64_t encode_run(std::uint64_t from, std::uint64_t last,
+                           std::vector<unsigned char>& buf) const {
+    buf.clear();
+    std::uint64_t next = from;
+    for (; last == 0 || next <= last; ++next) {
+      const Slot& s = ring_[(next - 1) & (cap_ - 1)];
+      if (s.seq.load(std::memory_order_acquire) != next) break;
+      buf.resize(buf.size() + kRecordSize);
+      encode_record({s.type, next, s.key, s.value},
+                    buf.data() + buf.size() - kRecordSize);
+    }
+    return next - 1;
   }
 
   /// Writes as much as the kernel takes; returns bytes written (may be
   /// short on ENOSPC/EIO — the caller retries the remainder later).
   std::size_t write_some(const unsigned char* p, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const ssize_t w = ::write(fd_, p + done, n - done);
-      if (w <= 0) break;
-      done += static_cast<std::size_t>(w);
-      written_bytes_ += static_cast<std::uint64_t>(w);
+    const std::size_t w = util::write_all(fd_, p, n);
+    written_bytes_ += w;
+    return w;
+  }
+
+  /// The flusher's one fdatasync of the live segment (group commit,
+  /// rotation, close drain).  Every sync is timed; only a successful one
+  /// counts in fsyncs() and marks the written bytes synced.
+  bool sync_segment() {
+    const std::uint64_t t0 =
+        fsync_hist_ != nullptr ? obs::now_ticks() : 0;
+    const bool ok = ::fdatasync(fd_) == 0;
+    if (fsync_hist_ != nullptr)
+      fsync_hist_->record(obs::ticks_to_ns(obs::now_ticks() - t0),
+                          metrics_lane_);
+    if (ok) {
+      fsyncs_.fetch_add(1, std::memory_order_relaxed);
+      synced_bytes_ = written_bytes_;
     }
-    return done;
+    return ok;
+  }
+
+  /// The one stop path: close() lets the flusher drain the ring, crash()
+  /// makes it abandon the ring; either way it is joined and the live
+  /// segment's fd closed.  Idempotent.
+  void stop(bool crash) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (crash) crashed_.store(true, std::memory_order_release);
+      if (stop_) return;
+      stop_ = true;
+      cv_flush_.notify_one();
+      cv_durable_.notify_all();
+    }
+    if (flusher_.joinable()) flusher_.join();
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
   }
 
   bool durable_lagging() const noexcept {
@@ -551,15 +524,7 @@ class ShardWal {
   /// A failed sync stalls the watermark — no durable ack without disk.
   void advance_durable_synced() {
     if (sync_suppressed_.load(std::memory_order_acquire)) return;
-    if (fd_ < 0) return;
-    const std::uint64_t t0 =
-        fsync_hist_ != nullptr ? obs::now_ticks() : 0;
-    if (::fdatasync(fd_) != 0) return;
-    if (fsync_hist_ != nullptr)
-      fsync_hist_->record(obs::ticks_to_ns(obs::now_ticks() - t0),
-                          metrics_lane_);
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    synced_bytes_ = written_bytes_;
+    if (fd_ < 0 || !sync_segment()) return;
     durable_.store(consumed_, std::memory_order_release);
     wake_durable_waiters();
   }
@@ -577,14 +542,7 @@ class ShardWal {
     // fsync the finished segment so truncation can trust it, then swap
     // in the next file.  Runs on the flusher between batches.
     if (fd_ >= 0) {
-      const std::uint64_t t0 =
-          fsync_hist_ != nullptr ? obs::now_ticks() : 0;
-      ::fdatasync(fd_);
-      if (fsync_hist_ != nullptr)
-        fsync_hist_->record(obs::ticks_to_ns(obs::now_ticks() - t0),
-                            metrics_lane_);
-      fsyncs_.fetch_add(1, std::memory_order_relaxed);
-      synced_bytes_ = written_bytes_;
+      sync_segment();
       ::close(fd_);
     }
     {
@@ -659,7 +617,6 @@ class ShardWal {
   const unsigned shard_;
   const SyncMode sync_;
   const std::uint32_t flush_idle_us_;
-  const std::uint64_t group_records_;
   const std::uint64_t cap_;
   std::unique_ptr<Slot[]> ring_;
 
@@ -688,7 +645,6 @@ class ShardWal {
   std::string seg_path_;
   unsigned seg_seq_ = 0;
   std::uint64_t seg_first_lsn_ = 1;
-  std::uint64_t live_first_lsn_ = 0;  ///< first LSN adopted into the live seg
   std::uint64_t written_bytes_ = 0;
   std::uint64_t synced_bytes_ = 0;
 

@@ -51,11 +51,9 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "persist/wal.hpp"
 #include "util/crc32c.hpp"
+#include "util/file_io.hpp"
 
 namespace wfe::persist {
 
@@ -69,8 +67,9 @@ struct SnapshotImage {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
 };
 
-/// Writes `img` as snap-<id>.dat in `dir` (temp file + fsync + rename +
-/// directory fsync).  False on any I/O failure.
+/// Writes `img` as snap-<id>.dat in `dir` through util::replace_file
+/// (temp file + fdatasync + rename + directory fsync).  False on any I/O
+/// failure.
 inline bool write_snapshot(const std::string& dir, const SnapshotImage& img) {
   std::vector<unsigned char> buf;
   buf.reserve(40 + 8 * img.marks.size() + 16 * img.pairs.size() + 4);
@@ -93,35 +92,8 @@ inline bool write_snapshot(const std::string& dir, const SnapshotImage& img) {
   const std::size_t at = buf.size();
   buf.resize(at + 4);
   std::memcpy(buf.data() + at, &crc, 4);
-
-  const std::string final_path = dir + "/" + snapshot_name(img.id);
-  const std::string tmp_path = final_path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return false;
-  const unsigned char* p = buf.data();
-  std::size_t n = buf.size();
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w <= 0) {
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  const bool synced = ::fdatasync(fd) == 0;
-  ::close(fd);
-  if (!synced || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return false;
-  }
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
+  return util::replace_file(dir + "/" + snapshot_name(img.id), buf.data(),
+                            buf.size());
 }
 
 /// Loads and validates one snapshot file.  False when torn, truncated,

@@ -50,6 +50,7 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <dirent.h>
@@ -102,11 +103,6 @@ struct Options {
   /// Flusher idle wait between batches; also the group-commit latency
   /// bound when no appender is pushing.
   std::uint32_t flush_idle_us = 200;
-  /// kBatched fsync pacing: the flusher keeps write()-ing eagerly but
-  /// fsyncs only once this many records accumulated since the last
-  /// sync — or when it is about to go idle, so the watermark never
-  /// lags a quiet stream by more than flush_idle_us.
-  std::uint32_t group_records = 512;
   /// Auto-compaction: writer threads snapshot + truncate once this many
   /// WAL bytes accumulated since the last snapshot (0 = manual only).
   std::uint64_t snapshot_every_bytes = 0;
@@ -167,7 +163,6 @@ inline bool decode_record(const unsigned char in[kRecordSize], Record& r) noexce
 inline std::uint64_t pack_shards(std::uint64_t from, std::uint64_t to) noexcept {
   return (from << 32) | (to & 0xFFFFFFFFull);
 }
-inline std::uint64_t packed_from(std::uint64_t packed) noexcept { return packed >> 32; }
 inline std::uint64_t packed_to(std::uint64_t packed) noexcept {
   return packed & 0xFFFFFFFFull;
 }
@@ -284,22 +279,44 @@ inline DirListing list_dir(const std::string& dir) {
   return out;
 }
 
-/// All valid records of a stream across its segments, in LSN order.
-/// Contiguity is enforced across segment boundaries too; the walk stops
-/// at the first gap or invalid record.
-inline std::vector<Record> read_stream(const StreamFiles& sf) {
-  std::vector<Record> out;
+/// One segment on a stream's valid prefix (scan_stream).
+struct SegmentScan {
+  std::string path;
+  std::vector<Record> records;    ///< its whole, valid records
+  std::uint64_t valid_bytes = 0;  ///< how far those records reach
+  bool torn = false;  ///< the file runs past them: the prefix ends here
+};
+
+/// The one walk of a stream's valid prefix, shared by replay
+/// (read_stream) and reopen (ShardWal).  Visits the segments in order,
+/// stopping before the first one whose records do not continue the
+/// previous segment's LSNs (a gap) and after the first one whose file
+/// runs past its last valid record (a torn or corrupt tail).  Every
+/// segment past the returned ones is unreachable.
+inline std::vector<SegmentScan> scan_stream(const StreamFiles& sf) {
+  std::vector<SegmentScan> out;
+  std::uint64_t last_lsn = 0;  // LSNs start at 1: 0 = no record yet
   for (const auto& [seg, path] : sf.segments) {
     std::uint64_t bytes = 0;
-    std::vector<Record> part = read_segment(path, bytes);
-    if (!part.empty() && !out.empty() && part.front().lsn != out.back().lsn + 1)
-      break;  // gap between segments: treat the rest as unreachable
-    out.insert(out.end(), part.begin(), part.end());
+    std::vector<Record> recs = read_segment(path, bytes);
+    if (!recs.empty()) {
+      if (last_lsn != 0 && recs.front().lsn != last_lsn + 1) break;
+      last_lsn = recs.back().lsn;
+    }
     struct ::stat st{};
-    if (::stat(path.c_str(), &st) != 0) break;
-    if (static_cast<std::uint64_t>(st.st_size) != bytes)
-      break;  // torn or corrupt tail: everything after it is unreachable
+    const bool torn = ::stat(path.c_str(), &st) != 0 ||
+                      static_cast<std::uint64_t>(st.st_size) != bytes;
+    out.push_back({path, std::move(recs), bytes, torn});
+    if (torn) break;
   }
+  return out;
+}
+
+/// All valid records of a stream across its segments, in LSN order.
+inline std::vector<Record> read_stream(const StreamFiles& sf) {
+  std::vector<Record> out;
+  for (const SegmentScan& s : scan_stream(sf))
+    out.insert(out.end(), s.records.begin(), s.records.end());
   return out;
 }
 

@@ -49,9 +49,9 @@
 // without a trip through the allocator.
 //
 // Counters: every per-thread counter here (allocs, frees, retires,
-// reclaims, retire_count) is an owned lane, written only by the thread
-// whose slot it is, so it is updated with a relaxed load and store
-// (util::owned_add) rather than a lock-prefixed RMW.
+// reclaims) is an owned lane, written only by the thread whose slot it
+// is, so it is updated with a relaxed load and store (util::owned_add)
+// rather than a lock-prefixed RMW.
 //
 // Thread identity is an explicit slot id in [0, max_threads), chosen by
 // the caller: the harness, benches and examples pass each worker's
@@ -79,8 +79,7 @@ struct TrackerConfig {
   unsigned max_hes = 8;              ///< reservation slots per thread
   std::uint64_t era_freq = 150;      ///< allocs between era bumps (per thread)
   std::uint64_t cleanup_freq = 30;   ///< retires between retire-list scans
-  unsigned fast_path_attempts = 16;  ///< WFE only
-  bool force_slow_path = false;      ///< WFE only: stress knob (paper §5)
+  unsigned fast_path_attempts = 16;  ///< WFE only; 0 forces the slow path
   // Domain-local knobs: a tracker instance is one reclamation *domain*
   // (the kv shards give every shard its own).  `domain_id` labels the
   // domain in stats output; `retire_batch` is the number of unlinked
@@ -269,8 +268,6 @@ class BlockCache {
 /// lanes with relaxed loads.
 struct ThreadData {
   Block* retire_head{nullptr};
-  /// Currently queued on the retire list.
-  std::atomic<std::uint64_t> retire_count{0};
   std::uint64_t retire_since_scan{0}; ///< cleanup_freq counter
   std::uint64_t alloc_since_bump{0};  ///< era_freq counter
   std::atomic<std::uint64_t> allocs{0};
@@ -363,9 +360,9 @@ class TrackerBase {
   }
   /// Blocks currently queued on retire lists awaiting a scan (racy
   /// snapshot; the kv stats API reports this as the per-domain backlog).
-  std::uint64_t retire_backlog() const noexcept {
-    return sum(&detail::ThreadData::retire_count);
-  }
+  /// Every retired block sits on a list until it is reclaimed, so this
+  /// is unreclaimed() by another name.
+  std::uint64_t retire_backlog() const noexcept { return unreclaimed(); }
   /// Freed blocks the threads' free lists hold for reuse (racy snapshot;
   /// at most kFreeListCap per size per thread).
   std::uint64_t cached_blocks() const noexcept {
@@ -418,7 +415,6 @@ class TrackerBase {
     auto& td = threads_[tid];
     b->retire_next = td.retire_head;
     td.retire_head = b;
-    util::owned_add(td.retire_count);
     util::owned_add(td.retires);
   }
 
@@ -441,7 +437,6 @@ class TrackerBase {
     }
     util::owned_add(td.frees, n);
     util::owned_add(td.reclaims, n);
-    util::owned_add(td.retire_count, 0 - n);  // n fewer queued
   }
 
   /// An era scheme's constructor calls this once with `intervals`, the
@@ -487,7 +482,6 @@ class TrackerBase {
         b = next;
       }
       td.retire_head = nullptr;
-      td.retire_count.store(0, std::memory_order_relaxed);
       util::owned_add(td.frees, n);
       util::owned_add(td.reclaims, n);
       td.cache.clear();

@@ -43,9 +43,6 @@ class Backoff {
     }
   }
 
-  /// Rounds taken so far have reached the cap (stats/debug aid).
-  bool saturated() const noexcept { return spins_ >= kMaxSpins; }
-
  private:
   static constexpr unsigned kMinSpins = 4;
   static constexpr unsigned kMaxSpins = 1024;

@@ -112,7 +112,6 @@ TEST(TrackerConfig, PaperDefaults) {
   EXPECT_EQ(cfg.era_freq, 150u);
   EXPECT_EQ(cfg.cleanup_freq, 30u);
   EXPECT_EQ(cfg.fast_path_attempts, 16u);
-  EXPECT_FALSE(cfg.force_slow_path);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ namespace {
 
 using namespace wfe;
 
-// Parameters: (thread count, force_slow_path).
+// Parameters: (thread count, forced slow path: fast_path_attempts = 0).
 class WfeSweep : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {
  protected:
   reclaim::TrackerConfig make_cfg() const {
@@ -31,7 +31,7 @@ class WfeSweep : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {
     cfg.max_hes = 4;
     cfg.era_freq = 4;
     cfg.cleanup_freq = 2;
-    cfg.force_slow_path = force;
+    if (force) cfg.fast_path_attempts = 0;
     return cfg;
   }
   unsigned threads() const { return std::get<0>(GetParam()); }

@@ -59,24 +59,19 @@ class FigureDriverTest : public ::testing::Test {
 
 TEST_F(FigureDriverTest, KvFigureRunsAllSchemes) {
   harness::FigureSpec spec{"Fig T1", "Tiny List",
-                           {harness::OpMix::kWrite5050, 256, 64},
-                           /*is_queue=*/false,
-                           /*slots_needed=*/kListSlots};
+                           {harness::OpMix::kWrite5050, 256, 64}};
   EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
 }
 
 TEST_F(FigureDriverTest, ReadMostlyMixRuns) {
   harness::FigureSpec spec{"Fig T2", "Tiny List",
-                           {harness::OpMix::kRead9010, 256, 64},
-                           false, kListSlots};
+                           {harness::OpMix::kRead9010, 256, 64}};
   EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
 }
 
 TEST_F(FigureDriverTest, QueueFigureRunsAllSchemes) {
   harness::FigureSpec spec{"Fig T3", "Tiny Queue",
-                           {harness::OpMix::kQueue5050, 256, 64},
-                           /*is_queue=*/true,
-                           /*slots_needed=*/4};
+                           {harness::OpMix::kQueue5050, 256, 64}};
   EXPECT_EQ(harness::run_figure(spec, TinyQueueFactory{}), 0);
 }
 
@@ -86,8 +81,7 @@ TEST_F(FigureDriverTest, PrefillAboveKeyRangeTerminates) {
   ::setenv("WFE_BENCH_PREFILL", "512", 1);
   ::setenv("WFE_BENCH_THREAD_LIST", "1", 1);
   harness::FigureSpec spec{"Fig T4", "Tiny List",
-                           {harness::OpMix::kWrite5050, 256, 512},
-                           false, kListSlots};
+                           {harness::OpMix::kWrite5050, 256, 512}};
   EXPECT_EQ(harness::run_figure(spec, TinyListFactory{}), 0);
 
   reclaim::TrackerConfig cfg;
@@ -113,8 +107,7 @@ struct DyingFactory {
 TEST_F(FigureDriverTest, DeadPointChildFailsTheRun) {
   ::setenv("WFE_BENCH_THREAD_LIST", "1", 1);
   harness::FigureSpec spec{"Fig T5", "Tiny List",
-                           {harness::OpMix::kWrite5050, 256, 64},
-                           false, kListSlots};
+                           {harness::OpMix::kWrite5050, 256, 64}};
   EXPECT_EQ(harness::run_figure(spec, DyingFactory{}), 1);
 }
 

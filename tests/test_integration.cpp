@@ -131,7 +131,7 @@ TEST(Integration, ForcedSlowPathAcrossAllStructures) {
   reclaim::TrackerConfig cfg;
   cfg.max_threads = 4;
   cfg.max_hes = ds::NatarajanBst<std::uint64_t, core::WfeTracker>::kSlotsNeeded;
-  cfg.force_slow_path = true;
+  cfg.fast_path_attempts = 0;  // every protect takes the slow path
   cfg.era_freq = 2;
   cfg.cleanup_freq = 2;
   core::WfeTracker tracker(cfg);

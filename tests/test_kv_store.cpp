@@ -459,7 +459,7 @@ TYPED_TEST(KvStoreTest, RangeGetMatchesThePrimarysSlice) {
 TEST(KvStoreWfe, SlowPathEntriesSurfaceInStats) {
   using TR = core::WfeTracker;
   auto cfg = small_cfg<TR>(2, 2);
-  cfg.tracker.force_slow_path = true;
+  cfg.tracker.fast_path_attempts = 0;
   Store<TR> store(cfg);
   for (std::uint64_t k = 1; k <= 200; ++k) store.put(k, k, 0);
   for (std::uint64_t k = 1; k <= 200; ++k) store.get(k, 1);

@@ -725,7 +725,7 @@ TYPED_TEST(ObsKvTest, EndToEndMetricsPipeline) {
   cfg.buckets_per_shard = 64;
   cfg.tracker.max_threads = 4;
   cfg.tracker.max_hes = Store::kSlotsNeeded;
-  cfg.tracker.force_slow_path = true;  // WFE-family: exercise the probe
+  cfg.tracker.fast_path_attempts = 0;  // WFE-family: exercise the probe
   cfg.persistence.enabled = true;
   cfg.persistence.dir = dir;
   cfg.persistence.sync = persist::SyncMode::kAlways;  // fsync histogram
@@ -882,6 +882,47 @@ TYPED_TEST(ObsKvTest, MetricsDisabledIsNullObject) {
   EXPECT_EQ(store.get(1, 0), std::optional<std::uint64_t>(2));
   store.resize(4, 0);
   EXPECT_EQ(store.get(1, 0), std::optional<std::uint64_t>(2));
+}
+
+// Every WFE domain records its slow-path episodes: each shard's and the
+// ordered index's.  With the slow path forced, the histogram holds one
+// episode per slow-path entry of either kind, and the entries gauge
+// counts both.
+TEST(ObsKvWfe, SlowPathProbeCoversTheIndexDomain) {
+  using Store = kv::KvStore<std::uint64_t, std::uint64_t, core::WfeTracker>;
+  kv::KvConfig cfg;
+  cfg.shards = 2;
+  cfg.buckets_per_shard = 64;
+  cfg.tracker.max_threads = 2;
+  cfg.tracker.max_hes = Store::kSlotsNeeded;
+  cfg.tracker.fast_path_attempts = 0;  // every protect takes the slow path
+  cfg.ordered_index = true;
+  cfg.metrics.enabled = true;
+  cfg.metrics.sampler = false;
+  Store store(cfg);
+  for (std::uint64_t k = 1; k <= 200; ++k) store.put(k, k, 0);
+  for (std::uint64_t k = 1; k <= 200; k += 2) store.remove(k, 0);
+  std::uint64_t scanned = 0;
+  store.scan(1, 200, [&](std::uint64_t, std::uint64_t) { ++scanned; }, 0);
+  EXPECT_EQ(scanned, 100u);
+
+  const kv::KvStats st = store.stats();
+  const std::uint64_t shard_entries = st.total().slow_path_entries;
+  const std::uint64_t index_entries = st.index.slow_path_entries;
+  EXPECT_GT(shard_entries, 0u);
+  EXPECT_GT(index_entries, 0u);
+  const obs::RegistrySnapshot snap = store.metrics()->registry.snapshot();
+  const auto hist = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const obs::HistogramSummary& h) { return h.name == "kv_wfe_slow_path_ns"; });
+  ASSERT_NE(hist, snap.histograms.end());
+  EXPECT_EQ(hist->count, shard_entries + index_entries);
+  const auto gauge = std::find_if(
+      snap.gauges.begin(), snap.gauges.end(), [](const obs::GaugeValue& g) {
+        return g.name == "kv_slow_path_entries_total";
+      });
+  ASSERT_NE(gauge, snap.gauges.end());
+  EXPECT_EQ(gauge->value, static_cast<double>(shard_entries + index_entries));
 }
 
 // ---------------------------------------------------------------------

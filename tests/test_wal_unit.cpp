@@ -1,7 +1,7 @@
 // WAL unit contracts (src/persist/): the record codec, the segment /
 // stream readers' torn-tail and corruption behavior, ShardWal's
-// append/flush/durable/rotate/resume lifecycle, and the snapshot file
-// format.
+// append/flush/durable/rotate/resume lifecycle, the snapshot file
+// format, and the failure path of the atomic file writer behind it.
 
 #include <gtest/gtest.h>
 
@@ -14,14 +14,17 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "persist/group_commit.hpp"
 #include "persist/recovery.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "scratch_dir.hpp"
+#include "util/file_io.hpp"
 
 namespace {
 
@@ -174,8 +177,9 @@ TEST(WalWriter, AlwaysModeAcksOnlyDurableRecords) {
   opts.sync = persist::SyncMode::kAlways;
   persist::ShardWal wal(td.path, 1, 0, opts);
   for (std::uint64_t i = 1; i <= 20; ++i) {
-    const std::uint64_t lsn = wal.log(RecordType::kPut, i, i);
-    EXPECT_GE(wal.durable_lsn(), lsn);  // log() returned => fsynced
+    const std::uint64_t lsn = wal.append(RecordType::kPut, i, i);
+    wal.ack(lsn);
+    EXPECT_GE(wal.durable_lsn(), lsn);  // ack() returned => fsynced
   }
 }
 
@@ -289,6 +293,44 @@ TEST(WalWriter, BackpressureMakesBoundedProgressAndTracesEpisodes) {
         e.cause == obs::TraceCause::kWalBackpressure)
       traced = true;
   EXPECT_TRUE(traced) << "backpressure episode missing from the trace ring";
+}
+
+// The shared atomic writer's failure path: a rename onto a non-empty
+// directory fails after the tmp file was written and synced.  Every
+// writer built on util::replace_file must report it, remove its tmp
+// file and leave the target as it was.
+TEST(ReplaceFile, FailedRenameLeavesTargetAndNoTmp) {
+  TempDir td;
+  const auto blocked = [&td](const std::string& name) {
+    const std::string target = td.path + "/" + name;
+    EXPECT_EQ(::mkdir(target.c_str(), 0755), 0);
+    write_raw(target, "keep", {});
+    return target;
+  };
+  const auto untouched = [](const std::string& target) {
+    struct ::stat st{};
+    ASSERT_EQ(::stat(target.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode)) << target;
+    EXPECT_EQ(::access((target + "/keep").c_str(), F_OK), 0) << target;
+    EXPECT_NE(::access((target + ".tmp").c_str(), F_OK), 0)
+        << "tmp residue beside " << target;
+  };
+
+  const std::string raw = blocked("raw.bin");
+  const char bytes[] = "payload";
+  EXPECT_FALSE(util::replace_file(raw, bytes, sizeof bytes));
+  untouched(raw);
+
+  persist::SnapshotImage img;
+  img.id = 9;
+  img.pairs.emplace_back(1, 2);
+  const std::string snap = blocked(persist::snapshot_name(img.id));
+  EXPECT_FALSE(persist::write_snapshot(td.path, img));
+  untouched(snap);
+
+  const std::string dump = blocked("metrics.json");
+  EXPECT_FALSE(obs::dump_to_file(dump.c_str(), "{}"));
+  untouched(dump);
 }
 
 TEST(Snapshot, RoundTripAndCrcRejection) {

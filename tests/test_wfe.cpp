@@ -27,7 +27,7 @@ reclaim::TrackerConfig small_cfg(bool force_slow = false) {
   cfg.max_hes = 4;
   cfg.era_freq = 2;
   cfg.cleanup_freq = 2;
-  cfg.force_slow_path = force_slow;
+  if (force_slow) cfg.fast_path_attempts = 0;
   return cfg;
 }
 

@@ -25,7 +25,7 @@ reclaim::TrackerConfig cfg_multislot() {
   cfg.max_hes = 4;
   cfg.era_freq = 2;
   cfg.cleanup_freq = 2;
-  cfg.force_slow_path = true;  // every protect goes through helping
+  cfg.fast_path_attempts = 0;  // every protect goes through helping
   return cfg;
 }
 
