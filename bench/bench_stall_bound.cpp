@@ -1,27 +1,35 @@
 // Stalled-thread memory bound (paper §2.1/§2.4): EBR's memory usage is
 // unbounded when a thread stalls inside an operation, while HP/HE/WFE/
-// 2GEIBR pin only blocks whose lifespan overlaps the stalled reservation.
+// 2GEIBR/WFE-IBR pin only blocks whose lifespan overlaps the stalled
+// reservation.
 //
 // One thread enters an operation (publishing its reservation) and stalls;
 // the rest churn insert/remove.  We sample unreclaimed objects over time:
-// EBR grows linearly with churn, the era/pointer schemes plateau.
+// EBR and QSBR grow linearly with churn, the era/pointer schemes plateau.
+// The run is a gate: it exits 1 unless every sample of a bounded scheme
+// is at most twice its first sample plus 64, and the last sample of EBR
+// and of QSBR is at least twice its first.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "core/wfe.hpp"
+#include "core/wfe_ibr.hpp"
 #include "ds/hm_list.hpp"
 #include "harness/runner.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/he.hpp"
 #include "reclaim/hp.hpp"
 #include "reclaim/ibr.hpp"
+#include "reclaim/qsbr.hpp"
 #include "util/random.hpp"
 
+/// Runs one scheme and returns its unreclaimed-object samples.
 template <class TR>
-void stall_run(double seconds, unsigned churners) {
+std::vector<std::uint64_t> stall_run(double seconds, unsigned churners) {
   using namespace wfe;
   reclaim::TrackerConfig cfg;
   cfg.max_threads = churners + 1;
@@ -70,18 +78,33 @@ void stall_run(double seconds, unsigned churners) {
     });
   }
 
-  std::printf("%-8s", TR::name());
-  const int samples = 8;
-  for (int s = 0; s < samples; ++s) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(seconds / samples));
-    std::printf("%10llu",
-                static_cast<unsigned long long>(tracker.unreclaimed()));
+  constexpr int kSamples = 8;
+  std::vector<std::uint64_t> samples;
+  for (int s = 0; s < kSamples; ++s) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds / kSamples));
+    samples.push_back(tracker.unreclaimed());
   }
-  std::printf("\n");
   stop.store(true);
   staller.join();
   for (auto& th : churn) th.join();
+  return samples;
+}
+
+/// Prints one scheme's row and its verdict; false when the verdict fails.
+/// A bounded scheme keeps every sample within 2 x its first + 64; an
+/// unbounded one (EBR, QSBR) ends at 2 x its first or more.
+template <class TR>
+bool verdict(double seconds, unsigned churners, bool bounded) {
+  const std::vector<std::uint64_t> s = stall_run<TR>(seconds, churners);
+  std::printf("%-8s", TR::name());
+  bool ok = true;
+  for (std::uint64_t v : s) {
+    std::printf("%10llu", static_cast<unsigned long long>(v));
+    if (bounded && v > 2 * s.front() + 64) ok = false;
+  }
+  if (!bounded) ok = s.back() >= 2 * s.front();
+  std::printf("  %s %s\n", bounded ? "bounded" : "grows", ok ? "ok" : "FAILED");
+  return ok;
 }
 
 int main() {
@@ -92,11 +115,13 @@ int main() {
       "=== Stalled-reservation memory bound (list churn, %u churners, "
       "%.1fs; unreclaimed objects sampled over time) ===\n",
       churners, seconds);
-  std::printf("%-8s%10s ... (8 samples over the run)\n", "scheme", "t1");
-  stall_run<reclaim::EbrTracker>(seconds, churners);
-  stall_run<reclaim::HeTracker>(seconds, churners);
-  stall_run<core::WfeTracker>(seconds, churners);
-  stall_run<reclaim::HpTracker>(seconds, churners);
-  stall_run<reclaim::IbrTracker>(seconds, churners);
-  return 0;
+  std::printf("%-8s%10s ... (8 samples over the run)  verdict\n", "scheme", "t1");
+  bool ok = verdict<reclaim::EbrTracker>(seconds, churners, false);
+  ok &= verdict<reclaim::QsbrTracker>(seconds, churners, false);
+  ok &= verdict<reclaim::HeTracker>(seconds, churners, true);
+  ok &= verdict<core::WfeTracker>(seconds, churners, true);
+  ok &= verdict<reclaim::HpTracker>(seconds, churners, true);
+  ok &= verdict<reclaim::IbrTracker>(seconds, churners, true);
+  ok &= verdict<core::WfeIbrTracker>(seconds, churners, true);
+  return ok ? 0 : 1;
 }

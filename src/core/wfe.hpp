@@ -44,7 +44,9 @@
 //
 // One deviation from Fig. 4: cleanup() reads the rows once per pass into
 // an EraSnapshot, where Fig. 4's can_delete() re-reads them for each
-// retired block (see cleanup() and reclaim/tracker.hpp).
+// retired block, and the blocks the pass detaches are judged against it
+// in installments by the retires that follow (see cleanup() and
+// reclaim/tracker.hpp).
 //
 // API deviation from HE (paper §3.4): protect() takes the *parent* block
 // containing the hazardous reference (nullptr for roots), so helpers can
@@ -150,16 +152,16 @@ class WfeCore : public reclaim::TrackerBase {
   /// retire() — Fig. 4 lines 77-85.
   void retire(Block* b, unsigned tid) noexcept {
     b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    push_retired(b, tid);
-    auto& td = threads_[tid];
-    if (++td.retire_since_scan % cfg_.cleanup_freq == 0) {
-      if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
-        increment_era(tid);
-      cleanup(tid);
-    }
+    if (!retire_step(b, tid, era_pinned(tid))) return;
+    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
+      increment_era(tid);
+    cleanup(tid);
   }
 
-  void flush(unsigned tid) noexcept { cleanup(tid); }
+  void flush(unsigned tid) noexcept {
+    cleanup(tid);
+    judge_detached(tid, era_pinned(tid));
+  }
 
   std::uint64_t era() const noexcept {
     return global_era_.value.load(std::memory_order_acquire);
@@ -278,23 +280,26 @@ class WfeCore : public reclaim::TrackerBase {
     parent_rsv.store_a(kInfEra, std::memory_order_seq_cst);
   }
 
-  /// cleanup() — Fig. 4 lines 56-67, implementing the scanning discipline
-  /// of Lemmas 4/5 once per pass: counter_end, the application rows, the
-  /// parent rows, counter_start, and — unless no helper can be active
-  /// (ce == cs) — the handover rows followed by the application rows
-  /// *again* (opposite order), all into one EraSnapshot that the sweep
-  /// then tests every listed block against.  Fig. 4 runs that sequence
-  /// per block; running it once is every block's check at one instant
-  /// after all of their retires, which the per-block code already admits
-  /// (reclaim/tracker.hpp).  add_app_rows() may read one thread's rows
-  /// from the highest index down (WfeTracker does, for copy_slot's
-  /// hand-offs); that order lies inside one read of the rows, so the
-  /// reads still meet each reservation in Lemma 5's order: a block handed
-  /// from a helper's parent or handover row to a requester's row is
-  /// caught by the order of the reads, one handed between two
-  /// application rows by the order within a read.
+  /// cleanup() — Fig. 4 lines 56-67, implementing the scanning discipline of
+  /// Lemmas 4/5 once per pass: counter_end, the application rows, the parent
+  /// rows, counter_start, and — unless no helper can be active (ce == cs) —
+  /// the handover rows followed by the application rows *again* (opposite
+  /// order), all into one EraSnapshot.  The pass then detaches the retire
+  /// list, and every block on it is tested against that snapshot: up to two
+  /// per later retire (retire_step), the rest at the start of the next pass,
+  /// all of them at once by flush().  Fig. 4 runs that sequence per block;
+  /// running it once is every block's check at one instant after all of their
+  /// retires, which the per-block code already admits, and the snapshot never
+  /// tests a block retired after it was read (reclaim/tracker.hpp).
+  /// retire()'s era bump still comes before the pass.  add_app_rows() may
+  /// read one thread's rows from the highest index down (WfeTracker does, for
+  /// copy_slot's hand-offs); that order lies inside one read of the rows, so
+  /// the reads still meet each reservation in Lemma 5's order: a block handed
+  /// from a helper's parent or handover row to a requester's row is caught by
+  /// the order of the reads, one handed between two application rows by the
+  /// order within a read.
   void cleanup(unsigned tid) noexcept {
-    sweep_unpinned(tid, [this](reclaim::EraSnapshot& snap) {
+    era_pass(tid, [this](reclaim::EraSnapshot& snap) {
       const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
       layout().add_app_rows(snap);
       add_internal_rows(snap, requests_);  // parent

@@ -25,7 +25,7 @@ namespace wfe::reclaim {
 class EbrTracker : public TrackerBase {
  public:
   explicit EbrTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), resv_(cfg.max_threads) {
+      : TrackerBase(cfg), resv_(cfg.max_threads), oldest_(cfg.max_threads) {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store(kInfEra, std::memory_order_relaxed);
   }
@@ -62,15 +62,24 @@ class EbrTracker : public TrackerBase {
     return node;
   }
 
+ private:
+  /// True when b was retired at or after the oldest reservation tid's
+  /// last pass read.
+  auto pinned(unsigned tid) const noexcept {
+    return [&oldest = oldest_[tid]](const Block* b) { return b->retire_era >= oldest; };
+  }
+
+ public:
   void retire(Block* b, unsigned tid) noexcept {
     b->retire_era = global_epoch_.value.load(std::memory_order_acquire);
-    push_retired(b, tid);
-    auto& td = threads_[tid];
-    if (++td.retire_since_scan % cfg_.cleanup_freq == 0) scan(tid);
+    if (retire_step(b, tid, pinned(tid))) scan(tid);
   }
 
   /// Attempt reclamation of everything queued by `tid`.
-  void flush(unsigned tid) noexcept { scan(tid); }
+  void flush(unsigned tid) noexcept {
+    scan(tid);
+    judge_detached(tid, pinned(tid));
+  }
 
   std::uint64_t epoch() const noexcept {
     return global_epoch_.value.load(std::memory_order_acquire);
@@ -78,17 +87,18 @@ class EbrTracker : public TrackerBase {
 
  private:
   void scan(unsigned tid) noexcept {
-    std::uint64_t min_resv = kInfEra;
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      const std::uint64_t r = resv_[t].load(std::memory_order_seq_cst);
-      if (r < min_resv) min_resv = r;
-    }
-    sweep_retired(tid, [min_resv](const Block* b) {
-      return b->retire_era < min_resv;
+    pass(tid, pinned(tid), [&] {
+      std::uint64_t min_resv = kInfEra;
+      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
+        const std::uint64_t r = resv_[t].load(std::memory_order_seq_cst);
+        if (r < min_resv) min_resv = r;
+      }
+      oldest_[tid] = min_resv;
     });
   }
 
   detail::PerThread<std::atomic<std::uint64_t>> resv_;
+  detail::PerThread<std::uint64_t> oldest_;  ///< each thread's last pass's minimum
   util::Padded<std::atomic<std::uint64_t>> global_epoch_{1};
 };
 

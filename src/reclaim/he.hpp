@@ -13,9 +13,9 @@
 // increment, so a stale thread does not bump the clock spuriously.
 //
 // One deviation from Fig. 1: cleanup() reads every thread's eras once
-// per pass into an EraSnapshot and sweeps the retire list against it,
-// where Fig. 1's can_delete() re-reads them for each block
-// (reclaim/tracker.hpp says why one snapshot is as safe).
+// per pass into an EraSnapshot, and the retire list is judged against it
+// in installments, where Fig. 1's can_delete() re-reads them for each
+// block (reclaim/tracker.hpp says why one snapshot is as safe).
 
 #include <atomic>
 #include <cstdint>
@@ -82,18 +82,18 @@ class HeTracker : public TrackerBase {
   // Fig. 1 retire().
   void retire(Block* b, unsigned tid) noexcept {
     b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    push_retired(b, tid);
-    auto& td = threads_[tid];
-    if (++td.retire_since_scan % cfg_.cleanup_freq == 0) {
-      // Race fix: only advance the clock if it still equals the era this
-      // block was stamped with.
-      if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
-        global_era_.value.fetch_add(1, std::memory_order_acq_rel);
-      scan(tid);
-    }
+    if (!retire_step(b, tid, era_pinned(tid))) return;
+    // Race fix: only advance the clock if it still equals the era this
+    // block was stamped with.
+    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
+      global_era_.value.fetch_add(1, std::memory_order_acq_rel);
+    scan(tid);
   }
 
-  void flush(unsigned tid) noexcept { scan(tid); }
+  void flush(unsigned tid) noexcept {
+    scan(tid);
+    judge_detached(tid, era_pinned(tid));
+  }
 
   std::uint64_t era() const noexcept {
     return global_era_.value.load(std::memory_order_acquire);
@@ -104,7 +104,7 @@ class HeTracker : public TrackerBase {
   // slots are read from the highest down, as copy_slot's direction
   // contract requires (reclaim/tracker.hpp).
   void scan(unsigned tid) noexcept {
-    sweep_unpinned(tid, [this](EraSnapshot& snap) {
+    era_pass(tid, [this](EraSnapshot& snap) {
       for (unsigned t = 0; t < cfg_.max_threads; ++t)
         for (unsigned j = cfg_.max_hes; j-- != 0;)
           snap.add(era_[t][j].load(std::memory_order_seq_cst));

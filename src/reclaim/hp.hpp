@@ -4,8 +4,9 @@
 // protect() publishes the pointer itself and validates by re-reading the
 // source; the loop is lock-free (a concurrently mutating source can starve
 // it — exactly the operation the paper explains cannot be made wait-free
-// for pointer-tracking schemes, §6).  retire() scans all published hazards
-// and frees unpublished blocks.
+// for pointer-tracking schemes, §6).  A cleanup pass snapshots all
+// published hazards, and unpublished blocks are freed against that
+// snapshot in installments (reclaim/tracker.hpp).
 //
 // Published hazards are stripped of mark bits so that marked re-reads of
 // the same node still validate its address.
@@ -68,31 +69,41 @@ class HpTracker : public TrackerBase {
     return make_block<T>(tid, std::forward<Args>(args)...);
   }
 
-  void retire(Block* b, unsigned tid) noexcept {
-    push_retired(b, tid);
-    if (++threads_[tid].retire_since_scan % cfg_.cleanup_freq == 0) scan(tid);
+ private:
+  /// True when tid's last pass read a hazard on b.
+  auto pinned(unsigned tid) const noexcept {
+    return [&hazards = scratch_[tid].addresses](const Block* b) {
+      return std::binary_search(hazards.begin(), hazards.end(),
+                                reinterpret_cast<std::uintptr_t>(b));
+    };
   }
 
-  void flush(unsigned tid) noexcept { scan(tid); }
+ public:
+  void retire(Block* b, unsigned tid) noexcept {
+    if (retire_step(b, tid, pinned(tid))) scan(tid);
+  }
+
+  void flush(unsigned tid) noexcept {
+    scan(tid);
+    judge_detached(tid, pinned(tid));
+  }
 
  private:
+  /// Snapshots all published hazards, sorted, for the pass's detached
+  /// blocks to be judged against.  Each thread's slots are read from the
+  /// highest down, as copy_slot's direction contract requires
+  /// (reclaim/tracker.hpp).
   void scan(unsigned tid) noexcept {
-    // Snapshot all published hazards, then free retired blocks whose
-    // address is absent from the snapshot.  Each thread's slots are read
-    // from the highest down, as copy_slot's direction contract requires
-    // (reclaim/tracker.hpp).
-    auto& hazards = scratch_[tid].addresses;
-    hazards.clear();
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-      for (unsigned j = cfg_.max_hes; j-- != 0;) {
-        const std::uintptr_t h = hp_[t][j].load(std::memory_order_seq_cst);
-        if (h != 0) hazards.push_back(h);
+    pass(tid, pinned(tid), [&] {
+      auto& hazards = scratch_[tid].addresses;
+      hazards.clear();
+      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
+        for (unsigned j = cfg_.max_hes; j-- != 0;) {
+          const std::uintptr_t h = hp_[t][j].load(std::memory_order_seq_cst);
+          if (h != 0) hazards.push_back(h);
+        }
       }
-    }
-    std::sort(hazards.begin(), hazards.end());
-    sweep_retired(tid, [&hazards](const Block* b) {
-      return !std::binary_search(hazards.begin(), hazards.end(),
-                                 reinterpret_cast<std::uintptr_t>(b));
+      std::sort(hazards.begin(), hazards.end());
     });
   }
 

@@ -13,9 +13,9 @@
 // so they never observe a torn {new lower, old upper} pair.
 //
 // One deviation from the paper's per-block can_delete(): a cleanup pass
-// loads each thread's interval once into an EraSnapshot and sweeps the
-// retire list against it (reclaim/tracker.hpp says why one snapshot is
-// as safe).
+// loads each thread's interval once into an EraSnapshot, and the retire
+// list is judged against it in installments (reclaim/tracker.hpp says
+// why one snapshot is as safe).
 
 #include <atomic>
 #include <cstdint>
@@ -78,11 +78,13 @@ class IbrTracker : public TrackerBase {
 
   void retire(Block* b, unsigned tid) noexcept {
     b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    push_retired(b, tid);
-    if (++threads_[tid].retire_since_scan % cfg_.cleanup_freq == 0) scan(tid);
+    if (retire_step(b, tid, era_pinned(tid))) scan(tid);
   }
 
-  void flush(unsigned tid) noexcept { scan(tid); }
+  void flush(unsigned tid) noexcept {
+    scan(tid);
+    judge_detached(tid, era_pinned(tid));
+  }
 
   std::uint64_t era() const noexcept {
     return global_era_.value.load(std::memory_order_acquire);
@@ -90,7 +92,7 @@ class IbrTracker : public TrackerBase {
 
  private:
   void scan(unsigned tid) noexcept {
-    sweep_unpinned(tid, [this](EraSnapshot& snap) {
+    era_pass(tid, [this](EraSnapshot& snap) {
       for (unsigned t = 0; t < cfg_.max_threads; ++t) {
         // Consistent {lower, upper} snapshot (see header comment).
         const util::Pair iv = resv_[t].load_pair(std::memory_order_seq_cst);

@@ -26,19 +26,27 @@
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free of a block no other thread can reach
 //
-// Cleanup pass: every scheme reads each reservation once per pass, then
-// sweeps its retire list against what it read (sweep_retired).  HP
-// collects a sorted hazard set, EBR/QSBR a minimum epoch, and the era
-// schemes (HE, WFE, 2GEIBR, WFE-IBR) an EraSnapshot of era intervals
-// through sweep_unpinned(): a block stays listed while its [alloc_era,
-// retire_era] meets an interval.  The papers' can_delete() re-reads the
-// reservations for each block; one snapshot serves them all because
-// every listed block was retired, by this thread, before the pass began.
-// A per-block check is safe at any instant after its block's retire (a
-// reader that can still reach the block published a covering
-// reservation before the retire's unlink and keeps it until it drops
-// the reference), and the snapshot is every block's check run at one
-// such instant, an interleaving the per-block reads already admit.
+// Cleanup pass: every cleanup_freq-th retire of a reclaiming scheme runs
+// a pass, which reads each reservation once into the thread's snapshot
+// and then detaches the thread's retire list.  HP's snapshot is a sorted
+// hazard set, EBR/QSBR's a minimum epoch, and the era schemes' (HE, WFE,
+// 2GEIBR, WFE-IBR) an EraSnapshot of era intervals (era_pass()): a block
+// stays listed while its [alloc_era, retire_era] meets an interval.  The
+// sweep is paid in installments: each later retire judges at most
+// kJudgeStep detached blocks against the snapshot, freeing an unpinned
+// one and relisting a pinned one, and the next pass first finishes what
+// is left against the same snapshot before it reads its own.  flush()
+// runs a pass and judges everything it detached at once.  So no retire
+// pays a whole sweep, and a block is freed at most one pass later than
+// by a pass that swept its list itself.  The papers' can_delete()
+// re-reads the reservations for each block; one snapshot serves them all
+// because it only ever judges blocks this thread retired before it was
+// read: a retire after the pass lists its block for the next pass, never
+// with the detached ones.  A per-block check is safe at any instant after
+// its block's retire (a reader that can still reach the block published
+// a covering reservation before the retire's unlink and keeps it until
+// it drops the reference), and the snapshot is every block's check run
+// at one such instant, an interleaving the per-block reads already admit.
 //
 // TrackerBase's destructor frees whatever the retire lists still hold, so
 // no scheme writes its own teardown.  TrackerBase also owns the memory:
@@ -60,6 +68,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -90,12 +99,13 @@ struct TrackerConfig {
 };
 
 /// Freed blocks one thread keeps per block size in one domain, for its
-/// own next allocations (detail::BlockCache).  Sized from the sweeps it
-/// absorbs: on perfbench's read50 workload (2 threads, cleanup_freq 30,
-/// every retired block a 40-byte value cell) a cleanup pass freed 32
-/// blocks at the median, 56 at p99 and 58 at p99.9 (155,010 passes of
-/// one 2 s run, 4-vCPU x86 host), so a list holds two p99 passes.
-/// Overflow goes to ::operator delete.  0 under AddressSanitizer, so its
+/// own next allocations (detail::BlockCache).  Sized when a cleanup
+/// pass still swept its whole list in one retire: on perfbench's read50
+/// workload (2 threads, cleanup_freq 30, every retired block a 40-byte
+/// value cell) a pass freed 32 blocks at the median, 56 at p99 and 58
+/// at p99.9 (155,010 passes of one 2 s run, 4-vCPU x86 host), so a list
+/// holds two p99 passes; installments now spread those frees over the
+/// retires after the pass.  Overflow goes to ::operator delete.  0 under AddressSanitizer, so its
 /// quarantine still sees every free and catches a use after reclaim.
 inline constexpr unsigned kFreeListCap =
 #if defined(__SANITIZE_ADDRESS__)
@@ -267,8 +277,9 @@ class BlockCache {
 /// util::owned_add (relaxed load + store), and stats readers sum the
 /// lanes with relaxed loads.
 struct ThreadData {
-  Block* retire_head{nullptr};
-  std::uint64_t retire_since_scan{0}; ///< cleanup_freq counter
+  Block* retire_head{nullptr};  ///< retired since the last pass, or relisted
+  Block* detached{nullptr};     ///< listed at the last pass, not judged yet
+  std::uint64_t until_pass{0};        ///< retires left before the next pass
   std::uint64_t alloc_since_bump{0};  ///< era_freq counter
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> frees{0};      ///< all destructions
@@ -280,17 +291,20 @@ struct ThreadData {
 }  // namespace detail
 
 /// The reservations one cleanup pass of an era scheme read, as era
-/// intervals (an era point e is [e, e]).  A pass builds it on the stack
-/// over its thread's storage in TrackerBase, sized at construction
-/// (size_snapshots) for the most a pass can add, so a pass never
-/// allocates.
+/// intervals (an era point e is [e, e]).  Each thread keeps one in
+/// TrackerBase, over storage sized at construction (size_snapshots) for
+/// the most a pass can add, so a pass never allocates; it judges the
+/// pass's detached blocks until the thread's next pass refills it.
 class EraSnapshot {
  public:
   struct Interval {
     std::uint64_t lower, upper;
   };
 
+  EraSnapshot() noexcept = default;
   explicit EraSnapshot(Interval* storage) noexcept : iv_(storage) {}
+
+  void clear() noexcept { n_ = 0; }
 
   /// Adds the reservation [lower, upper].  An empty one (lower ∞) and a
   /// repeat of the last interval added pin nothing new and are skipped.
@@ -309,7 +323,7 @@ class EraSnapshot {
   }
 
  private:
-  Interval* iv_;
+  Interval* iv_ = nullptr;
   unsigned n_ = 0;
 };
 
@@ -331,10 +345,16 @@ class EraSnapshot {
 class TrackerBase {
  public:
   explicit TrackerBase(const TrackerConfig& cfg)
-      : cfg_(cfg), threads_(cfg.max_threads) {}
+      : cfg_(cfg), threads_(cfg.max_threads) {
+    for (unsigned t = 0; t < cfg.max_threads; ++t) threads_[t].until_pass = cfg.cleanup_freq;
+  }
 
   TrackerBase(const TrackerBase&) = delete;
   TrackerBase& operator=(const TrackerBase&) = delete;
+
+  /// Blocks a retire that starts no cleanup pass judges, at most: one
+  /// installment of the last pass's sweep.
+  static constexpr std::uint64_t kJudgeStep = 2;
 
   unsigned max_threads() const noexcept { return cfg_.max_threads; }
   unsigned max_hes() const noexcept { return cfg_.max_hes; }
@@ -358,7 +378,7 @@ class TrackerBase {
     const std::uint64_t a = allocated(), f = freed();
     return a > f ? a - f : 0;
   }
-  /// Blocks currently queued on retire lists awaiting a scan (racy
+  /// Blocks currently queued on retire lists, listed or detached (racy
   /// snapshot; the kv stats API reports this as the per-domain backlog).
   /// Every retired block sits on a list until it is reclaimed, so this
   /// is unreclaimed() by another name.
@@ -411,6 +431,8 @@ class TrackerBase {
     return node;
   }
 
+  /// Lists b on tid's retire list: Leak's whole retire, and the first
+  /// step of retire_step().
   void push_retired(Block* b, unsigned tid) noexcept {
     auto& td = threads_[tid];
     b->retire_next = td.retire_head;
@@ -418,25 +440,42 @@ class TrackerBase {
     util::owned_add(td.retires);
   }
 
-  /// Walks tid's retire list, freeing blocks for which `deletable(blk)`
-  /// holds; shared by every scheme's scan.
-  template <class Pred>
-  void sweep_retired(unsigned tid, Pred&& deletable) noexcept {
+  /// A reclaiming scheme's retire, after its stamps: lists b and counts
+  /// down to tid's next cleanup pass.  True on every cleanup_freq-th
+  /// retire, whose caller then runs its pass (pass(), era_pass()); any
+  /// other retire pays one installment of the last pass's sweep instead:
+  /// up to kJudgeStep of the blocks it detached, judged by `pinned`.
+  template <class Pinned>
+  bool retire_step(Block* b, unsigned tid, const Pinned& pinned) noexcept {
+    push_retired(b, tid);
     auto& td = threads_[tid];
-    std::uint64_t n = 0;
-    Block** link = &td.retire_head;
-    while (*link != nullptr) {
-      Block* b = *link;
-      if (deletable(b)) {
-        *link = b->retire_next;
-        release(b, td);
-        ++n;
-      } else {
-        link = &b->retire_next;
-      }
+    if (--td.until_pass == 0) {
+      td.until_pass = cfg_.cleanup_freq;
+      return true;
     }
-    util::owned_add(td.frees, n);
-    util::owned_add(td.reclaims, n);
+    if (td.detached != nullptr) judge(td, kJudgeStep, pinned);
+    return false;
+  }
+
+  /// One cleanup pass of tid.  It first finishes what the previous pass
+  /// detached, judged by `pinned` against that pass's snapshot.  Then
+  /// `read()` overwrites the snapshot, reading every reservation once,
+  /// and the retire list is detached: retire_step() judges it against
+  /// the new snapshot in installments.  Every block detached here was
+  /// retired before `read()` began.
+  template <class Pinned, class Read>
+  void pass(unsigned tid, const Pinned& pinned, Read&& read) noexcept {
+    auto& td = threads_[tid];
+    if (td.detached != nullptr) judge(td, kAll, pinned);
+    read();
+    td.detached = td.retire_head;
+    td.retire_head = nullptr;
+  }
+
+  /// flush() after its pass: judges every detached block at once.
+  template <class Pinned>
+  void judge_detached(unsigned tid, const Pinned& pinned) noexcept {
+    judge(threads_[tid], kAll, pinned);
   }
 
   /// An era scheme's constructor calls this once with `intervals`, the
@@ -444,23 +483,60 @@ class TrackerBase {
   /// gets room for that many.
   void size_snapshots(unsigned intervals) {
     intervals_ = detail::PerThreadRows<EraSnapshot::Interval>(cfg_.max_threads, intervals);
+    snaps_ = detail::PerThread<EraSnapshot>(cfg_.max_threads);
+    for (unsigned t = 0; t < cfg_.max_threads; ++t) snaps_[t] = EraSnapshot(intervals_[t]);
   }
 
-  /// An era scheme's cleanup pass: `read(snap)` adds every reservation,
-  /// each read once, to tid's snapshot; then every listed block whose
-  /// lifespan meets no interval of it is freed.
-  template <class Read>
-  void sweep_unpinned(unsigned tid, Read&& read) noexcept {
-    EraSnapshot snap(intervals_[tid]);
-    read(snap);
-    sweep_retired(tid, [&snap](const Block* b) { return !snap.pins(b); });
+  /// An era scheme's `pinned`: b's lifespan meets an interval of tid's
+  /// snapshot.
+  auto era_pinned(unsigned tid) const noexcept {
+    return [&snap = snaps_[tid]](const Block* b) { return snap.pins(b); };
+  }
+
+  /// An era scheme's cleanup pass: `add(snap)` adds every reservation,
+  /// each read once, to tid's emptied snapshot.
+  template <class Add>
+  void era_pass(unsigned tid, Add&& add) noexcept {
+    pass(tid, era_pinned(tid), [&] {
+      EraSnapshot& snap = snaps_[tid];
+      snap.clear();
+      add(snap);
+    });
   }
 
   TrackerConfig cfg_;
   detail::PerThread<detail::ThreadData> threads_;
 
  private:
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
   detail::PerThreadRows<EraSnapshot::Interval> intervals_;  ///< one row per thread
+  detail::PerThread<EraSnapshot> snaps_{0};                 ///< each over its row
+
+  /// Judges up to `most` of td's detached blocks by `pinned`: frees each
+  /// unpinned one and relists each pinned one for the next pass.  Out of
+  /// line: retire() is inlined into every structure's unlink path, and a
+  /// loop there costs the structures' read paths as well.
+  template <class Pinned>
+  [[gnu::noinline]] void judge(detail::ThreadData& td, std::uint64_t most,
+                               const Pinned& pinned) noexcept {
+    std::uint64_t n = 0;
+    Block* b = td.detached;
+    for (; b != nullptr && most != 0; --most) {
+      Block* next = b->retire_next;
+      if (pinned(b)) {
+        b->retire_next = td.retire_head;
+        td.retire_head = b;
+      } else {
+        release(b, td);
+        ++n;
+      }
+      b = next;
+    }
+    td.detached = b;
+    util::owned_add(td.frees, n);
+    util::owned_add(td.reclaims, n);
+  }
 
   /// Destroys b and keeps its memory on td's free list for its size, or
   /// returns it to ::operator delete when that list is full.
@@ -469,19 +545,21 @@ class TrackerBase {
     if (!td.cache.put(b, size)) ::operator delete(static_cast<void*>(b), size);
   }
 
-  /// Frees every block still queued on every retire list, then empties
-  /// the free lists.  Only valid when no thread is active (tracker
-  /// destructor).
+  /// Frees every block still queued on every retire list, listed or
+  /// detached, then empties the free lists.  Only valid when no thread
+  /// is active (tracker destructor).
   void drain_all_unsafe() noexcept {
     for (unsigned t = 0; t < threads_.size(); ++t) {
       auto& td = threads_[t];
       std::uint64_t n = 0;
-      for (Block* b = td.retire_head; b != nullptr; ++n) {
-        Block* next = b->retire_next;
-        ::operator delete(static_cast<void*>(b), b->deleter(b));
-        b = next;
+      for (Block* list : {td.retire_head, td.detached}) {
+        for (Block* b = list; b != nullptr; ++n) {
+          Block* next = b->retire_next;
+          ::operator delete(static_cast<void*>(b), b->deleter(b));
+          b = next;
+        }
       }
-      td.retire_head = nullptr;
+      td.retire_head = td.detached = nullptr;
       util::owned_add(td.frees, n);
       util::owned_add(td.reclaims, n);
       td.cache.clear();

@@ -220,13 +220,14 @@ TEST(Ibr, StalledIntervalBoundsMemory) {
 
 // ---- One cleanup pass (HE, WFE, 2GEIBR, WFE-IBR) ----
 //
-// A pass reads every reservation once, then sweeps the retire list.  A
-// second thread reserves e1 in its lowest slot and later e2 in its
-// highest (an interval scheme opens [e1, e1] and grows it to [e1, e2]);
-// one flush must keep exactly the retired blocks whose lifespans meet a
-// reservation, boundaries included, and free every other one.  Every
-// alloc advances the era by one (era_freq 1) and no retire starts a
-// pass, so the order below sets each lifespan.
+// A pass reads every reservation once, and flush() judges the whole
+// retire list against what it read.  A second thread reserves e1 in its
+// lowest slot and later e2 in its highest (an interval scheme opens
+// [e1, e1] and grows it to [e1, e2]); one flush must keep exactly the
+// retired blocks whose lifespans meet a reservation, boundaries
+// included, and free every other one.  Every alloc advances the era
+// by one (era_freq 1) and no retire starts a pass, so the order below
+// sets each lifespan.
 
 template <class TR>
 class OnePass : public ::testing::Test {};

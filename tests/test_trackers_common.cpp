@@ -352,6 +352,129 @@ TYPED_TEST(TrackerCommon, ProtectedBlockSurvivesScans) {
   tracker.end_op(1);
 }
 
+// Installments (reclaim::TrackerBase): every cleanup_freq-th retire runs
+// a pass, which reads the reservations into its thread's snapshot and
+// detaches the retire list; each later retire judges at most two of the
+// detached blocks against that snapshot, and the next pass finishes the
+// rest before it reads its own.  A block retired after a pass must wait
+// for the next pass, since its unlink may follow a reservation the
+// snapshot never saw.
+template <class TR>
+class Installments : public ::testing::Test {
+ protected:
+  static constexpr unsigned kFreq = 8;
+  reclaim::TrackerConfig cfg_ = [] {
+    reclaim::TrackerConfig c;
+    c.max_threads = 4;
+    c.max_hes = 4;
+    c.cleanup_freq = kFreq;
+    return c;
+  }();
+};
+
+TYPED_TEST_SUITE(Installments, test::ReclaimingTrackers);
+
+// Thread 1 holds nothing while a pass reads its snapshot, then protects
+// X; thread 0 unlinks and retires X and keeps retiring until every block
+// that pass detached is freed, then on through two more passes.  Judged
+// against the first snapshot, X would be freed under thread 1's
+// reservation.
+TYPED_TEST(Installments, LaterRetireIsNeverJudgedByAnOlderPass) {
+  constexpr unsigned kFreq = TestFixture::kFreq;
+  TypeParam tracker(this->cfg_);
+  std::atomic<int> x_dtors{0};
+  CountedNode* x = tracker.template alloc<CountedNode>(0, &x_dtors, 7);
+  std::atomic<CountedNode*> root{x};
+  const auto churn = [&] { tracker.retire(tracker.template alloc<CountedNode>(0), 0); };
+
+  for (unsigned i = 0; i < kFreq; ++i) churn();  // the last one runs the pass
+  ASSERT_EQ(tracker.freed(), 0u) << "a pass frees nothing before a later retire";
+
+  tracker.begin_op(1);
+  ASSERT_EQ(reclaim::protect(tracker, root, 0, 1, nullptr), x);
+  root.store(nullptr);
+  tracker.retire(x, 0);
+  unsigned retires = 1;
+  while (tracker.freed() < kFreq && retires < kFreq - 1) {
+    ASSERT_EQ(x_dtors.load(), 0) << "after " << retires << " retires since the pass";
+    churn();
+    ++retires;
+  }
+  EXPECT_EQ(tracker.freed(), kFreq) << "the pass's blocks are judged by the retires after it";
+  EXPECT_EQ(x_dtors.load(), 0) << "X was judged by a pass read before its retire";
+  for (; retires < 3 * kFreq; ++retires) {
+    churn();
+    ASSERT_EQ(x_dtors.load(), 0) << "after " << retires << " retires since the pass";
+  }
+  EXPECT_EQ(x->value, 7u);
+  tracker.end_op(1);
+  tracker.flush(0);
+  EXPECT_EQ(x_dtors.load(), 1);
+  EXPECT_EQ(tracker.unreclaimed(), 0u);
+}
+
+// With nothing pinned, a retire that starts no pass frees at most two
+// blocks, and every block listed at pass k is freed by the end of pass
+// k+1.  The second phase makes a pass detach more than the retires
+// before the next one can judge (threads 1-3 pin twelve blocks through
+// two passes, then let go), so the next pass must finish the rest.
+TYPED_TEST(Installments, EachRetireJudgesAtMostTwo) {
+  constexpr unsigned kFreq = TestFixture::kFreq;
+  TypeParam tracker(this->cfg_);
+  unsigned retires = 0;
+  std::uint64_t listed_at_pass = 0;  // retired() at the last pass
+  bool check_passes = true;
+  const auto retire = [&](CountedNode* n) {
+    const std::uint64_t before = tracker.freed();
+    tracker.retire(n, 0);
+    const std::uint64_t freed = tracker.freed();
+    if (++retires % kFreq != 0) {
+      EXPECT_LE(freed - before, 2u) << "retire " << retires;
+      return;
+    }
+    if (check_passes) {
+      EXPECT_GE(freed, listed_at_pass) << "the pass on retire " << retires
+                                       << " left blocks listed at the pass before";
+    }
+    listed_at_pass = tracker.retired();
+  };
+  const auto churn = [&] { retire(tracker.template alloc<CountedNode>(0)); };
+
+  for (unsigned i = 0; i < 10 * kFreq; ++i) churn();
+
+  constexpr unsigned kHeld = 12;
+  CountedNode* held[kHeld];
+  std::atomic<CountedNode*> roots[kHeld];
+  for (unsigned i = 0; i < kHeld; ++i) {
+    held[i] = tracker.template alloc<CountedNode>(0);
+    roots[i].store(held[i]);
+  }
+  for (unsigned t = 1; t <= 3; ++t) {
+    tracker.begin_op(t);
+    for (unsigned j = 0; j < 4; ++j)
+      ASSERT_EQ(reclaim::protect(tracker, roots[(t - 1) * 4 + j], j, t, nullptr),
+                held[(t - 1) * 4 + j]);
+  }
+  check_passes = false;
+  for (unsigned i = 0; i < kHeld; ++i) {
+    roots[i].store(nullptr);
+    retire(held[i]);
+  }
+  while (retires % kFreq != 0) churn();
+  for (unsigned i = 0; i < kFreq; ++i) churn();
+  for (unsigned t = 1; t <= 3; ++t) tracker.end_op(t);
+  for (unsigned i = 0; i < kFreq; ++i) churn();  // the first pass that sees no pin
+  check_passes = true;
+  const std::uint64_t backlog = listed_at_pass;
+  for (unsigned i = 0; i + 1 < kFreq; ++i) churn();
+  EXPECT_LT(tracker.freed(), backlog) << "the installments alone finished the backlog";
+  churn();  // this pass must finish it
+  EXPECT_GE(tracker.freed(), backlog);
+
+  tracker.flush(0);
+  EXPECT_EQ(tracker.unreclaimed(), 0u);
+}
+
 // detail::PerThreadRows, the storage of HP's hazards, HE's eras, WFE's
 // rows and requests and every era scheme's snapshot: each thread's row
 // starts on a kFalseSharingRange boundary, and no two threads' rows
