@@ -393,8 +393,8 @@ void store_cols(util::JsonWriter& j, const kv::ShardStats& tot) {
   j.kv("ops", tot.ops());
   j.kv("retired", tot.retired);
   // Retire backlog at the end of the window: queued on the domains'
-  // retire lists vs still buffered in the batch adapters.
-  j.kv("retire_backlog", tot.retire_backlog);
+  // retire lists (unreclaimed) vs still buffered in the batch adapters.
+  j.kv("retire_backlog", tot.unreclaimed);
   j.kv("pending_retired", tot.pending_retired);
   // Max-over-streams appended-durable gap.
   j.kv("wal_durable_lag", tot.wal_durable_lag);

@@ -36,17 +36,19 @@
 // request and private row counts to the constructor and supplies:
 //  * slot_of(idx)        — the request row protect(idx) publishes into;
 //  * add_app_rows(snap)  — adds every thread's application reservations
-//                          to a cleanup pass's EraSnapshot, each row
-//                          read once;
+//                          to a cleanup pass's EraSnapshot (reclaim/he.hpp),
+//                          each row read once;
 //  * begin_op / end_op / clear_slot / copy_slot over its application rows.
 // WfeTracker's layout is Fig. 3's: max_hes application rows, each its own
 // request row (slot_of(idx) == idx), pinning by Hazard Eras' era points.
 //
-// One deviation from Fig. 4: cleanup() reads the rows once per pass into
-// an EraSnapshot, where Fig. 4's can_delete() re-reads them for each
-// retired block, and the blocks the pass detaches are judged against it
-// in installments by the retires that follow (see cleanup() and
-// reclaim/tracker.hpp).
+// retire() and flush() are reclaim::Reclaimer's, the ones every
+// reclaiming scheme runs; WfeCore supplies Fig. 4's retire stamp, the era
+// bump before a pass and cleanup()'s reads (read()).  One deviation from
+// Fig. 4: cleanup() reads the rows once per pass into an EraSnapshot,
+// where Fig. 4's can_delete() re-reads them for each retired block, and
+// the blocks the pass detaches are judged against it in installments by
+// the retires that follow (see read() and reclaim/tracker.hpp).
 //
 // API deviation from HE (paper §3.4): protect() takes the *parent* block
 // containing the hazardous reference (nullptr for roots), so helpers can
@@ -59,6 +61,7 @@
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "reclaim/block.hpp"
+#include "reclaim/he.hpp"
 #include "reclaim/tracker.hpp"
 #include "util/atomics.hpp"
 #include "util/cacheline.hpp"
@@ -71,7 +74,9 @@ using reclaim::kInvPtr;
 using reclaim::TrackerConfig;
 
 template <class Layout>
-class WfeCore : public reclaim::TrackerBase {
+class WfeCore : public reclaim::Reclaimer<WfeCore<Layout>, reclaim::EraSnapshot> {
+  using Base = reclaim::Reclaimer<WfeCore, reclaim::EraSnapshot>;
+
  public:
   /// get_protected() — Fig. 4 lines 12-54.  `parent` is the block that
   /// physically contains `src` (nullptr when `src` is a data-structure
@@ -142,25 +147,10 @@ class WfeCore : public reclaim::TrackerBase {
   /// alloc_block() — Fig. 4 lines 69-75.
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0) increment_era(tid);
-    T* node = make_block<T>(tid, std::forward<Args>(args)...);
+    if (this->clock_due(tid)) increment_era(tid);
+    T* node = this->template make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_era_.value.load(std::memory_order_seq_cst);
     return node;
-  }
-
-  /// retire() — Fig. 4 lines 77-85.
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    if (!retire_step(b, tid, era_pinned(tid))) return;
-    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
-      increment_era(tid);
-    cleanup(tid);
-  }
-
-  void flush(unsigned tid) noexcept {
-    cleanup(tid);
-    judge_detached(tid, era_pinned(tid));
   }
 
   std::uint64_t era() const noexcept {
@@ -189,12 +179,12 @@ class WfeCore : public reclaim::TrackerBase {
   /// rows, then `private_rows` rows of the layout's own.  A cleanup pass
   /// reads each row at most twice, which sizes its snapshot.
   WfeCore(const TrackerConfig& cfg, unsigned requests, unsigned private_rows)
-      : TrackerBase(cfg),
+      : Base(cfg, cfg.max_threads * 2 * (requests + 2 + private_rows)),
         resv_(cfg.max_threads, requests + 2 + private_rows, util::Pair{kInfEra, 0}),
         req_(cfg.max_threads, requests),
-        requests_(requests) {
-    size_snapshots(cfg.max_threads * 2 * resv_.width());
-  }
+        requests_(requests) {}
+
+  using Base::cfg_;
 
   struct Request {
     util::AtomicPair result{util::Pair{0, kInfEra}};  // {nullptr, ∞}
@@ -202,10 +192,9 @@ class WfeCore : public reclaim::TrackerBase {
     std::atomic<const std::atomic<std::uintptr_t>*> pointer{nullptr};
   };
 
-  // The rows table leads, so the fast path finds it on the line holding
-  // cfg_; the clock and each counter sit on padded lines of their own.
-  // Each thread's rows, and its requests, start on a cache-line pair of
-  // their own (detail::PerThreadRows).
+  // The clock and each counter sit on padded lines of their own, and each
+  // thread's rows, and its requests, start on a cache-line pair of their
+  // own (detail::PerThreadRows).
   reclaim::detail::PerThreadRows<util::AtomicPair> resv_;  ///< requests + 2 + private rows
   reclaim::detail::PerThreadRows<Request> req_;            ///< `requests` entries
   util::Padded<std::atomic<std::uint64_t>> global_era_{1};
@@ -215,6 +204,8 @@ class WfeCore : public reclaim::TrackerBase {
   const unsigned requests_;  ///< request rows per thread; parent row next
 
  private:
+  friend Base;
+
   const Layout& layout() const noexcept { return static_cast<const Layout&>(*this); }
 
   /// increment_era() — Fig. 4 lines 87-98: help every open request, then
@@ -280,33 +271,42 @@ class WfeCore : public reclaim::TrackerBase {
     parent_rsv.store_a(kInfEra, std::memory_order_seq_cst);
   }
 
+  /// retire() — Fig. 4 lines 77-85, run by Reclaimer::retire: this stamp,
+  /// then the list and the count-down, then before_pass() and the pass.
+  void stamp(Block* b) const noexcept {
+    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
+  }
+
+  void before_pass(const Block* b, unsigned tid) noexcept {
+    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
+      increment_era(tid);
+  }
+
   /// cleanup() — Fig. 4 lines 56-67, implementing the scanning discipline of
   /// Lemmas 4/5 once per pass: counter_end, the application rows, the parent
   /// rows, counter_start, and — unless no helper can be active (ce == cs) —
   /// the handover rows followed by the application rows *again* (opposite
   /// order), all into one EraSnapshot.  The pass then detaches the retire
   /// list, and every block on it is tested against that snapshot: up to two
-  /// per later retire (retire_step), the rest at the start of the next pass,
-  /// all of them at once by flush().  Fig. 4 runs that sequence per block;
-  /// running it once is every block's check at one instant after all of their
-  /// retires, which the per-block code already admits, and the snapshot never
-  /// tests a block retired after it was read (reclaim/tracker.hpp).
-  /// retire()'s era bump still comes before the pass.  add_app_rows() may
-  /// read one thread's rows from the highest index down (WfeTracker does, for
-  /// copy_slot's hand-offs); that order lies inside one read of the rows, so
-  /// the reads still meet each reservation in Lemma 5's order: a block handed
-  /// from a helper's parent or handover row to a requester's row is caught by
-  /// the order of the reads, one handed between two application rows by the
-  /// order within a read.
-  void cleanup(unsigned tid) noexcept {
-    era_pass(tid, [this](reclaim::EraSnapshot& snap) {
-      const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
-      layout().add_app_rows(snap);
-      add_internal_rows(snap, requests_);  // parent
-      if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return;
-      add_internal_rows(snap, requests_ + 1);  // handover
-      layout().add_app_rows(snap);
-    });
+  /// per later retire, the rest at the start of the next pass, all of them
+  /// at once by flush() (reclaim::Reclaimer).  Fig. 4 runs that sequence per
+  /// block; running it once is every block's check at one instant after all
+  /// of their retires, which the per-block code already admits, and the
+  /// snapshot never tests a block retired after it was read
+  /// (reclaim/tracker.hpp).  retire()'s era bump still comes before the
+  /// pass.  add_app_rows() may read one thread's rows from the highest index
+  /// down (WfeTracker does, for copy_slot's hand-offs); that order lies
+  /// inside one read of the rows, so the reads still meet each reservation
+  /// in Lemma 5's order: a block handed from a helper's parent or handover
+  /// row to a requester's row is caught by the order of the reads, one
+  /// handed between two application rows by the order within a read.
+  void read(reclaim::EraSnapshot& snap) const noexcept {
+    const std::uint64_t ce = counter_end_.value.load(std::memory_order_seq_cst);
+    layout().add_app_rows(snap);
+    add_internal_rows(snap, requests_);  // parent
+    if (ce == counter_start_.value.load(std::memory_order_seq_cst)) return;
+    add_internal_rows(snap, requests_ + 1);  // handover
+    layout().add_app_rows(snap);
   }
 
   /// Adds every thread's internal row r (parent or handover).

@@ -808,7 +808,6 @@ class KvStore {
       ix.freed = index_->tracker.freed();
       ix.retired = index_->tracker.retired();
       ix.unreclaimed = index_->tracker.unreclaimed();
-      ix.retire_backlog = index_->tracker.retire_backlog();
       ix.cached_blocks = index_->tracker.cached_blocks();
       ix.pending_retired = index_->batched.pending_retired();
       ix.batch_flushes = index_->batched.batch_flushes();
@@ -1040,7 +1039,7 @@ class KvStore {
     g("kv_puts_total", t.puts);
     g("kv_removes_total", t.removes);
     g("kv_updates_total", t.updates);
-    g("kv_retire_backlog", t.retire_backlog);
+    g("kv_retire_backlog", t.unreclaimed);
     g("kv_cached_blocks", t.cached_blocks);
     g("kv_pending_retired", t.pending_retired);
     g("kv_unreclaimed", t.unreclaimed);

@@ -339,7 +339,6 @@ class Shard {
     s.freed = tracker_.freed();
     s.retired = tracker_.retired();
     s.unreclaimed = tracker_.unreclaimed();
-    s.retire_backlog = tracker_.retire_backlog();
     s.cached_blocks = tracker_.cached_blocks();
     s.pending_retired = batched_.pending_retired();
     s.batch_flushes = batched_.batch_flushes();

@@ -31,8 +31,9 @@ struct ShardStats {
   std::uint64_t allocated = 0;
   std::uint64_t freed = 0;
   std::uint64_t retired = 0;
-  std::uint64_t unreclaimed = 0;     ///< retired, not yet freed
-  std::uint64_t retire_backlog = 0;  ///< queued on the domain's retire lists
+  /// Retired, not yet freed: every such block waits on one of the
+  /// domain's retire lists (the kv_retire_backlog gauge).
+  std::uint64_t unreclaimed = 0;
   /// Freed blocks the domain's per-thread free lists hold for reuse
   /// (counted in `freed`; at most reclaim::kFreeListCap per block size
   /// per thread).
@@ -156,7 +157,6 @@ struct KvStats {
       t.freed += s.freed;
       t.retired += s.retired;
       t.unreclaimed += s.unreclaimed;
-      t.retire_backlog += s.retire_backlog;
       t.cached_blocks += s.cached_blocks;
       t.pending_retired += s.pending_retired;
       t.batch_flushes += s.batch_flushes;

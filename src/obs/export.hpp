@@ -9,8 +9,6 @@
 // as an auxiliary `<name>_max` gauge (the one tail statistic a summary
 // cannot recover).
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -131,13 +129,11 @@ inline bool dump_to_file(const char* path, const std::string& text) {
   return util::replace_file(path, line.data(), line.size());
 }
 
+/// The same line to an open descriptor (a stats socket, stderr) through
+/// util::write_all; false when the kernel took less than all of it.
 inline bool dump_to_fd(int fd, const std::string& text) {
-  std::FILE* f = ::fdopen(dup(fd), "w");  // fdopen is POSIX, not std::
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-      std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  const std::string line = text + '\n';
+  return util::write_all(fd, line.data(), line.size()) == line.size();
 }
 
 }  // namespace wfe::obs

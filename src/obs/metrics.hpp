@@ -26,6 +26,8 @@ namespace wfe::obs {
 
 /// The flight recorder's ring capacity.
 inline constexpr std::size_t kFlightBytes = std::size_t{1} << 20;
+/// Events the trace ring keeps (a power of two).
+inline constexpr std::size_t kTraceCapacity = 4096;
 
 struct MetricsOptions {
   bool enabled = false;
@@ -40,7 +42,6 @@ struct MetricsOptions {
   unsigned sample_shift = 4;
   /// Ops at or above this end-to-end latency push a trace event.
   std::uint64_t slow_op_ns = 1'000'000;  // 1ms
-  std::size_t trace_capacity = 4096;     // rounded up to a power of two
   /// Background sampler (set sampler=false to snapshot manually only).
   bool sampler = true;
   std::uint32_t sample_interval_ms = 100;
@@ -61,7 +62,7 @@ class KvMetrics {
  public:
   KvMetrics(const MetricsOptions& options, unsigned lanes)
       : opt(options),
-        trace(options.trace_capacity),
+        trace(kTraceCapacity),
         op_get(registry.add_histogram("kv_op_get_ns", lanes)),
         op_put(registry.add_histogram("kv_op_put_ns", lanes)),
         op_update(registry.add_histogram("kv_op_update_ns", lanes)),

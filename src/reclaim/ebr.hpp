@@ -22,10 +22,25 @@
 
 namespace wfe::reclaim {
 
-class EbrTracker : public TrackerBase {
+/// EBR's and QSBR's cleanup-pass snapshot: the oldest reservation the
+/// pass read.
+class EpochFloor {
+ public:
+  void clear() noexcept { floor_ = kInfEra; }
+  void add(std::uint64_t epoch) noexcept {
+    if (epoch < floor_) floor_ = epoch;
+  }
+  /// True when b was retired at or after that reservation's epoch.
+  bool pins(const Block* b) const noexcept { return b->retire_era >= floor_; }
+
+ private:
+  std::uint64_t floor_ = kInfEra;
+};
+
+class EbrTracker : public Reclaimer<EbrTracker, EpochFloor> {
  public:
   explicit EbrTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), resv_(cfg.max_threads), oldest_(cfg.max_threads) {
+      : Reclaimer(cfg), resv_(cfg.max_threads) {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store(kInfEra, std::memory_order_relaxed);
   }
@@ -54,31 +69,10 @@ class EbrTracker : public TrackerBase {
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0)
-      global_epoch_.value.fetch_add(1, std::memory_order_acq_rel);
+    if (clock_due(tid)) global_epoch_.value.fetch_add(1, std::memory_order_acq_rel);
     T* node = make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_epoch_.value.load(std::memory_order_acquire);
     return node;
-  }
-
- private:
-  /// True when b was retired at or after the oldest reservation tid's
-  /// last pass read.
-  auto pinned(unsigned tid) const noexcept {
-    return [&oldest = oldest_[tid]](const Block* b) { return b->retire_era >= oldest; };
-  }
-
- public:
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_epoch_.value.load(std::memory_order_acquire);
-    if (retire_step(b, tid, pinned(tid))) scan(tid);
-  }
-
-  /// Attempt reclamation of everything queued by `tid`.
-  void flush(unsigned tid) noexcept {
-    scan(tid);
-    judge_detached(tid, pinned(tid));
   }
 
   std::uint64_t epoch() const noexcept {
@@ -86,19 +80,18 @@ class EbrTracker : public TrackerBase {
   }
 
  private:
-  void scan(unsigned tid) noexcept {
-    pass(tid, pinned(tid), [&] {
-      std::uint64_t min_resv = kInfEra;
-      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-        const std::uint64_t r = resv_[t].load(std::memory_order_seq_cst);
-        if (r < min_resv) min_resv = r;
-      }
-      oldest_[tid] = min_resv;
-    });
+  friend Reclaimer;
+
+  void stamp(Block* b) const noexcept {
+    b->retire_era = global_epoch_.value.load(std::memory_order_acquire);
+  }
+
+  void read(EpochFloor& floor) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t)
+      floor.add(resv_[t].load(std::memory_order_seq_cst));
   }
 
   detail::PerThread<std::atomic<std::uint64_t>> resv_;
-  detail::PerThread<std::uint64_t> oldest_;  ///< each thread's last pass's minimum
   util::Padded<std::atomic<std::uint64_t>> global_epoch_{1};
 };
 

@@ -15,7 +15,8 @@
 // One deviation from Fig. 1: cleanup() reads every thread's eras once
 // per pass into an EraSnapshot, and the retire list is judged against it
 // in installments, where Fig. 1's can_delete() re-reads them for each
-// block (reclaim/tracker.hpp says why one snapshot is as safe).
+// block (reclaim/tracker.hpp says why one snapshot is as safe).  The
+// other era schemes (2GEIBR, WFE, WFE-IBR) keep the same snapshot.
 
 #include <atomic>
 #include <cstdint>
@@ -25,12 +26,48 @@
 
 namespace wfe::reclaim {
 
-class HeTracker : public TrackerBase {
+/// The reservations one cleanup pass of an era scheme read, as era
+/// intervals (an era point e is [e, e]), in an aligned row of its own
+/// sized at construction for the most a pass adds.
+class EraSnapshot {
+ public:
+  struct Interval {
+    std::uint64_t lower, upper;
+  };
+
+  EraSnapshot() noexcept = default;
+  explicit EraSnapshot(unsigned capacity) : row_(1, capacity) {}
+
+  void clear() noexcept { n_ = 0; }
+
+  /// Adds the reservation [lower, upper].  An empty one (lower ∞) and a
+  /// repeat of the last interval added pin nothing new and are skipped.
+  void add(std::uint64_t lower, std::uint64_t upper) noexcept {
+    if (lower == kInfEra) return;
+    Interval* iv = row_[0];
+    if (n_ != 0 && iv[n_ - 1].lower == lower && iv[n_ - 1].upper == upper) return;
+    iv[n_++] = {lower, upper};
+  }
+  void add(std::uint64_t era) noexcept { add(era, era); }
+
+  /// True when b's lifespan meets any interval added.
+  bool pins(const Block* b) const noexcept {
+    const Interval* iv = row_[0];
+    for (unsigned i = 0; i < n_; ++i)
+      if (era_overlaps(b, iv[i].lower, iv[i].upper)) return true;
+    return false;
+  }
+
+ private:
+  detail::PerThreadRows<Interval> row_;
+  unsigned n_ = 0;
+};
+
+class HeTracker : public Reclaimer<HeTracker, EraSnapshot> {
  public:
   explicit HeTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), era_(cfg.max_threads, cfg.max_hes, kInfEra) {
-    size_snapshots(cfg.max_threads * cfg.max_hes);
-  }
+      : Reclaimer(cfg, cfg.max_threads * cfg.max_hes),
+        era_(cfg.max_threads, cfg.max_hes, kInfEra) {}
 
   static constexpr const char* name() noexcept { return "HE"; }
 
@@ -71,28 +108,10 @@ class HeTracker : public TrackerBase {
   // Fig. 1 alloc_block().
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0)
-      global_era_.value.fetch_add(1, std::memory_order_acq_rel);
+    if (clock_due(tid)) global_era_.value.fetch_add(1, std::memory_order_acq_rel);
     T* node = make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_era_.value.load(std::memory_order_acquire);
     return node;
-  }
-
-  // Fig. 1 retire().
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    if (!retire_step(b, tid, era_pinned(tid))) return;
-    // Race fix: only advance the clock if it still equals the era this
-    // block was stamped with.
-    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
-      global_era_.value.fetch_add(1, std::memory_order_acq_rel);
-    scan(tid);
-  }
-
-  void flush(unsigned tid) noexcept {
-    scan(tid);
-    judge_detached(tid, era_pinned(tid));
   }
 
   std::uint64_t era() const noexcept {
@@ -100,15 +119,27 @@ class HeTracker : public TrackerBase {
   }
 
  private:
-  // Fig. 1 cleanup(), with every era read once per pass.  Each thread's
+  friend Reclaimer;
+
+  // Fig. 1 retire(): the stamp, then (Reclaimer::retire) the list.
+  void stamp(Block* b) const noexcept {
+    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
+  }
+
+  // Race fix: only advance the clock if it still equals the era this
+  // block was stamped with.
+  void before_pass(const Block* b, unsigned) noexcept {
+    if (b->retire_era == global_era_.value.load(std::memory_order_seq_cst))
+      global_era_.value.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  // Fig. 1 cleanup()'s reads, every era once per pass.  Each thread's
   // slots are read from the highest down, as copy_slot's direction
   // contract requires (reclaim/tracker.hpp).
-  void scan(unsigned tid) noexcept {
-    era_pass(tid, [this](EraSnapshot& snap) {
-      for (unsigned t = 0; t < cfg_.max_threads; ++t)
-        for (unsigned j = cfg_.max_hes; j-- != 0;)
-          snap.add(era_[t][j].load(std::memory_order_seq_cst));
-    });
+  void read(EraSnapshot& snap) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t)
+      for (unsigned j = cfg_.max_hes; j-- != 0;)
+        snap.add(era_[t][j].load(std::memory_order_seq_cst));
   }
 
   detail::PerThreadRows<std::atomic<std::uint64_t>> era_;  ///< max_hes eras per thread

@@ -5,8 +5,8 @@
 // source; the loop is lock-free (a concurrently mutating source can starve
 // it — exactly the operation the paper explains cannot be made wait-free
 // for pointer-tracking schemes, §6).  A cleanup pass snapshots all
-// published hazards, and unpublished blocks are freed against that
-// snapshot in installments (reclaim/tracker.hpp).
+// published hazards into a sorted HazardSet, and unpublished blocks are
+// freed against that snapshot in installments (reclaim/tracker.hpp).
 //
 // Published hazards are stripped of mark bits so that marked re-reads of
 // the same node still validate its address.
@@ -14,19 +14,42 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "reclaim/tracker.hpp"
 #include "util/marked_ptr.hpp"
 
 namespace wfe::reclaim {
 
-class HpTracker : public TrackerBase {
+/// HP's cleanup-pass snapshot: the hazards the pass read, sorted, in an
+/// aligned row of its own with room for every slot of every thread.
+class HazardSet {
+ public:
+  HazardSet() noexcept = default;
+  explicit HazardSet(unsigned capacity) : row_(1, capacity) {}
+
+  void clear() noexcept { n_ = 0; }
+  /// Adds a published hazard; an empty slot (0) pins nothing.
+  void add(std::uintptr_t hazard) noexcept {
+    if (hazard != 0) row_[0][n_++] = hazard;
+  }
+  /// Sorts what was added, for pins() to binary-search.
+  void sort() noexcept { std::sort(row_[0], row_[0] + n_); }
+
+  /// True when the pass read a hazard on b.
+  bool pins(const Block* b) const noexcept {
+    return std::binary_search(row_[0], row_[0] + n_, reinterpret_cast<std::uintptr_t>(b));
+  }
+
+ private:
+  detail::PerThreadRows<std::uintptr_t> row_;
+  unsigned n_ = 0;
+};
+
+class HpTracker : public Reclaimer<HpTracker, HazardSet> {
  public:
   explicit HpTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg),
-        hp_(cfg.max_threads, cfg.max_hes, std::uintptr_t{0}),
-        scratch_(cfg.max_threads) {}
+      : Reclaimer(cfg, cfg.max_threads * cfg.max_hes),
+        hp_(cfg.max_threads, cfg.max_hes, std::uintptr_t{0}) {}
 
   static constexpr const char* name() noexcept { return "HP"; }
 
@@ -70,49 +93,19 @@ class HpTracker : public TrackerBase {
   }
 
  private:
-  /// True when tid's last pass read a hazard on b.
-  auto pinned(unsigned tid) const noexcept {
-    return [&hazards = scratch_[tid].addresses](const Block* b) {
-      return std::binary_search(hazards.begin(), hazards.end(),
-                                reinterpret_cast<std::uintptr_t>(b));
-    };
-  }
+  friend Reclaimer;
 
- public:
-  void retire(Block* b, unsigned tid) noexcept {
-    if (retire_step(b, tid, pinned(tid))) scan(tid);
+  /// Every published hazard, for the pass's detached blocks to be judged
+  /// against.  Each thread's slots are read from the highest down, as
+  /// copy_slot's direction contract requires (reclaim/tracker.hpp).
+  void read(HazardSet& hazards) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t)
+      for (unsigned j = cfg_.max_hes; j-- != 0;)
+        hazards.add(hp_[t][j].load(std::memory_order_seq_cst));
+    hazards.sort();
   }
-
-  void flush(unsigned tid) noexcept {
-    scan(tid);
-    judge_detached(tid, pinned(tid));
-  }
-
- private:
-  /// Snapshots all published hazards, sorted, for the pass's detached
-  /// blocks to be judged against.  Each thread's slots are read from the
-  /// highest down, as copy_slot's direction contract requires
-  /// (reclaim/tracker.hpp).
-  void scan(unsigned tid) noexcept {
-    pass(tid, pinned(tid), [&] {
-      auto& hazards = scratch_[tid].addresses;
-      hazards.clear();
-      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-        for (unsigned j = cfg_.max_hes; j-- != 0;) {
-          const std::uintptr_t h = hp_[t][j].load(std::memory_order_seq_cst);
-          if (h != 0) hazards.push_back(h);
-        }
-      }
-      std::sort(hazards.begin(), hazards.end());
-    });
-  }
-
-  struct Scratch {
-    std::vector<std::uintptr_t> addresses;
-  };
 
   detail::PerThreadRows<std::atomic<std::uintptr_t>> hp_;  ///< max_hes hazards per thread
-  detail::PerThread<Scratch> scratch_;
 };
 
 static_assert(tracker_for<HpTracker>);

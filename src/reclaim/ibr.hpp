@@ -13,26 +13,26 @@
 // so they never observe a torn {new lower, old upper} pair.
 //
 // One deviation from the paper's per-block can_delete(): a cleanup pass
-// loads each thread's interval once into an EraSnapshot, and the retire
-// list is judged against it in installments (reclaim/tracker.hpp says
-// why one snapshot is as safe).
+// loads each thread's interval once into HE's EraSnapshot
+// (reclaim/he.hpp), and the retire list is judged against it in
+// installments (reclaim/tracker.hpp says why one snapshot is as safe).
 
 #include <atomic>
 #include <cstdint>
 
+#include "reclaim/he.hpp"
 #include "reclaim/tracker.hpp"
 #include "util/atomics.hpp"
 #include "util/cacheline.hpp"
 
 namespace wfe::reclaim {
 
-class IbrTracker : public TrackerBase {
+class IbrTracker : public Reclaimer<IbrTracker, EraSnapshot> {
  public:
   explicit IbrTracker(const TrackerConfig& cfg)
-      : TrackerBase(cfg), resv_(cfg.max_threads) {
+      : Reclaimer(cfg, cfg.max_threads), resv_(cfg.max_threads) {
     for (unsigned t = 0; t < cfg.max_threads; ++t)
       resv_[t].store_pair({kInfEra, kInfEra}, std::memory_order_relaxed);
-    size_snapshots(cfg.max_threads);
   }
 
   static constexpr const char* name() noexcept { return "2GEIBR"; }
@@ -68,22 +68,10 @@ class IbrTracker : public TrackerBase {
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {
-    auto& td = threads_[tid];
-    if (td.alloc_since_bump++ % cfg_.era_freq == 0)
-      global_era_.value.fetch_add(1, std::memory_order_acq_rel);
+    if (clock_due(tid)) global_era_.value.fetch_add(1, std::memory_order_acq_rel);
     T* node = make_block<T>(tid, std::forward<Args>(args)...);
     node->alloc_era = global_era_.value.load(std::memory_order_acquire);  // birth era
     return node;
-  }
-
-  void retire(Block* b, unsigned tid) noexcept {
-    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
-    if (retire_step(b, tid, era_pinned(tid))) scan(tid);
-  }
-
-  void flush(unsigned tid) noexcept {
-    scan(tid);
-    judge_detached(tid, era_pinned(tid));
   }
 
   std::uint64_t era() const noexcept {
@@ -91,14 +79,18 @@ class IbrTracker : public TrackerBase {
   }
 
  private:
-  void scan(unsigned tid) noexcept {
-    era_pass(tid, [this](EraSnapshot& snap) {
-      for (unsigned t = 0; t < cfg_.max_threads; ++t) {
-        // Consistent {lower, upper} snapshot (see header comment).
-        const util::Pair iv = resv_[t].load_pair(std::memory_order_seq_cst);
-        snap.add(iv.a, iv.b);
-      }
-    });
+  friend Reclaimer;
+
+  void stamp(Block* b) const noexcept {
+    b->retire_era = global_era_.value.load(std::memory_order_seq_cst);
+  }
+
+  void read(EraSnapshot& snap) const noexcept {
+    for (unsigned t = 0; t < cfg_.max_threads; ++t) {
+      // Consistent {lower, upper} snapshot (see header comment).
+      const util::Pair iv = resv_[t].load_pair(std::memory_order_seq_cst);
+      snap.add(iv.a, iv.b);
+    }
   }
 
   // .a = lower, .b = upper.

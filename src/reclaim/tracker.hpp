@@ -1,5 +1,6 @@
 #pragma once
-// Tracker policy interface shared by all reclamation schemes.
+// The tracker interface shared by all reclamation schemes, and the two
+// bases that write its common parts once.
 //
 // Data structures are templated over a Tracker type; the `tracker_for`
 // concept below documents (and enforces at instantiation time) the duck
@@ -26,35 +27,46 @@
 //   alloc<T>(...)   — allocate a node and stamp its alloc era
 //   dealloc(...)    — immediate free of a block no other thread can reach
 //
+// Two bases write the common parts.  TrackerBase is the memory and the
+// counters every tracker keeps, Leak included: every alloc<T> builds
+// through make_block, every free goes through one release path, and its
+// destructor frees whatever the retire lists still hold, so no scheme
+// writes its own teardown.  Reclaimer<Scheme, Snapshot> adds what the
+// seven reclaiming schemes share: retire(), flush(), the cleanup pass, its
+// installments, each thread's snapshot and the alloc countdown of the
+// schemes with a clock.  A scheme supplies read(Snapshot&), which adds
+// every reservation it publishes to the cleared snapshot, and where it has
+// them its retire stamp (stamp) and the era bump HE and WFE make before a
+// pass (before_pass).  Each snapshot type sits with its schemes: the era
+// schemes' (HE, WFE, 2GEIBR, WFE-IBR) EraSnapshot of era intervals in
+// reclaim/he.hpp, HP's sorted HazardSet in reclaim/hp.hpp, and EBR's and
+// QSBR's EpochFloor, the oldest epoch read, in reclaim/ebr.hpp.
+//
 // Cleanup pass: every cleanup_freq-th retire of a reclaiming scheme runs
 // a pass, which reads each reservation once into the thread's snapshot
-// and then detaches the thread's retire list.  HP's snapshot is a sorted
-// hazard set, EBR/QSBR's a minimum epoch, and the era schemes' (HE, WFE,
-// 2GEIBR, WFE-IBR) an EraSnapshot of era intervals (era_pass()): a block
-// stays listed while its [alloc_era, retire_era] meets an interval.  The
-// sweep is paid in installments: each later retire judges at most
-// kJudgeStep detached blocks against the snapshot, freeing an unpinned
-// one and relisting a pinned one, and the next pass first finishes what
-// is left against the same snapshot before it reads its own.  flush()
-// runs a pass and judges everything it detached at once.  So no retire
-// pays a whole sweep, and a block is freed at most one pass later than
-// by a pass that swept its list itself.  The papers' can_delete()
-// re-reads the reservations for each block; one snapshot serves them all
-// because it only ever judges blocks this thread retired before it was
-// read: a retire after the pass lists its block for the next pass, never
-// with the detached ones.  A per-block check is safe at any instant after
-// its block's retire (a reader that can still reach the block published
-// a covering reservation before the retire's unlink and keeps it until
-// it drops the reference), and the snapshot is every block's check run
-// at one such instant, an interleaving the per-block reads already admit.
+// and then detaches the thread's retire list; a block stays listed while
+// the snapshot pins it (an era scheme's while its [alloc_era, retire_era]
+// meets an interval read).  The sweep is paid in installments: each later
+// retire judges at most kJudgeStep detached blocks against the snapshot,
+// freeing an unpinned one and relisting a pinned one, and the next pass
+// first finishes what is left against the same snapshot before it reads
+// its own.  flush() runs a pass and judges everything it detached at
+// once.  So no retire pays a whole sweep, and a block is freed at most one
+// pass later than by a pass that swept its list itself.  The papers'
+// can_delete() re-reads the reservations for each block; one snapshot
+// serves them all because it only ever judges blocks this thread retired
+// before it was read: a retire after the pass lists its block for the
+// next pass, never with the detached ones.  A per-block check is safe at
+// any instant after its block's retire (a reader that can still reach the
+// block published a covering reservation before the retire's unlink and
+// keeps it until it drops the reference), and the snapshot is every
+// block's check run at one such instant, an interleaving the per-block
+// reads already admit.
 //
-// TrackerBase's destructor frees whatever the retire lists still hold, so
-// no scheme writes its own teardown.  TrackerBase also owns the memory:
-// every scheme's alloc<T> goes through make_block, and every free
-// (dealloc, a cleanup pass) through one release path that keeps the
-// block on the freeing thread's free list for its size (kFreeListCap
-// blocks per size), so that thread's next alloc of the size reuses it
-// without a trip through the allocator.
+// Memory: every free (dealloc, a cleanup pass) keeps the block on the
+// freeing thread's free list for its size (kFreeListCap blocks per size),
+// so that thread's next alloc of the size reuses it without a trip
+// through the allocator.
 //
 // Counters: every per-thread counter here (allocs, frees, retires,
 // reclaims) is an owned lane, written only by the thread whose slot it
@@ -142,8 +154,9 @@ class PerThread {
 /// kFalseSharingRange, each row rounded up to it: row t starts at
 /// t × stride, so no two threads' rows share a cache-line pair whatever
 /// the heap held before.  Reservation slots live here (HP, HE, WFE's
-/// rows and requests) and so does each thread's EraSnapshot storage.
-/// rows[t] is a plain pointer to row t's first element.
+/// rows and requests), and a snapshot's storage is one such row
+/// (EraSnapshot, HazardSet).  rows[t] is a plain pointer to row t's
+/// first element.
 template <class T>
 class PerThreadRows {
  public:
@@ -275,12 +288,15 @@ class BlockCache {
 /// Per-thread mutable bookkeeping common to every scheme.  Every counter
 /// here is an owned lane: only the owning thread writes it, with
 /// util::owned_add (relaxed load + store), and stats readers sum the
-/// lanes with relaxed loads.
+/// lanes with relaxed loads.  The two countdowns are Reclaimer's; they sit
+/// on the line every retire and alloc touches anyway: on a line of their
+/// own they cost the reclaiming schemes 3-7% of Fig. 7's 4-thread
+/// throughput (4 alternating rounds, 4-vCPU x86 host).
 struct ThreadData {
   Block* retire_head{nullptr};  ///< retired since the last pass, or relisted
   Block* detached{nullptr};     ///< listed at the last pass, not judged yet
-  std::uint64_t until_pass{0};        ///< retires left before the next pass
-  std::uint64_t alloc_since_bump{0};  ///< era_freq counter
+  std::uint64_t until_pass{0};  ///< retires left before the next pass
+  std::uint64_t until_tick{1};  ///< allocs left before the next clock move
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> frees{0};      ///< all destructions
   std::atomic<std::uint64_t> retires{0};
@@ -290,71 +306,29 @@ struct ThreadData {
 
 }  // namespace detail
 
-/// The reservations one cleanup pass of an era scheme read, as era
-/// intervals (an era point e is [e, e]).  Each thread keeps one in
-/// TrackerBase, over storage sized at construction (size_snapshots) for
-/// the most a pass can add, so a pass never allocates; it judges the
-/// pass's detached blocks until the thread's next pass refills it.
-class EraSnapshot {
- public:
-  struct Interval {
-    std::uint64_t lower, upper;
-  };
-
-  EraSnapshot() noexcept = default;
-  explicit EraSnapshot(Interval* storage) noexcept : iv_(storage) {}
-
-  void clear() noexcept { n_ = 0; }
-
-  /// Adds the reservation [lower, upper].  An empty one (lower ∞) and a
-  /// repeat of the last interval added pin nothing new and are skipped.
-  void add(std::uint64_t lower, std::uint64_t upper) noexcept {
-    if (lower == kInfEra) return;
-    if (n_ != 0 && iv_[n_ - 1].lower == lower && iv_[n_ - 1].upper == upper) return;
-    iv_[n_++] = {lower, upper};
-  }
-  void add(std::uint64_t era) noexcept { add(era, era); }
-
-  /// True when b's lifespan meets any interval added.
-  bool pins(const Block* b) const noexcept {
-    for (unsigned i = 0; i < n_; ++i)
-      if (era_overlaps(b, iv_[i].lower, iv_[i].upper)) return true;
-    return false;
-  }
-
- private:
-  Interval* iv_ = nullptr;
-  unsigned n_ = 0;
-};
-
-/// Base with the allocation/stats plumbing shared by every tracker.
-/// Derived classes implement the reservation logic and `scan()`.
+/// The memory and the counters every tracker keeps, Leak included: what
+/// `allocated / freed / retired / unreclaimed` count, each thread's
+/// retire lists, and the blocks' memory.  The reservations, and when and
+/// how a retired block is freed, are the scheme's (Reclaimer below).
 ///
 /// Memory: a block freed by dealloc() or a cleanup pass is destroyed, and
 /// its memory goes on the freeing thread's free list for its exact size
 /// in this domain (detail::BlockCache); make_block() serves the same
 /// thread's next alloc of that size from there before it calls
-/// ::operator new(sizeof(T)).  A cleanup pass frees its whole batch at
-/// once, more than glibc's per-thread cache holds, so without the lists
-/// most of those frees, and the allocations after them, took glibc's
-/// locked arena path.  Reuse is safe for the reason a free is: the
-/// scheme has proven that no reader can still reach the block.  A cached
-/// block counts as freed, so every ledger (allocated == freed + live +
-/// backlog) closes as before; cached_blocks() reports how many the lists
-/// hold.
+/// ::operator new(sizeof(T)).  Without the lists, a cleanup pass's frees
+/// outran glibc's per-thread cache, so most of them, and the allocations
+/// after them, took glibc's locked arena path.  Reuse is safe for the
+/// reason a free is: the scheme has proven that no reader can still
+/// reach the block.  A cached block counts as freed, so every ledger
+/// (allocated == freed + live + unreclaimed) closes as before;
+/// cached_blocks() reports how many the lists hold.
 class TrackerBase {
  public:
   explicit TrackerBase(const TrackerConfig& cfg)
-      : cfg_(cfg), threads_(cfg.max_threads) {
-    for (unsigned t = 0; t < cfg.max_threads; ++t) threads_[t].until_pass = cfg.cleanup_freq;
-  }
+      : cfg_(cfg), threads_(cfg.max_threads) {}
 
   TrackerBase(const TrackerBase&) = delete;
   TrackerBase& operator=(const TrackerBase&) = delete;
-
-  /// Blocks a retire that starts no cleanup pass judges, at most: one
-  /// installment of the last pass's sweep.
-  static constexpr std::uint64_t kJudgeStep = 2;
 
   unsigned max_threads() const noexcept { return cfg_.max_threads; }
   unsigned max_hes() const noexcept { return cfg_.max_hes; }
@@ -367,7 +341,10 @@ class TrackerBase {
   /// Total blocks retired.
   std::uint64_t retired() const noexcept { return sum(&detail::ThreadData::retires); }
   /// Retired-but-not-yet-freed count — the paper's "unreclaimed objects"
-  /// metric (Figs. 5b/5d and the right-hand panels of Figs. 6-11).
+  /// metric (Figs. 5b/5d and the right-hand panels of Figs. 6-11).  Every
+  /// retired block sits on a retire list, listed or detached, until it is
+  /// reclaimed, so this is also the retire lists' backlog (the kv stats
+  /// API reports it as kv_retire_backlog).
   std::uint64_t unreclaimed() const noexcept {
     const std::uint64_t r = retired();
     const std::uint64_t c = sum(&detail::ThreadData::reclaims);
@@ -378,11 +355,6 @@ class TrackerBase {
     const std::uint64_t a = allocated(), f = freed();
     return a > f ? a - f : 0;
   }
-  /// Blocks currently queued on retire lists, listed or detached (racy
-  /// snapshot; the kv stats API reports this as the per-domain backlog).
-  /// Every retired block sits on a list until it is reclaimed, so this
-  /// is unreclaimed() by another name.
-  std::uint64_t retire_backlog() const noexcept { return unreclaimed(); }
   /// Freed blocks the threads' free lists hold for reuse (racy snapshot;
   /// at most kFreeListCap per size per thread).
   std::uint64_t cached_blocks() const noexcept {
@@ -431,111 +403,13 @@ class TrackerBase {
     return node;
   }
 
-  /// Lists b on tid's retire list: Leak's whole retire, and the first
-  /// step of retire_step().
+  /// Lists b on tid's retire list: Leak's whole retire, and a Reclaimer
+  /// retire's step after the stamp.
   void push_retired(Block* b, unsigned tid) noexcept {
     auto& td = threads_[tid];
     b->retire_next = td.retire_head;
     td.retire_head = b;
     util::owned_add(td.retires);
-  }
-
-  /// A reclaiming scheme's retire, after its stamps: lists b and counts
-  /// down to tid's next cleanup pass.  True on every cleanup_freq-th
-  /// retire, whose caller then runs its pass (pass(), era_pass()); any
-  /// other retire pays one installment of the last pass's sweep instead:
-  /// up to kJudgeStep of the blocks it detached, judged by `pinned`.
-  template <class Pinned>
-  bool retire_step(Block* b, unsigned tid, const Pinned& pinned) noexcept {
-    push_retired(b, tid);
-    auto& td = threads_[tid];
-    if (--td.until_pass == 0) {
-      td.until_pass = cfg_.cleanup_freq;
-      return true;
-    }
-    if (td.detached != nullptr) judge(td, kJudgeStep, pinned);
-    return false;
-  }
-
-  /// One cleanup pass of tid.  It first finishes what the previous pass
-  /// detached, judged by `pinned` against that pass's snapshot.  Then
-  /// `read()` overwrites the snapshot, reading every reservation once,
-  /// and the retire list is detached: retire_step() judges it against
-  /// the new snapshot in installments.  Every block detached here was
-  /// retired before `read()` began.
-  template <class Pinned, class Read>
-  void pass(unsigned tid, const Pinned& pinned, Read&& read) noexcept {
-    auto& td = threads_[tid];
-    if (td.detached != nullptr) judge(td, kAll, pinned);
-    read();
-    td.detached = td.retire_head;
-    td.retire_head = nullptr;
-  }
-
-  /// flush() after its pass: judges every detached block at once.
-  template <class Pinned>
-  void judge_detached(unsigned tid, const Pinned& pinned) noexcept {
-    judge(threads_[tid], kAll, pinned);
-  }
-
-  /// An era scheme's constructor calls this once with `intervals`, the
-  /// most one cleanup pass adds to a thread's EraSnapshot; each thread
-  /// gets room for that many.
-  void size_snapshots(unsigned intervals) {
-    intervals_ = detail::PerThreadRows<EraSnapshot::Interval>(cfg_.max_threads, intervals);
-    snaps_ = detail::PerThread<EraSnapshot>(cfg_.max_threads);
-    for (unsigned t = 0; t < cfg_.max_threads; ++t) snaps_[t] = EraSnapshot(intervals_[t]);
-  }
-
-  /// An era scheme's `pinned`: b's lifespan meets an interval of tid's
-  /// snapshot.
-  auto era_pinned(unsigned tid) const noexcept {
-    return [&snap = snaps_[tid]](const Block* b) { return snap.pins(b); };
-  }
-
-  /// An era scheme's cleanup pass: `add(snap)` adds every reservation,
-  /// each read once, to tid's emptied snapshot.
-  template <class Add>
-  void era_pass(unsigned tid, Add&& add) noexcept {
-    pass(tid, era_pinned(tid), [&] {
-      EraSnapshot& snap = snaps_[tid];
-      snap.clear();
-      add(snap);
-    });
-  }
-
-  TrackerConfig cfg_;
-  detail::PerThread<detail::ThreadData> threads_;
-
- private:
-  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
-
-  detail::PerThreadRows<EraSnapshot::Interval> intervals_;  ///< one row per thread
-  detail::PerThread<EraSnapshot> snaps_{0};                 ///< each over its row
-
-  /// Judges up to `most` of td's detached blocks by `pinned`: frees each
-  /// unpinned one and relists each pinned one for the next pass.  Out of
-  /// line: retire() is inlined into every structure's unlink path, and a
-  /// loop there costs the structures' read paths as well.
-  template <class Pinned>
-  [[gnu::noinline]] void judge(detail::ThreadData& td, std::uint64_t most,
-                               const Pinned& pinned) noexcept {
-    std::uint64_t n = 0;
-    Block* b = td.detached;
-    for (; b != nullptr && most != 0; --most) {
-      Block* next = b->retire_next;
-      if (pinned(b)) {
-        b->retire_next = td.retire_head;
-        td.retire_head = b;
-      } else {
-        release(b, td);
-        ++n;
-      }
-      b = next;
-    }
-    td.detached = b;
-    util::owned_add(td.frees, n);
-    util::owned_add(td.reclaims, n);
   }
 
   /// Destroys b and keeps its memory on td's free list for its size, or
@@ -545,6 +419,10 @@ class TrackerBase {
     if (!td.cache.put(b, size)) ::operator delete(static_cast<void*>(b), size);
   }
 
+  TrackerConfig cfg_;
+  detail::PerThread<detail::ThreadData> threads_;
+
+ private:
   /// Frees every block still queued on every retire list, listed or
   /// detached, then empties the free lists.  Only valid when no thread
   /// is active (tracker destructor).
@@ -572,6 +450,126 @@ class TrackerBase {
       total += (threads_[t].*field).load(std::memory_order_relaxed);
     return total;
   }
+};
+
+/// retire(), flush() and the cleanup pass of every reclaiming scheme (the
+/// header comment above says how a pass works and why it is safe).
+/// `Scheme` derives from Reclaimer<Scheme, Snapshot>, befriends it, and
+/// supplies:
+///  * read(Snapshot&) const — adds every reservation it publishes to the
+///    cleared snapshot, each read once;
+///  * stamp(Block*) — where it has one, the retire stamp, before b is
+///    listed (the default stamps nothing: HP);
+///  * before_pass(const Block* b, tid) — where it has one, what runs
+///    between the count-down and a pass (HE's and WFE's era bump).
+/// A Snapshot has clear(), the adds its scheme's read() makes and
+/// pins(const Block*): true while the reservations it holds may still
+/// reach the block.  Each thread keeps its own, built once at
+/// construction, so a pass never allocates; it judges the pass's detached
+/// blocks until the thread's next pass refills it.
+template <class Scheme, class Snapshot>
+class Reclaimer : public TrackerBase {
+ public:
+  /// Blocks a retire that starts no cleanup pass judges, at most: one
+  /// installment of the last pass's sweep.
+  static constexpr std::uint64_t kJudgeStep = 2;
+
+  /// Stamps and lists b and counts down to tid's next pass.  Every
+  /// cleanup_freq-th retire runs the pass, after before_pass(); any other
+  /// pays one installment of the last pass's sweep instead.
+  void retire(Block* b, unsigned tid) noexcept {
+    scheme().stamp(b);
+    push_retired(b, tid);
+    detail::ThreadData& td = threads_[tid];
+    if (--td.until_pass != 0) {
+      if (td.detached != nullptr) judge(tid, kJudgeStep);
+      return;
+    }
+    td.until_pass = cfg_.cleanup_freq;
+    scheme().before_pass(b, tid);
+    pass(tid);
+  }
+
+  /// A pass, then every block it detached judged at once.
+  void flush(unsigned tid) noexcept {
+    pass(tid);
+    judge(tid, kAll);
+  }
+
+ protected:
+  /// Every thread's snapshot is Snapshot(snapshot_args...): room for the
+  /// most one pass of the scheme adds.
+  template <class... SnapshotArgs>
+  explicit Reclaimer(const TrackerConfig& cfg, const SnapshotArgs&... snapshot_args)
+      : TrackerBase(cfg), snaps_(cfg.max_threads) {
+    for (unsigned t = 0; t < cfg.max_threads; ++t) {
+      threads_[t].until_pass = cfg.cleanup_freq;
+      snaps_[t] = Snapshot(snapshot_args...);
+    }
+  }
+
+  /// Asked by the alloc of a scheme with a clock (era or epoch): true on
+  /// tid's first alloc and on every era_freq-th after it, the allocs that
+  /// move the clock.
+  bool clock_due(unsigned tid) noexcept {
+    detail::ThreadData& td = threads_[tid];
+    if (--td.until_tick != 0) return false;
+    td.until_tick = cfg_.era_freq;
+    return true;
+  }
+
+  /// The hooks of a scheme that does not hide them: no retire stamp, and
+  /// nothing between the count-down and a pass.
+  static void stamp(Block*) noexcept {}
+  void before_pass(const Block*, unsigned) noexcept {}
+
+ private:
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+  Scheme& scheme() noexcept { return static_cast<Scheme&>(*this); }
+
+  /// One cleanup pass of tid.  It first finishes what the previous pass
+  /// detached, against that pass's snapshot.  Then read() refills the
+  /// snapshot, reading every reservation once, and the retire list is
+  /// detached: the retires after it judge the list against the new
+  /// snapshot in installments.  Every block detached here was retired
+  /// before read() began.
+  void pass(unsigned tid) noexcept {
+    detail::ThreadData& td = threads_[tid];
+    if (td.detached != nullptr) judge(tid, kAll);
+    Snapshot& snap = snaps_[tid];
+    snap.clear();
+    scheme().read(snap);
+    td.detached = td.retire_head;
+    td.retire_head = nullptr;
+  }
+
+  /// Judges up to `most` of tid's detached blocks by its snapshot: frees
+  /// each unpinned one and relists each pinned one for the next pass.
+  /// Out of line: retire() is inlined into every structure's unlink path,
+  /// and a loop there costs the structures' read paths as well.
+  [[gnu::noinline]] void judge(unsigned tid, std::uint64_t most) noexcept {
+    detail::ThreadData& td = threads_[tid];
+    const Snapshot& snap = snaps_[tid];
+    std::uint64_t n = 0;
+    Block* b = td.detached;
+    for (; b != nullptr && most != 0; --most) {
+      Block* next = b->retire_next;
+      if (snap.pins(b)) {
+        b->retire_next = td.retire_head;
+        td.retire_head = b;
+      } else {
+        release(b, td);
+        ++n;
+      }
+      b = next;
+    }
+    td.detached = b;
+    util::owned_add(td.frees, n);
+    util::owned_add(td.reclaims, n);
+  }
+
+  detail::PerThread<Snapshot> snaps_;  ///< what each thread's last pass read
 };
 
 /// The Tracker duck type, as a checkable concept.

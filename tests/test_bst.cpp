@@ -247,7 +247,9 @@ TEST_P(BstModelTest, MatchesReferenceModel) {
         const auto got = bst.get(k, 0);
         const auto it = model.find(k);
         ASSERT_EQ(got.has_value(), it != model.end()) << "step " << i;
-        if (got) ASSERT_EQ(*got, it->second);
+        if (got) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       case 3:

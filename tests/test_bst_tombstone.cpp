@@ -126,7 +126,9 @@ TYPED_TEST(BstTombstoneTest, LockstepOracleWithScans) {
         const auto got = bst.get(key, 0);
         const auto it = model.find(key);
         ASSERT_EQ(got.has_value(), it != model.end());
-        if (it != model.end()) ASSERT_EQ(*got, it->second);
+        if (it != model.end()) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       default: {

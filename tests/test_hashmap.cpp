@@ -146,7 +146,9 @@ TEST_P(HashMapModelTest, MatchesReferenceModel) {
         const auto got = map.get(k, 0);
         const auto it = model.find(k);
         ASSERT_EQ(got.has_value(), it != model.end());
-        if (got) ASSERT_EQ(*got, it->second);
+        if (got) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
     }

@@ -416,8 +416,11 @@ TYPED_TEST(KvStoreTest, RangeGetMatchesThePrimarysSlice) {
   using Pair = std::pair<std::uint64_t, std::uint64_t>;
   // About 1,960 live keys in [1, 3000]: every third key never written,
   // and every 50th from 5 on removed after its put.
-  for (std::uint64_t k = 1; k <= 3000; ++k)
-    if (k % 3 != 0) ASSERT_TRUE(store.put(k, k * 7, 0));
+  for (std::uint64_t k = 1; k <= 3000; ++k) {
+    if (k % 3 != 0) {
+      ASSERT_TRUE(store.put(k, k * 7, 0));
+    }
+  }
   for (std::uint64_t k = 5; k <= 3000; k += 50) store.remove(k, 0);
   std::vector<Pair> all;
   store.for_each_unsafe([&](std::uint64_t k, std::uint64_t v) { all.emplace_back(k, v); });

@@ -162,7 +162,9 @@ TEST_P(ListModelTest, MatchesReferenceModel) {
         const auto it = model.find(k);
         ASSERT_EQ(got.has_value(), it != model.end())
             << "get(" << k << ") step " << i;
-        if (got) ASSERT_EQ(*got, it->second);
+        if (got) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       case 3: {

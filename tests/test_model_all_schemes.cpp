@@ -52,7 +52,9 @@ void run_model(DS& ds, std::uint64_t seed, int ops) {
         const auto got = ds.get(k, 0);
         const auto it = model.find(k);
         ASSERT_EQ(got.has_value(), it != model.end()) << "step " << i;
-        if (got) ASSERT_EQ(*got, it->second);
+        if (got) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       case 3:

@@ -806,7 +806,7 @@ TYPED_TEST(ObsKvTest, EndToEndMetricsPipeline) {
     EXPECT_GE(gauge_of("kv_migrated_keys_total"), 0.0);
     EXPECT_GE(gauge_of("kv_wal_durable_lag"), 0.0);
     // Loss accounting rides the gauge collector: with slow_op_ns=0 every
-    // op traced, so far more than trace_capacity events were pushed and
+    // op traced, so far more than kTraceCapacity events were pushed and
     // the overwritten count must say exactly how many fell off.
     const double overwritten = gauge_of("trace_events_overwritten");
     EXPECT_GE(overwritten, 0.0);
@@ -839,29 +839,37 @@ TYPED_TEST(ObsKvTest, EndToEndMetricsPipeline) {
     ASSERT_TRUE(store.dump_metrics(jpath.c_str(), obs::ExportFormat::kJson));
     ASSERT_TRUE(
         store.dump_metrics(ppath.c_str(), obs::ExportFormat::kPrometheus));
+    // Both dumps are read back whole and must parse as one JSON value
+    // holding the op histograms.
+    const auto read_back = [](std::FILE* f) {
+      std::string text;
+      char buf[4096];
+      std::size_t n;
+      while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+      std::fclose(f);
+      while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
+        text.pop_back();
+      return text;
+    };
+    const auto expect_metrics_json = [](const std::string& text, const char* what) {
+      const auto parsed = MiniJsonParser(text).parse();
+      ASSERT_TRUE(parsed.has_value()) << what;
+      EXPECT_NE(find_histogram(*parsed, "kv_op_get_ns"), nullptr) << what;
+      EXPECT_NE(find_histogram(*parsed, "kv_wal_fsync_ns"), nullptr) << what;
+    };
     std::FILE* f = std::fopen(jpath.c_str(), "r");
     ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    while (!text.empty() && std::isspace(static_cast<unsigned char>(
-                                text.back())))
-      text.pop_back();
-    auto parsed = MiniJsonParser(text).parse();
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_NE(find_histogram(*parsed, "kv_op_get_ns"), nullptr);
-    EXPECT_NE(find_histogram(*parsed, "kv_wal_fsync_ns"), nullptr);
+    expect_metrics_json(read_back(f), "dump_metrics");
     f = std::fopen(ppath.c_str(), "r");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
-    // The fd path goes through fdopen(dup(fd)); an anonymous temp file
+    // The fd path writes through util::write_all; an anonymous temp file
     // exercises it without touching the filesystem namespace.
     std::FILE* tmp = std::tmpfile();
     ASSERT_NE(tmp, nullptr);
     EXPECT_TRUE(store.dump_metrics_fd(::fileno(tmp)));
-    std::fclose(tmp);
+    std::rewind(tmp);
+    expect_metrics_json(read_back(tmp), "dump_metrics_fd");
   }
   std::filesystem::remove_all(dir);
 }

@@ -252,9 +252,10 @@ void run_kill_point(unsigned kill, const std::string& dir) {
         << "kill " << kill << ": black box empty (open marker missing)";
     std::uint64_t prev_seq = 0;
     for (const obs::FlightFrame& f : box.frames) {
-      if (prev_seq != 0)
+      if (prev_seq != 0) {
         ASSERT_EQ(f.seq, prev_seq + 1)
             << "kill " << kill << ": seq gap in black box";
+      }
       prev_seq = f.seq;
       ASSERT_GE(f.ts_ns, t_open) << "kill " << kill << ": frame predates open";
       ASSERT_LE(f.ts_ns, kill_ns) << "kill " << kill << ": frame after kill";
@@ -366,7 +367,9 @@ void run_kill_point(unsigned kill, const std::string& dir) {
   // ---- reopen and diff ----
   {
     Store<TR> store(oracle_cfg<TR>(dir));
-    if (with_resize) ASSERT_EQ(store.shard_count(), 4u);
+    if (with_resize) {
+      ASSERT_EQ(store.shard_count(), 4u);
+    }
     std::map<std::uint64_t, std::uint64_t> got;
     store.for_each_unsafe([&](std::uint64_t k, std::uint64_t v) {
       ASSERT_TRUE(got.emplace(k, v).second) << "duplicate key " << k;

@@ -274,8 +274,9 @@ void run_stress() {
   // with no writer running, so forwarded_ops == 0 is a scheduling
   // outcome there, not a bug (the forwarding mechanism itself is pinned
   // deterministically by test_reshard_unit's FrozenBucketForwards).
-  if (st.resize_epochs >= 4 && std::thread::hardware_concurrency() > 1)
+  if (st.resize_epochs >= 4 && std::thread::hardware_concurrency() > 1) {
     EXPECT_GT(st.forwarded_ops, 0u);
+  }
 }
 
 /// Multi-op-only traffic across migrations: every writer issues nothing

@@ -60,7 +60,7 @@ TYPED_TEST(TrackerCommon, DeleterRunsExactlyOnce) {
 // same size gets it back, freshly constructed.  Another thread or another
 // size never does.  A list holds at most kFreeListCap blocks (0 under
 // AddressSanitizer, where nothing is kept), and the ledger allocated ==
-// freed + live + retire_backlog closes after every step, because a kept
+// freed + live + unreclaimed closes after every step, because a kept
 // block counts as freed.
 TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
   struct WideNode : CountedNode {
@@ -74,7 +74,7 @@ TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
   TypeParam tracker(this->cfg_);
   std::uint64_t live = 0;
   const auto expect_ledger = [&](const char* step) {
-    EXPECT_EQ(tracker.allocated(), tracker.freed() + live + tracker.retire_backlog())
+    EXPECT_EQ(tracker.allocated(), tracker.freed() + live + tracker.unreclaimed())
         << step;
   };
 
@@ -94,7 +94,9 @@ TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
   EXPECT_NE(addr(other_size), a_addr);
   CountedNode* b = tracker.template alloc<CountedNode>(1, &dtors, 7);
   ++live;
-  if (kKeeps) EXPECT_EQ(addr(b), a_addr);
+  if (kKeeps) {
+    EXPECT_EQ(addr(b), a_addr);
+  }
   EXPECT_EQ(b->value, 7u);
   EXPECT_EQ(b->retire_next, nullptr);
   EXPECT_EQ(tracker.cached_blocks(), 0u);
@@ -112,7 +114,9 @@ TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
     EXPECT_EQ(dtors.load(), 2);
     CountedNode* c = tracker.template alloc<CountedNode>(1, &dtors);
     ++live;
-    if (kKeeps) EXPECT_EQ(addr(c), b_addr);
+    if (kKeeps) {
+      EXPECT_EQ(addr(c), b_addr);
+    }
     tracker.dealloc(c, 1);
     --live;
   }
@@ -140,7 +144,7 @@ TYPED_TEST(TrackerCommon, FreedBlocksAreRecycledPerThread) {
   live -= 2;
   expect_ledger("at the end");
   EXPECT_EQ(live, 0u);
-  EXPECT_EQ(tracker.allocated(), tracker.freed() + tracker.retire_backlog());
+  EXPECT_EQ(tracker.allocated(), tracker.freed() + tracker.unreclaimed());
 }
 
 TYPED_TEST(TrackerCommon, ProtectReturnsCurrentValue) {
@@ -475,10 +479,74 @@ TYPED_TEST(Installments, EachRetireJudgesAtMostTwo) {
   EXPECT_EQ(tracker.unreclaimed(), 0u);
 }
 
+// The clock of the schemes that have one: the era of HE, 2GEIBR, WFE and
+// WFE-IBR, the epoch of EBR and QSBR.  Each thread's allocs move it on
+// that thread's first alloc and on every era_freq-th after it; a cleanup
+// pass moves it once more in HE and WFE, whose retire bumps the era
+// before the pass when no alloc has moved it since the retired block's
+// stamp, and never in 2GEIBR, EBR or QSBR.
+template <class TR>
+class Clock : public ::testing::Test {
+ protected:
+  static constexpr unsigned kEraFreq = 3;
+  static constexpr unsigned kCleanupFreq = 4;
+  reclaim::TrackerConfig cfg_ = [] {
+    reclaim::TrackerConfig c;
+    c.max_threads = 2;
+    c.era_freq = kEraFreq;
+    c.cleanup_freq = kCleanupFreq;
+    return c;
+  }();
+
+  static std::uint64_t clock(const TR& tracker) {
+    if constexpr (requires { tracker.epoch(); }) {
+      return tracker.epoch();
+    } else {
+      return tracker.era();
+    }
+  }
+};
+
+using ClockTrackers =
+    ::testing::Types<core::WfeTracker, reclaim::HeTracker, reclaim::IbrTracker,
+                     core::WfeIbrTracker, reclaim::EbrTracker, reclaim::QsbrTracker>;
+TYPED_TEST_SUITE(Clock, ClockTrackers);
+
+TYPED_TEST(Clock, MovesOnTheFirstAllocAndEveryEraFreqThAfter) {
+  TypeParam tracker(this->cfg_);
+  std::vector<CountedNode*> blocks;
+  const auto alloc = [&](unsigned tid) {
+    const std::uint64_t before = TestFixture::clock(tracker);
+    blocks.push_back(tracker.template alloc<CountedNode>(tid));
+    return TestFixture::clock(tracker) - before;
+  };
+  for (unsigned i = 1; i <= 3 * TestFixture::kEraFreq; ++i)
+    EXPECT_EQ(alloc(0), i % TestFixture::kEraFreq == 1 ? 1u : 0u) << "alloc " << i;
+  EXPECT_EQ(alloc(1), 1u) << "a second thread's first alloc";
+  EXPECT_EQ(alloc(1), 0u) << "a second thread's second alloc";
+  for (CountedNode* n : blocks) tracker.dealloc(n, 0);
+}
+
+TYPED_TEST(Clock, APassMovesItOnlyInHeAndWfe) {
+  constexpr bool kBumps = std::is_same_v<TypeParam, reclaim::HeTracker> ||
+                          std::is_same_v<TypeParam, core::WfeTracker> ||
+                          std::is_same_v<TypeParam, core::WfeIbrTracker>;
+  constexpr unsigned kFreq = TestFixture::kCleanupFreq;
+  TypeParam tracker(this->cfg_);
+  CountedNode* blocks[kFreq];
+  for (CountedNode*& n : blocks) n = tracker.template alloc<CountedNode>(0);
+  for (unsigned i = 1; i <= kFreq; ++i) {
+    const std::uint64_t before = TestFixture::clock(tracker);
+    tracker.retire(blocks[i - 1], 0);
+    EXPECT_EQ(TestFixture::clock(tracker) - before, i == kFreq && kBumps ? 1u : 0u)
+        << "retire " << i << " of a pass every " << kFreq;
+  }
+}
+
 // detail::PerThreadRows, the storage of HP's hazards, HE's eras, WFE's
-// rows and requests and every era scheme's snapshot: each thread's row
-// starts on a kFalseSharingRange boundary, and no two threads' rows
-// share a 128-byte range, for any width and element size.
+// rows and requests and every snapshot's row (HazardSet, EraSnapshot):
+// each thread's row starts on a kFalseSharingRange boundary, and no two
+// threads' rows share a 128-byte range, for any width and element size.
 template <class T, class... Init>
 void expect_padded_rows(unsigned threads, unsigned width, const Init&... init) {
   constexpr std::size_t kRange = util::kFalseSharingRange;
