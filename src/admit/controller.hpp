@@ -10,8 +10,11 @@
 //                   retire_backlog    / retire_backlog_target,
 //                   projected commit-wait p99 / p99_target )
 //
-// smoothed by an EWMA so one noisy sample neither slams the brakes nor
-// releases them.  The commit-wait term is trend-extrapolated one step
+// over the store's kv_wal_durable_lag gauge, its kv_unreclaimed gauge
+// (every retired block not yet freed waits on a retire list) and the p99
+// of its kv_wal_commit_wait_ns summary (extract() below), smoothed by an
+// EWMA so one noisy sample neither slams the brakes nor releases them.
+// The commit-wait term is trend-extrapolated one step
 // (p99 + max(0, delta since last sample)): commit wait is the earliest
 // rising signal under write overload, and acting on its slope throttles
 // BEFORE the ring fills rather than after.  severity <= 1 opens the
@@ -93,7 +96,7 @@ struct AdmitOptions {
 /// directly by tests).
 struct Signals {
   double wal_lag = 0;            ///< appended - durable, records (max over shards)
-  double retire_backlog = 0;     ///< blocks queued on the retire lists
+  double retire_backlog = 0;     ///< blocks queued on the retire lists (kv_unreclaimed)
   double commit_wait_p99_ns = 0; ///< kv_wal_commit_wait_ns p99
 };
 
@@ -280,7 +283,7 @@ class AdmissionController {
     Signals sig;
     for (const obs::GaugeValue& g : s.gauges) {
       if (g.name == "kv_wal_durable_lag") sig.wal_lag = g.value;
-      else if (g.name == "kv_retire_backlog") sig.retire_backlog = g.value;
+      else if (g.name == "kv_unreclaimed") sig.retire_backlog = g.value;
     }
     for (const obs::HistogramSummary& h : s.histograms)
       if (h.name == "kv_wal_commit_wait_ns")

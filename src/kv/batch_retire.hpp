@@ -10,20 +10,26 @@
 // longer perceived lifespan, which is strictly conservative; pointer
 // schemes (HP) simply scan it later.
 //
-// A burst amortizes nothing: flush() hands each block to the inner
-// tracker's retire(), which ticks the cleanup_freq counter and scans
-// exactly as an unbatched retire would, so a domain runs the same number
-// of scans at any retire_batch.  The facade's one job is the later
-// retire_era stamp above.  Every kv shard and the ordered index run over
-// it, and perfbench's kvbench.cpp builds its index rung over it and
-// reports retire_batch and pending_retired.  The KV benches and the kv
-// example run retire_batch 8.  Against 1, on perfbench's read50 (10
-// alternating 10 s pairs, 4-vCPU x86 host, nothing else changed), batch
-// 1 traded throughput −3.0% and write p50 +6.8% for write p99 −6.4%:
-// seven of eight retires become a list push and the eighth pays for the
-// burst, so the facade moves cost from the median write to the tail.
-// Whether the −3.0% exceeds code-placement noise is still open, and so
-// is whether the facade stays.
+// A burst neither amortizes nor concentrates reclamation: every facade
+// retire pays one installment of the inner tracker's last cleanup pass
+// (reclaim::Reclaimer::installment, at most kJudgeStep blocks), and a
+// flush only lists its burst (Reclaimer::list), which counts down to the
+// next pass exactly as unbatched retires would.  So a domain runs the
+// same passes at any retire_batch, and the put whose burst fills judges
+// no more blocks than any other put unless a pass falls due in it.
+// Handing the burst to retire() instead pays up to retire_batch
+// installments in that one put: at retire_batch 8 such puts were nine in
+// ten of perfbench read90's p98-p99.5 writes.  The facade's one job is
+// the later retire_era stamp above.  Every kv shard and the ordered
+// index run over it, and perfbench's kvbench.cpp builds its index rung
+// over it and reports retire_batch and pending_retired.  The KV benches
+// and the kv example run retire_batch 8.  Against 1 (kvbench's batch
+// set to 1, nothing else changed; 4 alternating 10 s pairs per workload,
+// 4-vCPU x86 host), batch 1 read read90 write p99 -3.7% (4 of 4 pairs)
+// and throughput +0.5%, and read50 throughput -0.7%, write p50 +0.9% and
+// write p99 -0.7%; every other median moved under 1%.  So the facade no
+// longer trades the tail write for the median one; whether it stays is
+// still open.
 //
 // The adapter satisfies `tracker_for`, so the Harris-Michael buckets
 // instantiate over it unchanged.  Each kv shard owns one inner tracker
@@ -98,7 +104,10 @@ class BatchedTracker {
   }
 
   // ---- the adapter's reason to exist: the later retire_era stamp ----
+  /// Pays one installment of the inner tracker's last pass, then buffers
+  /// b, and hands the burst over when it fills.
   void retire(reclaim::Block* b, unsigned tid) noexcept {
+    inner_.installment(tid);
     auto& p = pending_[tid];
     b->retire_next = p.head;
     p.head = b;
@@ -107,9 +116,11 @@ class BatchedTracker {
     if (n >= batch_) flush(tid);
   }
 
-  /// Hands tid's pending burst to the inner tracker (called when a batch
-  /// fills; also useful before a long idle period, since buffered blocks
-  /// are invisible to the inner tracker's scans until flushed).
+  /// Lists tid's pending burst on the inner tracker, one list() per
+  /// block, which runs a pass when one falls due and judges nothing else
+  /// (called when a batch fills; also useful before a long idle period,
+  /// since buffered blocks are invisible to the inner tracker's scans
+  /// until flushed).
   void flush(unsigned tid) noexcept {
     auto& p = pending_[tid];
     reclaim::Block* b = p.head;
@@ -117,7 +128,7 @@ class BatchedTracker {
     p.count.store(0, std::memory_order_relaxed);
     while (b != nullptr) {
       reclaim::Block* next = b->retire_next;
-      inner_.retire(b, tid);
+      inner_.list(b, tid);
       b = next;
     }
     util::owned_add(p.flushes);

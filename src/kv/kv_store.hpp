@@ -1039,7 +1039,6 @@ class KvStore {
     g("kv_puts_total", t.puts);
     g("kv_removes_total", t.removes);
     g("kv_updates_total", t.updates);
-    g("kv_retire_backlog", t.unreclaimed);
     g("kv_cached_blocks", t.cached_blocks);
     g("kv_pending_retired", t.pending_retired);
     g("kv_unreclaimed", t.unreclaimed);

@@ -32,7 +32,8 @@ struct ShardStats {
   std::uint64_t freed = 0;
   std::uint64_t retired = 0;
   /// Retired, not yet freed: every such block waits on one of the
-  /// domain's retire lists (the kv_retire_backlog gauge).
+  /// domain's retire lists (the kv_unreclaimed gauge, which admission
+  /// reads as its retire backlog).
   std::uint64_t unreclaimed = 0;
   /// Freed blocks the domain's per-thread free lists hold for reuse
   /// (counted in `freed`; at most reclaim::kFreeListCap per block size

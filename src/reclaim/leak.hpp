@@ -34,6 +34,15 @@ class LeakTracker : public TrackerBase {
   }
 
   void retire(Block* b, unsigned tid) noexcept { push_retired(b, tid); }
+  /// The split retire a reclaiming scheme's Reclaimer offers
+  /// (kv::BatchedTracker lists its bursts and pays installments through
+  /// it): listing is the whole retire, no pass ever runs, and there is
+  /// no installment to pay.
+  bool list(Block* b, unsigned tid) noexcept {
+    push_retired(b, tid);
+    return false;
+  }
+  void installment(unsigned) noexcept {}
 
   template <class T, class... Args>
   T* alloc(unsigned tid, Args&&... args) {

@@ -52,7 +52,12 @@
 // first finishes what is left against the same snapshot before it reads
 // its own.  flush() runs a pass and judges everything it detached at
 // once.  So no retire pays a whole sweep, and a block is freed at most one
-// pass later than by a pass that swept its list itself.  The papers'
+// pass later than by a pass that swept its list itself.  retire() is two
+// steps a caller may also take apart: list() (stamp, list, count down, and
+// the pass when it falls due) and installment().  kv::BatchedTracker does:
+// each of its retires pays one installment, and its burst of buffered
+// blocks is only listed, so a put whose burst fills pays no more
+// installments than any other put.  The papers'
 // can_delete() re-reads the reservations for each block; one snapshot
 // serves them all because it only ever judges blocks this thread retired
 // before it was read: a retire after the pass lists its block for the
@@ -343,8 +348,8 @@ class TrackerBase {
   /// Retired-but-not-yet-freed count — the paper's "unreclaimed objects"
   /// metric (Figs. 5b/5d and the right-hand panels of Figs. 6-11).  Every
   /// retired block sits on a retire list, listed or detached, until it is
-  /// reclaimed, so this is also the retire lists' backlog (the kv stats
-  /// API reports it as kv_retire_backlog).
+  /// reclaimed, so this is also the retire lists' backlog (admission
+  /// reads it from the kv_unreclaimed gauge).
   std::uint64_t unreclaimed() const noexcept {
     const std::uint64_t r = retired();
     const std::uint64_t c = sum(&detail::ThreadData::reclaims);
@@ -470,24 +475,34 @@ class TrackerBase {
 template <class Scheme, class Snapshot>
 class Reclaimer : public TrackerBase {
  public:
-  /// Blocks a retire that starts no cleanup pass judges, at most: one
-  /// installment of the last pass's sweep.
+  /// Blocks one installment() judges, at most: what a retire that starts
+  /// no cleanup pass pays of the last pass's sweep, and what every retire
+  /// through kv::BatchedTracker pays, whether or not its burst fills.
   static constexpr std::uint64_t kJudgeStep = 2;
 
-  /// Stamps and lists b and counts down to tid's next pass.  Every
-  /// cleanup_freq-th retire runs the pass, after before_pass(); any other
-  /// pays one installment of the last pass's sweep instead.
+  /// list() and, unless it ran a pass, one installment: every
+  /// cleanup_freq-th retire runs the pass, any other pays one installment
+  /// of the last pass's sweep instead.
   void retire(Block* b, unsigned tid) noexcept {
+    if (!list(b, tid)) installment(tid);
+  }
+
+  /// Stamps and lists b and counts down to tid's next pass; when it is
+  /// due, runs before_pass() and the pass and returns true.
+  bool list(Block* b, unsigned tid) noexcept {
     scheme().stamp(b);
     push_retired(b, tid);
     detail::ThreadData& td = threads_[tid];
-    if (--td.until_pass != 0) {
-      if (td.detached != nullptr) judge(tid, kJudgeStep);
-      return;
-    }
+    if (--td.until_pass != 0) return false;
     td.until_pass = cfg_.cleanup_freq;
     scheme().before_pass(b, tid);
     pass(tid);
+    return true;
+  }
+
+  /// Judges at most kJudgeStep of the blocks tid's last pass detached.
+  void installment(unsigned tid) noexcept {
+    if (threads_[tid].detached != nullptr) judge(tid, kJudgeStep);
   }
 
   /// A pass, then every block it detached judged at once.

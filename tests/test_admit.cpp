@@ -97,6 +97,32 @@ TEST(AdmitLaw, WritesShedBeforeReads) {
   EXPECT_TRUE(c.admit_read());
 }
 
+// extract() maps a registry snapshot onto the law's three inputs by
+// name: the retire backlog is the kv_unreclaimed gauge, the WAL lag the
+// kv_wal_durable_lag gauge and the commit wait the p99 of the
+// kv_wal_commit_wait_ns summary; every other entry is ignored.
+TEST(AdmitLaw, ExtractReadsTheStoreSignalsByName) {
+  obs::RegistrySnapshot snap;
+  snap.gauges = {{"kv_puts_total", 9},
+                 {"kv_unreclaimed", 700},
+                 {"kv_pending_retired", 5},
+                 {"kv_wal_durable_lag", 33}};
+  obs::HistogramSummary put;
+  put.name = "kv_op_put_ns";
+  put.p99_ns = 123;
+  obs::HistogramSummary wait;
+  wait.name = "kv_wal_commit_wait_ns";
+  wait.p50_ns = 100;
+  wait.p99_ns = 4000;
+  wait.p999_ns = 9000;
+  snap.histograms = {put, wait};
+
+  const admit::Signals s = admit::AdmissionController::extract(snap);
+  EXPECT_DOUBLE_EQ(s.retire_backlog, 700);
+  EXPECT_DOUBLE_EQ(s.wal_lag, 33);
+  EXPECT_DOUBLE_EQ(s.commit_wait_p99_ns, 4000);
+}
+
 TEST(AdmitBucket, TokenBucketBoundsBurstAndRefills) {
   admit::AdmitOptions o = law_opts();
   o.max_write_rate = 1000;

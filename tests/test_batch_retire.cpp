@@ -135,6 +135,43 @@ TYPED_TEST(BatchRetireTest, DrainThenReuse) {
   EXPECT_EQ(inner.allocated(), inner.freed() + inner.unreclaimed());
 }
 
+// No facade retire judges more than one installment: each retire pays
+// one (at most kJudgeStep blocks of the inner tracker's last pass), and
+// a flush only lists its burst, so the put whose burst fills judges no
+// more than any other unless a pass falls due in it.  The installments
+// still keep up with the passes: every block listed at one pass is
+// freed by the next.
+TYPED_TEST(BatchRetireTest, EachRetireJudgesAtMostTwo) {
+  constexpr unsigned kFreq = 16;
+  reclaim::TrackerConfig cfg = batch_cfg(/*retire_batch=*/4);
+  // A pass on every 4th burst detaches 16 blocks, more than the three
+  // retires before the next burst judge, so a flush that paid
+  // installments would show.
+  cfg.cleanup_freq = kFreq;
+  TypeParam inner(cfg);
+  {
+    kv::BatchedTracker<TypeParam> batched(inner);
+    std::uint64_t listed_at_pass = 0;  // inner.retired() at the last pass
+    for (unsigned i = 1; i <= 10 * kFreq; ++i) {
+      const std::uint64_t before = inner.freed();
+      batched.retire(batched.template alloc<CountedNode>(0), 0);
+      const std::uint64_t freed = inner.freed();
+      if (i % kFreq != 0) {
+        EXPECT_LE(freed - before, TypeParam::kJudgeStep) << "retire " << i;
+        continue;
+      }
+      EXPECT_GE(freed, listed_at_pass)
+          << "the pass on retire " << i << " left blocks listed at the pass before";
+      listed_at_pass = inner.retired();
+    }
+    EXPECT_EQ(batched.pending_count(0), 0u);
+    batched.flush(0);
+    inner.flush(0);
+    EXPECT_EQ(inner.unreclaimed(), 0u);
+  }
+  EXPECT_EQ(inner.allocated(), inner.freed());
+}
+
 // retire_batch = 0 is normalized to 1 (unbuffered): every retire is
 // handed straight through, pending stays empty.
 TYPED_TEST(BatchRetireTest, ZeroBatchMeansUnbuffered) {
