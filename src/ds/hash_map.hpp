@@ -104,21 +104,14 @@ class BucketArray {
   bool try_get(const K& key, unsigned tid, std::optional<V>& out) {
     return bucket(key).try_get(key, tid, out);
   }
-  bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
-    return bucket(key).try_insert(key, value, tid, inserted);
-  }
-  bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    return bucket(key).try_put(key, value, tid, was_absent);
-  }
-  bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
-    return bucket(key).try_update(key, value, tid, updated);
+  /// The one value write (insert, put, update or cas; see HmList).
+  template <Upsert Mode>
+  bool try_upsert(const K& key, const V& value, unsigned tid,
+                  UpsertOutcome& out, const V* expected = nullptr) {
+    return bucket(key).template try_upsert<Mode>(key, value, tid, out, expected);
   }
   bool try_remove(const K& key, unsigned tid, std::optional<V>& out) {
     return bucket(key).try_remove(key, tid, out);
-  }
-  bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
-               bool& swapped) {
-    return bucket(key).try_cas(key, expected, desired, tid, swapped);
   }
 
   // ---- migration primitives, by bucket index (kv resharding; freeze

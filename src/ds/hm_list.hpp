@@ -10,11 +10,13 @@
 // node is protected while provably in-list.
 //
 // Value cells: the value is not stored inline in the node but in a
-// separately heap-allocated, tracker-managed ValueCell the node points
-// to.  put()/update() on a present key CAS-swap the cell pointer and
-// retire only the displaced cell — no node unlink, no re-insert, no
-// momentary absence, and the retire traffic of an update-heavy workload
-// shrinks from a full node (key + two links) to one small cell.
+// separately heap-allocated, tracker-managed ValueCell (value_cell.hpp)
+// the node points to.  A put, update or cas on a present key CAS-swaps
+// the cell pointer and retires only the displaced cell — no node unlink,
+// no re-insert, no momentary absence, and the retire traffic of an
+// update-heavy workload shrinks from a full node (key + two links) to
+// one small cell.  All four value writes (ds::Upsert) are one function,
+// try_upsert<Mode>.
 //
 // Deletion protocol with cells (the *value-cell reclamation invariant*:
 // a cell is retired only by the thread that atomically unlinked its
@@ -37,10 +39,11 @@
 //      cell-mark -> next-mark is relied on below (next-marked implies
 //      cell-marked implies cell already retired, so unlinkers retire the
 //      node alone).
-//   3. insert()/put() finding a cell-marked node help by marking `next`
-//      (finish_remove) and retry — the key is logically absent, and the
-//      node must leave the list before the key can be re-inserted, which
-//      keeps "at most one next-unmarked node per key" intact.
+//   3. A write finding a cell-marked node helps by marking `next`
+//      (finish_remove).  The key is logically absent, so update and cas
+//      are done; insert and put retry, since the node must leave the
+//      list before the key can be re-inserted, which keeps "at most one
+//      next-unmarked node per key" intact.
 //
 // Protection discipline (3 slots): find() rotates slots 0/1 over
 // prev/cur exactly as in Michael 2004 Fig. 9; slot 2 (kCellSlot)
@@ -49,9 +52,10 @@
 // node* — for HP this is publish+validate against the live word, for era
 // schemes an era reservation covering the cell's lifespan, and for WFE
 // the node itself is the `parent` (paper §3.4) so helpers can pin it.
-// Writers never protect the cell they displace: a successful CAS (or the
-// winning fetch_or) transfers ownership atomically, and only the owner
-// dereferences or retires it.
+// A writer needs no protection for the cell it displaces: a successful
+// swap CAS (or remove()'s winning mark CAS) transfers ownership
+// atomically, and only the owner dereferences or retires it.  Only cas
+// reads a cell before displacing it, so only cas protects the cell word.
 //
 // Sessions: the try_* ops run inside a tracker session their caller
 // holds (begin_op/end_op), so a kv shard runs one key or a whole
@@ -102,6 +106,7 @@
 #include <utility>
 #include <vector>
 
+#include "ds/value_cell.hpp"
 #include "reclaim/tracker.hpp"
 #include "util/marked_ptr.hpp"
 
@@ -126,7 +131,7 @@ class HmList {
     while (util::strip(w) != 0) {
       Node* n = util::unpack_ptr<Node>(w);
       const std::uintptr_t cw = n->cell.load(std::memory_order_relaxed);
-      if (!util::is_marked(cw)) tracker_.dealloc(util::unpack_ptr<ValueCell>(cw), 0);
+      if (!util::is_marked(cw)) tracker_.dealloc(util::unpack_ptr<ValueCell<V>>(cw), 0);
       w = n->next.load(std::memory_order_relaxed);
       tracker_.dealloc(n, 0);
     }
@@ -136,10 +141,10 @@ class HmList {
   /// points assume a bucket that is never frozen (figure benches).
   bool insert(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    bool inserted = false;
-    while (!try_insert(key, value, tid, inserted)) {}
+    UpsertOutcome out;
+    while (!try_upsert<Upsert::kInsert>(key, value, tid, out)) {}
     tracker_.end_op(tid);
-    return inserted;
+    return out.inserted;
   }
 
   /// Insert-or-replace ("put" in the paper's key-value interface).  A
@@ -149,10 +154,10 @@ class HmList {
   /// of a node.  Returns true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    bool was_absent = false;
-    while (!try_put(key, value, tid, was_absent)) {}
+    UpsertOutcome out;
+    while (!try_upsert<Upsert::kPut>(key, value, tid, out)) {}
     tracker_.end_op(tid);
-    return was_absent;
+    return out.inserted;
   }
 
   /// The pre-value-cell upsert (remove + re-insert, replacing the whole
@@ -164,9 +169,9 @@ class HmList {
     tracker_.begin_op(tid);
     bool was_absent = true;
     for (;;) {
-      bool inserted = false;
-      while (!try_insert(key, value, tid, inserted)) {}
-      if (inserted) break;
+      UpsertOutcome out;
+      while (!try_upsert<Upsert::kInsert>(key, value, tid, out)) {}
+      if (out.inserted) break;
       was_absent = false;
       std::optional<V> dropped;
       while (!try_remove(key, tid, dropped)) {}
@@ -221,194 +226,89 @@ class HmList {
       out = std::nullopt;  // tombstone: deleted
       return true;
     }
-    out = util::unpack_ptr<ValueCell>(cw)->value;
+    out = util::unpack_ptr<ValueCell<V>>(cw)->value;
     return true;
   }
 
-  bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
+  /// The one value write, `Mode` (value_cell.hpp) deciding what it does
+  /// with what find() and the cell word show: insert links a node for an
+  /// absent key, put also swaps a present key's cell, update only swaps,
+  /// and cas swaps only while the present value == *expected (`value`
+  /// being the desired one).  The fresh cell, and for a link the node, is
+  /// allocated only once the write is about to CAS it in, and kept across
+  /// retries; a write that ends without publishing them deallocs them, so
+  /// one that changes nothing allocates nothing and retires nothing.  cas
+  /// reads the cell it may displace, a cell this thread does not own, so
+  /// it protects the cell word as try_get does; when its swap then loses
+  /// a race, the reloaded word names a cell that protection does NOT
+  /// cover, so cas re-finds where put and update re-classify the reloaded
+  /// word.
+  template <Upsert Mode>
+  bool try_upsert(const K& key, const V& value, unsigned tid,
+                  UpsertOutcome& out, const V* expected = nullptr) {
+    ValueCell<V>* cell = nullptr;
     Node* node = nullptr;
-    ValueCell* cell = nullptr;
-    const auto discard = [&] {
+    const auto unchanged = [&](bool done) {
       if (cell != nullptr) tracker_.dealloc(cell, tid);  // never published
       if (node != nullptr) tracker_.dealloc(node, tid);
+      if (done) out = {};
+      return done;
     };
     for (;;) {
       Position pos = find(key, tid);
-      if (pos.frozen) {
-        discard();
-        return false;
-      }
-      if (pos.found) {
-        const std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-        if (util::is_frozen(cw)) {
-          discard();
-          return false;
-        }
-        if (util::is_marked(cw)) {
-          // Logically deleted: help it leave, then the key is insertable.
-          finish_remove(pos.cur);
-          continue;
-        }
-        discard();
-        inserted = false;
-        return true;
-      }
-      if (cell == nullptr) cell = tracker_.template alloc<ValueCell>(tid, value);
-      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
-      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
-      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
-      std::uintptr_t expected = util::pack_ptr(pos.cur);
-      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-        inserted = true;
-        return true;
-      }
-    }
-  }
-
-  /// Insert-or-replace.  The fresh cell is allocated once and — unless
-  /// the bucket freezes under us — is always published, either via the
-  /// node-insert CAS or the cell-swap CAS.
-  bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
-    Node* node = nullptr;
-    const auto discard = [&] {
-      tracker_.dealloc(cell, tid);  // never published
-      if (node != nullptr) tracker_.dealloc(node, tid);
-    };
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        discard();
-        return false;
-      }
-      if (pos.found) {
-        std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-        for (;;) {
-          if (util::is_frozen(cw)) {
-            discard();
-            return false;
+      if (pos.frozen) return unchanged(false);
+      std::uintptr_t cw = 0;
+      if (pos.found)
+        cw = Mode == Upsert::kCas
+                 ? tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur)
+                 : pos.cur->cell.load(std::memory_order_acquire);
+      // Classify, then swap or link; a lost swap of put or update comes
+      // back here with the reloaded word, every other retry re-finds.
+      for (;;) {
+        if (pos.found) {
+          if (util::is_frozen(cw)) return unchanged(false);
+          if (util::is_marked(cw)) {
+            // Logically deleted: help it leave (invariant step 3).
+            finish_remove(pos.cur);
+            if constexpr (Mode == Upsert::kUpdate || Mode == Upsert::kCas)
+              return unchanged(true);
+            break;
           }
-          if (util::is_marked(cw)) break;  // deleted under us: re-insert
+          if constexpr (Mode == Upsert::kInsert) return unchanged(true);
+          if constexpr (Mode == Upsert::kCas) {
+            if (!(util::unpack_ptr<ValueCell<V>>(cw)->value == *expected))
+              return unchanged(true);
+          }
+        } else if constexpr (Mode == Upsert::kUpdate || Mode == Upsert::kCas) {
+          return unchanged(true);
+        }
+        if (cell == nullptr) cell = tracker_.template alloc<ValueCell<V>>(tid, value);
+        if (pos.found) {
           if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
                                                     std::memory_order_acq_rel,
                                                     std::memory_order_acquire)) {
             // We unlinked the old cell; we retire it (the invariant).
-            tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+            tracker_.retire(util::unpack_ptr<ValueCell<V>>(cw), tid);
             if (node != nullptr) tracker_.dealloc(node, tid);
-            was_absent = false;
+            out = {.replaced = true};
             return true;
           }
           // CAS reloaded cw: a racing upsert, a tombstone, or a freeze.
+          if constexpr (Mode == Upsert::kCas) break;
+          continue;
         }
-        finish_remove(pos.cur);
-        continue;
-      }
-      if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
-      node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
-      node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
-      std::uintptr_t expected = util::pack_ptr(pos.cur);
-      if (pos.prev_link->compare_exchange_strong(expected, util::pack_ptr(node),
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-        was_absent = true;
-        return true;
-      }
-    }
-  }
-
-  bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, value);
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        tracker_.dealloc(cell, tid);  // never published
-        return false;
-      }
-      if (!pos.found) {
-        tracker_.dealloc(cell, tid);  // never published
-        updated = false;
-        return true;
-      }
-      std::uintptr_t cw = pos.cur->cell.load(std::memory_order_acquire);
-      for (;;) {
-        if (util::is_frozen(cw)) {
-          tracker_.dealloc(cell, tid);
-          return false;
-        }
-        if (util::is_marked(cw)) {
-          // Tombstone: the key was absent when we observed the mark.
-          finish_remove(pos.cur);
-          tracker_.dealloc(cell, tid);
-          updated = false;
+        if (node == nullptr) node = tracker_.template alloc<Node>(tid, key);
+        node->cell.store(util::pack_ptr(cell), std::memory_order_relaxed);
+        node->next.store(util::pack_ptr(pos.cur), std::memory_order_relaxed);
+        std::uintptr_t link = util::pack_ptr(pos.cur);
+        if (pos.prev_link->compare_exchange_strong(link, util::pack_ptr(node),
+                                                   std::memory_order_acq_rel,
+                                                   std::memory_order_relaxed)) {
+          out = {.inserted = true};
           return true;
         }
-        if (pos.cur->cell.compare_exchange_strong(cw, util::pack_ptr(cell),
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
-          updated = true;
-          return true;
-        }
+        break;  // lost the link race: re-find
       }
-    }
-  }
-
-  /// Conditional in-place replace: installs `desired` iff the key is
-  /// present with value == `expected`.  Every failure mode — absent key,
-  /// tombstone, value mismatch — makes NO state change: the speculative
-  /// cell is dealloc'd (never published) and no existing cell is
-  /// retired, so a lost single-key cas costs two allocator round-trips
-  /// and nothing else (the block-balance identity the tests assert is
-  /// undisturbed: dealloc counts as freed).  Reading the current value
-  /// means dereferencing a cell this thread does not own, so the cell
-  /// word is protected exactly as in try_get; when the install CAS
-  /// then loses a race, the reloaded word names a cell the protection
-  /// does NOT cover — the loop restarts from find() to re-protect
-  /// rather than touching it.
-  bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
-                bool& swapped) {
-    ValueCell* cell = tracker_.template alloc<ValueCell>(tid, desired);
-    for (;;) {
-      Position pos = find(key, tid);
-      if (pos.frozen) {
-        tracker_.dealloc(cell, tid);  // never published
-        return false;
-      }
-      if (!pos.found) {
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      const std::uintptr_t cw =
-          tracker_.protect_word(pos.cur->cell, kCellSlot, tid, pos.cur);
-      if (util::is_frozen(cw)) {
-        tracker_.dealloc(cell, tid);
-        return false;
-      }
-      if (util::is_marked(cw)) {
-        // Tombstone: the key was absent when we observed the mark.
-        finish_remove(pos.cur);
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      if (!(util::unpack_ptr<ValueCell>(cw)->value == expected)) {
-        tracker_.dealloc(cell, tid);
-        swapped = false;
-        return true;
-      }
-      std::uintptr_t want = cw;
-      if (pos.cur->cell.compare_exchange_strong(want, util::pack_ptr(cell),
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-        tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
-        swapped = true;
-        return true;
-      }
-      // Lost the install race: restart from find() (see the header note
-      // above — the reloaded word is unprotected).
     }
   }
 
@@ -443,7 +343,7 @@ class HmList {
         // CAS reloaded cw: a racing upsert, a racing remover, or the
         // freeze — loop re-classifies.
       }
-      ValueCell* old_cell = util::unpack_ptr<ValueCell>(cw);
+      ValueCell<V>* old_cell = util::unpack_ptr<ValueCell<V>>(cw);
       out = old_cell->value;
       tracker_.retire(old_cell, tid);
       // Physical deletion, unchanged from Harris-Michael: mark next
@@ -515,7 +415,7 @@ class HmList {
         ok = false;
         break;
       }
-      if (!util::is_marked(cw)) fn(cur->key, util::unpack_ptr<ValueCell>(cw)->value);
+      if (!util::is_marked(cw)) fn(cur->key, util::unpack_ptr<ValueCell<V>>(cw)->value);
       prev_link = &cur->next;
       prev_node = cur;
       cur_slot ^= 1u;
@@ -577,7 +477,7 @@ class HmList {
       const std::uintptr_t cw = n->cell.load(std::memory_order_acquire);
       const bool live = !util::is_marked(cw);
       if (live)
-        pairs.emplace_back(n->key, util::unpack_ptr<ValueCell>(cw)->value);
+        pairs.emplace_back(n->key, util::unpack_ptr<ValueCell<V>>(cw)->value);
       node_live.push_back(live);
       n = util::unpack_ptr<Node>(nw);
     }
@@ -604,7 +504,7 @@ class HmList {
       head_.store(util::strip(nw) | util::kFreezeBit, std::memory_order_release);
       n->next.store(kFrozenEnd, std::memory_order_release);
       if (node_live[nodes]) {
-        tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+        tracker_.retire(util::unpack_ptr<ValueCell<V>>(cw), tid);
         ++cells;
       }
       tracker_.retire(n, tid);
@@ -623,7 +523,7 @@ class HmList {
       const auto next = node->next.load(std::memory_order_acquire);
       const auto cw = node->cell.load(std::memory_order_acquire);
       if (!util::is_marked(next) && !util::is_marked(cw))
-        fn(node->key, util::unpack_ptr<ValueCell>(cw)->value);
+        fn(node->key, util::unpack_ptr<ValueCell<V>>(cw)->value);
       w = next;
     }
   }
@@ -646,17 +546,10 @@ class HmList {
  private:
   static constexpr unsigned kCellSlot = 2;
 
-  /// The separately reclaimed value: immutable once published, replaced
-  /// wholesale by the cell-pointer CAS in try_put/try_update/try_cas.
-  struct ValueCell : reclaim::Block {
-    explicit ValueCell(const V& v) : value(v) {}
-    const V value;
-  };
-
   struct Node : reclaim::Block {
     explicit Node(const K& k) : key(k) {}
     const K key;
-    /// ValueCell* | mark.  Marked = key logically deleted (tombstone;
+    /// ValueCell<V>* | mark.  Marked = key logically deleted (tombstone;
     /// remove()'s linearization point).  Unmarked cell pointers are only
     /// ever changed by CAS, marked words never change again.
     std::atomic<std::uintptr_t> cell{0};

@@ -5,8 +5,9 @@
 //
 // External (leaf-oriented) tree: internal nodes route, leaves store
 // keys.  A leaf's value lives in a separately allocated, tracker-managed
-// ValueCell the leaf points to through an atomic word, exactly like
-// hm_list.hpp; the cell word's mark bit is the deletion tombstone.
+// ValueCell (value_cell.hpp) the leaf points to through an atomic word,
+// exactly like hm_list.hpp; the cell word's mark bit is the deletion
+// tombstone.
 //
 // ## Tombstone deletion protocol
 //
@@ -142,6 +143,7 @@
 #include <limits>
 #include <optional>
 
+#include "ds/value_cell.hpp"
 #include "reclaim/tracker.hpp"
 #include "util/marked_ptr.hpp"
 
@@ -188,7 +190,7 @@ class NatarajanBst {
 
   bool insert(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    const bool ok = upsert_impl(key, value, tid, Upsert::kInsert);
+    const bool ok = upsert_impl<Upsert::kInsert>(key, value, tid).inserted;
     tracker_.end_op(tid);
     return ok;
   }
@@ -199,7 +201,7 @@ class NatarajanBst {
   /// absent.
   bool put(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    const bool was_absent = upsert_impl(key, value, tid, Upsert::kPut);
+    const bool was_absent = upsert_impl<Upsert::kPut>(key, value, tid).inserted;
     tracker_.end_op(tid);
     return was_absent;
   }
@@ -207,7 +209,7 @@ class NatarajanBst {
   /// Replace-if-present; false (no write) when absent.
   bool update(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
-    const bool updated = upsert_impl(key, value, tid, Upsert::kUpdate);
+    const bool updated = upsert_impl<Upsert::kUpdate>(key, value, tid).replaced;
     tracker_.end_op(tid);
     return updated;
   }
@@ -218,7 +220,7 @@ class NatarajanBst {
   bool put_copy(const K& key, const V& value, unsigned tid) {
     tracker_.begin_op(tid);
     bool was_absent = true;
-    while (!upsert_impl(key, value, tid, Upsert::kInsert)) {
+    while (!upsert_impl<Upsert::kInsert>(key, value, tid).inserted) {
       was_absent = false;
       remove_impl(key, tid);
     }
@@ -236,7 +238,7 @@ class NatarajanBst {
       const std::uintptr_t cw =
           tracker_.protect_word(sr.leaf->cell, kSlotCell, tid, sr.leaf);
       if (!util::is_marked(cw))
-        out = util::unpack_ptr<ValueCell>(cw)->value;
+        out = util::unpack_ptr<ValueCell<V>>(cw)->value;
     }
     tracker_.end_op(tid);
     return out;
@@ -313,18 +315,13 @@ class NatarajanBst {
   static constexpr unsigned kSlotCell = kSlotCurrent + 1;
   static_assert(kSlotCell + 1 == kSlotsNeeded);
 
-  struct ValueCell : reclaim::Block {
-    explicit ValueCell(const V& v) : value(v) {}
-    const V value;  ///< immutable: updates swap the whole cell
-  };
-
   struct Node : reclaim::Block {
     explicit Node(K k) : key(k) {}
     const K key;
     std::atomic<std::uintptr_t> left{0};
     std::atomic<std::uintptr_t> right{0};
     /// Leaves only (internal nodes and sentinel leaves keep 0):
-    /// ValueCell* | mark.  Marked = key logically deleted (tombstone;
+    /// ValueCell<V>* | mark.  Marked = key logically deleted (tombstone;
     /// remove()'s linearization point, the cell already retired by the
     /// marking thread).  Every mutating CAS expects the word unmarked,
     /// so a marked word is frozen forever.
@@ -337,8 +334,6 @@ class NatarajanBst {
     Node* parent;
     Node* leaf;
   };
-
-  enum class Upsert { kInsert, kPut, kUpdate };
 
   /// A scan's deepest left-turn ancestors of its current leaf, deepest on
   /// top, as a ring over kTurnSlots reservation slots: ring position p
@@ -449,14 +444,15 @@ class NatarajanBst {
     }
   }
 
-  /// insert / put / update, unified around the cell protocol.  Returns:
-  /// kInsert — inserted (false: key present); kPut — key was absent;
-  /// kUpdate — updated (false: key absent).
-  bool upsert_impl(K key, const V& value, unsigned tid, Upsert mode) {
+  /// insert / put / update (the tree has no cas), unified around the
+  /// cell protocol.
+  template <Upsert Mode>
+  UpsertOutcome upsert_impl(K key, const V& value, unsigned tid) {
+    static_assert(Mode != Upsert::kCas, "the BST has no cas write");
     assert(key <= kMaxKey);
     Node* new_leaf = nullptr;
     Node* new_internal = nullptr;
-    ValueCell* new_cell = nullptr;
+    ValueCell<V>* new_cell = nullptr;
     const auto discard = [&] {  // never-published cached blocks
       if (new_leaf != nullptr) tracker_.dealloc(new_leaf, tid);
       if (new_internal != nullptr) tracker_.dealloc(new_internal, tid);
@@ -473,18 +469,18 @@ class NatarajanBst {
           // splice, then re-evaluate (a fresh same-key leaf needs a
           // fresh insertion).
           help_remove(key, sr, tid);
-          if (mode == Upsert::kUpdate) {
+          if constexpr (Mode == Upsert::kUpdate) {
             discard();
-            return false;
+            return {};
           }
           continue;
         }
-        if (mode == Upsert::kInsert) {
+        if constexpr (Mode == Upsert::kInsert) {
           discard();
-          return false;
+          return {};
         }
         if (new_cell == nullptr)
-          new_cell = tracker_.template alloc<ValueCell>(tid, value);
+          new_cell = tracker_.template alloc<ValueCell<V>>(tid, value);
         // LINEARIZATION POINT (present-key upsert): swap the cell.
         // Succeeding against an unmarked word proves the leaf was not
         // tombstoned — hence not flagged, hence reachable — at the
@@ -492,21 +488,21 @@ class NatarajanBst {
         if (sr.leaf->cell.compare_exchange_strong(
                 cw, util::pack_ptr(new_cell), std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
-          tracker_.retire(util::unpack_ptr<ValueCell>(cw), tid);
+          tracker_.retire(util::unpack_ptr<ValueCell<V>>(cw), tid);
           new_cell = nullptr;  // published
           discard();
-          return mode == Upsert::kUpdate;
+          return {.replaced = true};
         }
         continue;  // lost to a concurrent upsert or tombstone: re-resolve
       }
       // Terminal leaf holds a different key: the key is absent.
-      if (mode == Upsert::kUpdate) {
+      if constexpr (Mode == Upsert::kUpdate) {
         discard();
-        return false;
+        return {};
       }
       std::atomic<std::uintptr_t>* child_addr = child_link(sr.parent, key);
       if (new_cell == nullptr)
-        new_cell = tracker_.template alloc<ValueCell>(tid, value);
+        new_cell = tracker_.template alloc<ValueCell<V>>(tid, value);
       if (new_leaf == nullptr) new_leaf = tracker_.template alloc<Node>(tid, key);
       new_leaf->cell.store(util::pack_ptr(new_cell), std::memory_order_relaxed);
       // The new internal routes between the existing leaf and ours; its
@@ -532,7 +528,7 @@ class NatarajanBst {
       if (child_addr->compare_exchange_strong(expected, util::pack_ptr(internal),
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-        return true;  // inserted (leaf, internal and cell all published)
+        return {.inserted = true};  // leaf, internal and cell all published
       }
       // CAS failed: if the edge still targets our leaf but is flagged or
       // tagged, a deletion is pending at this node — help it finish.
@@ -562,7 +558,7 @@ class NatarajanBst {
       if (sr.leaf->cell.compare_exchange_strong(cw, cw | util::kMarkBit,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
-        ValueCell* cell = util::unpack_ptr<ValueCell>(cw);
+        ValueCell<V>* cell = util::unpack_ptr<ValueCell<V>>(cw);
         std::optional<V> out(cell->value);
         tracker_.retire(cell, tid);
         physical_remove(key, sr, tid);
@@ -845,7 +841,7 @@ class NatarajanBst {
         if constexpr (kKeysOnly)
           more = fn(leaf->key);
         else
-          more = fn(leaf->key, util::unpack_ptr<ValueCell>(cw)->value);
+          more = fn(leaf->key, util::unpack_ptr<ValueCell<V>>(cw)->value);
         if (!more) break;
       }
       if (leaf->key >= hi) break;  // also guards cursor overflow at kMaxKey
@@ -873,7 +869,7 @@ class NatarajanBst {
     // is still owned by the (live) leaf.
     const std::uintptr_t cw = node->cell.load(std::memory_order_relaxed);
     if (cw != 0 && !util::is_marked(cw))
-      tracker_.dealloc(util::unpack_ptr<ValueCell>(cw), 0);
+      tracker_.dealloc(util::unpack_ptr<ValueCell<V>>(cw), 0);
     tracker_.dealloc(node, 0);
   }
 

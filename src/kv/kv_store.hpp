@@ -311,10 +311,11 @@ class KvStore {
     if (metrics_) metrics_->stop_sampler();
   }
 
-  // ---- point ops.  Every entry point below is one run_op() call: the
-  // op pipeline (see run_op) owns metrics, watchdog, admission, the
-  // table guard, index hooks, counters and the after-write step; an
-  // entry point supplies only what it does to the table. ----
+  // ---- point ops.  Every entry point below is one run_op() call, the
+  // four value writes through their one path, upsert(): the op pipeline
+  // (see run_op) owns metrics, watchdog, admission, the table guard,
+  // index hooks, counters and the after-write step; an entry point
+  // supplies only what it does to the table. ----
 
   std::optional<V> get(const K& key, unsigned tid) {
     return run_op<obs::OpKind::kGet>(key, 1, tid, [&](Table* t, Effect&) {
@@ -329,47 +330,17 @@ class KvStore {
   /// Insert-or-replace, in place (atomic value-cell swap on present
   /// keys); true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
-    return run_op<obs::OpKind::kPut>(
-        key, 1, tid,
-        [&](Table* t, Effect& fx) {
-          bool was_absent = false;
-          on_key(t, key, tid, [&](ShardT& s) {
-            return s.try_put(key, value, tid, was_absent);
-          });
-          fx.inserted = was_absent;
-          return was_absent;
-        },
-        /*add=*/[&](bool was_absent) {
-          if (was_absent) index_add(key, tid);
-        });
+    return upsert<ds::Upsert::kPut>(key, value, tid).inserted;
   }
 
   /// Insert-if-absent; false (no write) when present.
   bool insert(const K& key, const V& value, unsigned tid) {
-    return run_op<obs::OpKind::kInsert>(
-        key, 1, tid,
-        [&](Table* t, Effect& fx) {
-          bool inserted = false;
-          on_key(t, key, tid, [&](ShardT& s) {
-            return s.try_insert(key, value, tid, inserted);
-          });
-          fx.inserted = inserted;
-          return inserted;
-        },
-        /*add=*/[&](bool inserted) {
-          if (inserted) index_add(key, tid);
-        });
+    return upsert<ds::Upsert::kInsert>(key, value, tid).inserted;
   }
 
   /// Replace-if-present; false (no write) when absent.
   bool update(const K& key, const V& value, unsigned tid) {
-    return run_op<obs::OpKind::kUpdate>(key, 1, tid, [&](Table* t, Effect&) {
-      bool updated = false;
-      on_key(t, key, tid, [&](ShardT& s) {
-        return s.try_update(key, value, tid, updated);
-      });
-      return updated;
-    });
+    return upsert<ds::Upsert::kUpdate>(key, value, tid).replaced;
   }
 
   std::optional<V> remove(const K& key, unsigned tid) {
@@ -598,13 +569,7 @@ class KvStore {
   /// swap; false (and NO write, NO cell retired) on absent key or value
   /// mismatch.
   bool cas(const K& key, const V& expected, const V& desired, unsigned tid) {
-    return run_op<obs::OpKind::kUpdate>(key, 1, tid, [&](Table* t, Effect&) {
-      bool swapped = false;
-      on_key(t, key, tid, [&](ShardT& s) {
-        return s.try_cas(key, expected, desired, tid, swapped);
-      });
-      return swapped;
-    });
+    return upsert<ds::Upsert::kCas>(key, desired, tid, &expected).replaced;
   }
 
   /// Atomic read-modify-write counter bump built on cas(): creates the
@@ -1321,6 +1286,31 @@ class KvStore {
   template <class Attempt>
   void on_key(Table* t, const K& key, unsigned tid, Attempt&& attempt) {
     while (!attempt(shard_in(*t, key))) t = wait_forward(*t, key, tid);
+  }
+
+  /// The one path of the four value writes (put, insert, update, cas):
+  /// one shard try_upsert on the key, forwarded while its bucket is
+  /// frozen.  A write that inserted the key counts one net insert and,
+  /// with the index on, adds it there; cas records as an update.
+  template <ds::Upsert Mode>
+  ds::UpsertOutcome upsert(const K& key, const V& value, unsigned tid,
+                           const V* expected = nullptr) {
+    constexpr obs::OpKind kKind = Mode == ds::Upsert::kPut      ? obs::OpKind::kPut
+                                  : Mode == ds::Upsert::kInsert ? obs::OpKind::kInsert
+                                                                : obs::OpKind::kUpdate;
+    return run_op<kKind>(
+        key, 1, tid,
+        [&](Table* t, Effect& fx) {
+          ds::UpsertOutcome out;
+          on_key(t, key, tid, [&](ShardT& s) {
+            return s.template try_upsert<Mode>(key, value, tid, out, expected);
+          });
+          fx.inserted = out.inserted;
+          return out;
+        },
+        /*add=*/[&](const ds::UpsertOutcome& out) {
+          if (out.inserted) index_add(key, tid);
+        });
   }
 
   /// Primary point lookup under the caller's table guard (get).

@@ -30,9 +30,10 @@
 // stream: ShardWal::append copies key and value into its ring, so a
 // displaced block goes to the domain tracker on the ordinary retire
 // path whatever the durable-LSN watermark says.  The net record set is
-// minimal: put/insert/update/cas log one PUT, a successful
-// remove logs one REMOVE, failed ops and migrate_in log nothing
-// (migrated pairs are reconstructed from their source epoch's records).
+// minimal: a value write (put, insert, update, cas) that changed the key
+// logs one PUT, a successful remove logs one REMOVE, failed ops and
+// migrate_in log nothing (migrated pairs are reconstructed from their
+// source epoch's records).
 
 #include <cstddef>
 #include <cstdint>
@@ -79,9 +80,9 @@ class Shard {
   }
   /// Insert-or-replace, in place; true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
-    bool was_absent = false;
-    while (!try_put(key, value, tid, was_absent)) {}
-    return was_absent;
+    ds::UpsertOutcome out;
+    while (!try_upsert<ds::Upsert::kPut>(key, value, tid, out)) {}
+    return out.inserted;
   }
   std::optional<V> remove(const K& key, unsigned tid) {
     std::optional<V> out;
@@ -106,56 +107,32 @@ class Shard {
   bool try_probe(const K& key, unsigned tid, std::optional<V>& out) {
     return in_session(tid, [&] { return map_.try_get(key, tid, out); });
   }
-  bool try_insert(const K& key, const V& value, unsigned tid, bool& inserted) {
-    if (!in_session(tid, [&] { return map_.try_insert(key, value, tid, inserted); }))
+  /// The one value write (ds::Upsert: insert, put, update, or cas with
+  /// `expected`).  A completed write counts one op in its mode's lane
+  /// (insert and put share the put lane); a swap is exactly one
+  /// value-cell retire; a write that changed the key logs one PUT.  A
+  /// cas, the degenerate single-key transaction, needs none of the
+  /// INTENT/COMMIT machinery: a single record is already atomic on its
+  /// stream.  A write that changed nothing logs and retires nothing.
+  template <ds::Upsert Mode>
+  bool try_upsert(const K& key, const V& value, unsigned tid,
+                  ds::UpsertOutcome& out, const V* expected = nullptr) {
+    if (!in_session(tid, [&] {
+          return map_.template try_upsert<Mode>(key, value, tid, out, expected);
+        }))
       return false;
-    ops_.inc(kPut, tid);
-    if (inserted) ack_log(append_put(key, value));
-    return true;
-  }
-  /// A replace is exactly one successful cell swap, so it counts one
-  /// value-cell retire.
-  bool try_put(const K& key, const V& value, unsigned tid, bool& was_absent) {
-    if (!in_session(tid, [&] { return map_.try_put(key, value, tid, was_absent); }))
-      return false;
-    ops_.inc(kPut, tid);
-    if (!was_absent) ops_.inc(kCellRetire, tid);
-    ack_log(append_put(key, value));
-    return true;
-  }
-  bool try_update(const K& key, const V& value, unsigned tid, bool& updated) {
-    if (!in_session(tid, [&] { return map_.try_update(key, value, tid, updated); }))
-      return false;
-    ops_.inc(kUpdate, tid);
-    if (updated) {
-      ops_.inc(kCellRetire, tid);
-      ack_log(append_put(key, value));
-    }
+    ops_.inc(Mode == ds::Upsert::kUpdate ? kUpdate
+             : Mode == ds::Upsert::kCas  ? kCas
+                                         : kPut,
+             tid);
+    if (out.replaced) ops_.inc(kCellRetire, tid);
+    if (out.inserted || out.replaced) ack_log(append_put(key, value));
     return true;
   }
   bool try_remove(const K& key, unsigned tid, std::optional<V>& out) {
     if (!in_session(tid, [&] { return map_.try_remove(key, tid, out); })) return false;
     ops_.inc(kRemove, tid);
     if (out.has_value()) ack_log(append_remove(key));
-    return true;
-  }
-  /// Conditional replace (degenerate single-key transaction): installs
-  /// `desired` iff the key is present with value == `expected`.  A
-  /// success is one atomic cell swap and logs one plain PUT — a
-  /// single record is already atomic on its stream, so the cas needs
-  /// none of the INTENT/COMMIT machinery.  Failure writes nothing and
-  /// retires nothing.
-  bool try_cas(const K& key, const V& expected, const V& desired, unsigned tid,
-               bool& swapped) {
-    if (!in_session(tid, [&] {
-          return map_.try_cas(key, expected, desired, tid, swapped);
-        }))
-      return false;
-    ops_.inc(kCas, tid);
-    if (swapped) {
-      ops_.inc(kCellRetire, tid);
-      ack_log(append_put(key, desired));
-    }
     return true;
   }
 
@@ -185,10 +162,10 @@ class Shard {
     std::uint64_t last_lsn = 0;
     const std::size_t done = run_group(idx, n, tid, deferred, [&](std::uint32_t j) {
       const auto& [k, v] = ops[j];
-      bool was_absent = false;
-      if (!map_.try_put(k, v, tid, was_absent)) return false;
+      ds::UpsertOutcome out;
+      if (!map_.template try_upsert<ds::Upsert::kPut>(k, v, tid, out)) return false;
       last_lsn = append_put(k, v);
-      if (was_absent) ++inserted;
+      if (out.inserted) ++inserted;
       return true;
     });
     ack_log(last_lsn);  // one durability wait for the whole group
@@ -251,9 +228,10 @@ class Shard {
         if (!map_.try_remove(op.key, tid, v)) return false;
         if (v.has_value()) ++r.removed;
       } else {
-        bool was_absent = false;
-        if (!map_.try_put(op.key, op.value, tid, was_absent)) return false;
-        if (was_absent)
+        ds::UpsertOutcome out;
+        if (!map_.template try_upsert<ds::Upsert::kPut>(op.key, op.value, tid, out))
+          return false;
+        if (out.inserted)
           ++r.inserted;
         else
           ++replaced;

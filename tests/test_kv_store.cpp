@@ -1,8 +1,9 @@
-// Sharded kv store: contract, shard routing/distribution, stats
-// accounting, batched retirement, the concurrent sweep across every
-// reclamation scheme at 8 threads (acceptance gate for the kv engine),
-// the ordered index's hooks under same-key races and their counters,
-// and the auto-snapshot cadence of every write entry point.
+// Sharded kv store: contract, no-op writes that allocate nothing, shard
+// routing/distribution, stats accounting, batched retirement, the
+// concurrent sweep across every reclamation scheme at 8 threads
+// (acceptance gate for the kv engine), the ordered index's hooks under
+// same-key races and their counters, and the auto-snapshot cadence of
+// every write entry point.
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,30 @@ TYPED_TEST(KvStoreTest, BasicContract) {
   EXPECT_EQ(*store.remove(1, 0), 10u);
   EXPECT_FALSE(store.remove(1, 0).has_value());
   EXPECT_EQ(store.size_unsafe(), 1u);
+}
+
+// A value write that finds nothing to do touches no block: an insert of
+// a present key, an update or cas of an absent key and a cas whose
+// expected value differs allocate no cell (it is allocated at first
+// need), so every domain's allocated and freed counts stay put.
+TYPED_TEST(KvStoreTest, NoOpWritesAllocateNothing) {
+  Store<TypeParam> store(small_cfg<TypeParam>());
+  constexpr std::uint64_t kKeys = 64;
+  for (std::uint64_t k = 1; k <= kKeys; ++k) ASSERT_TRUE(store.insert(k, k * 10, 0));
+  const kv::ShardStats before = store.stats().total();
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    EXPECT_FALSE(store.insert(k, 1, 0));
+    EXPECT_FALSE(store.update(k + kKeys, 1, 0));
+    EXPECT_FALSE(store.cas(k + kKeys, k * 10, 1, 0));
+    EXPECT_FALSE(store.cas(k, k * 10 + 1, 1, 0));
+  }
+  const kv::ShardStats after = store.stats().total();
+  EXPECT_EQ(after.allocated, before.allocated);
+  EXPECT_EQ(after.freed, before.freed);
+  EXPECT_EQ(after.value_cell_retires, before.value_cell_retires);
+  EXPECT_EQ(store.size_unsafe(), kKeys);
+  for (std::uint64_t k = 1; k <= kKeys; ++k)
+    EXPECT_EQ(store.get(k, 0), std::make_optional(k * 10));
 }
 
 TYPED_TEST(KvStoreTest, ShardCountRoundsToPowerOfTwo) {

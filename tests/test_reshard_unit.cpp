@@ -255,7 +255,8 @@ TYPED_TEST(ReshardUnitTest, AllOpClassesAfterResizeMatchReference) {
 
 // Deterministic pin of the forwarding mechanism the stress suite can
 // only exercise probabilistically: every freeze-aware op on a frozen
-// bucket reports "incomplete" with NO state change, and keys in other
+// bucket (get, every value-write mode, remove) reports "incomplete"
+// with NO state change, and keys in other
 // buckets are untouched.  Every group op (multi_get, multi_put,
 // multi_remove, txn_apply) defers the frozen position of a two-key
 // slice, leaves its out slot alone, completes the other key in the same
@@ -277,17 +278,43 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   ASSERT_FALSE(pairs.empty());
   for (const auto& [k, v] : pairs) EXPECT_EQ(v, k * 10);
 
-  // Every op class on a frozen-bucket key: incomplete, no state change.
-  std::optional<std::uint64_t> out;
-  bool flag = false;
+  // Every op class on a frozen-bucket key: incomplete, no state change
+  // (out-params, op counters, block ledger and the bucket's pairs all
+  // as before).  The cas expects the key's current value, so only the
+  // freeze stops it.
+  const kv::ShardStats quiet = shard.stats();
+  // Sentinel out-params: an incomplete op leaves both untouched.
+  std::optional<std::uint64_t> out{0xdead};
+  ds::UpsertOutcome wrote{.inserted = true, .replaced = true};
+  const std::uint64_t current = key * 10;
   EXPECT_FALSE(shard.try_get(key, kTid, out));
-  EXPECT_FALSE(shard.try_put(key, 1, kTid, flag));
+  EXPECT_FALSE(shard.template try_upsert<ds::Upsert::kPut>(key, 1, kTid, wrote));
   std::uint64_t absent = 0;  // a key NOT in the shard that routes to b
   for (std::uint64_t k = 1000; absent == 0; ++k)
     if (shard.bucket_index(k) == b) absent = k;
-  EXPECT_FALSE(shard.try_insert(absent, 1, kTid, flag));
-  EXPECT_FALSE(shard.try_update(key, 1, kTid, flag));
+  EXPECT_FALSE(shard.template try_upsert<ds::Upsert::kInsert>(absent, 1, kTid, wrote));
+  EXPECT_FALSE(shard.template try_upsert<ds::Upsert::kUpdate>(key, 1, kTid, wrote));
+  EXPECT_FALSE(
+      shard.template try_upsert<ds::Upsert::kCas>(key, 1, kTid, wrote, &current));
   EXPECT_FALSE(shard.try_remove(key, kTid, out));
+  EXPECT_EQ(out, std::make_optional<std::uint64_t>(0xdead));
+  EXPECT_TRUE(wrote.inserted && wrote.replaced);
+  {
+    const kv::ShardStats now = shard.stats();
+    EXPECT_EQ(now.gets, quiet.gets);
+    EXPECT_EQ(now.puts, quiet.puts);
+    EXPECT_EQ(now.updates, quiet.updates);
+    EXPECT_EQ(now.cas_ops, quiet.cas_ops);
+    EXPECT_EQ(now.removes, quiet.removes);
+    EXPECT_EQ(now.value_cell_retires, quiet.value_cell_retires);
+    EXPECT_EQ(now.allocated, quiet.allocated);
+    EXPECT_EQ(now.freed, quiet.freed);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> again;
+    std::vector<bool> again_live;
+    shard.collect_bucket(b, again, again_live);
+    EXPECT_EQ(again, pairs);
+    EXPECT_EQ(again_live, live);
+  }
 
   // Present keys in other, unfrozen buckets: one per group op.
   std::vector<std::uint64_t> others;
