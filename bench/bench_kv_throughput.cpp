@@ -277,7 +277,6 @@ std::unique_ptr<Store<TR>> make_store(const Params& pp, unsigned threads,
   if (shape.admit_write_rate > 0) {
     cfg.admission.enabled = true;  // flips the sampler back on
     cfg.metrics.sample_interval_ms = 20;  // the law needs a live feed
-    cfg.admission.tick_ms = 5;
     cfg.admission.max_write_rate = shape.admit_write_rate;
     // Burst sized to ride through a scheduler stall: on a 1-vCPU
     // host all workers can be off-CPU for 100ms+ at a time, and with

@@ -1,10 +1,10 @@
 #pragma once
 // Ratekeeper-style admission controller (FoundationDB's Ratekeeper is
 // the model): throttle and shed at the KvStore front door, driven by
-// the obs Sampler's snapshot ring, instead of letting every appender
+// the obs Sampler's snapshots, instead of letting every appender
 // discover saturation by spinning on the WAL ring.
 //
-// Control law, evaluated once per new sampler snapshot:
+// Control law, evaluated once per sampler snapshot:
 //
 //   severity = max( wal_durable_lag   / wal_lag_target,
 //                   retire_backlog    / retire_backlog_target,
@@ -18,7 +18,7 @@
 // (p99 + max(0, delta since last sample)): commit wait is the earliest
 // rising signal under write overload, and acting on its slope throttles
 // BEFORE the ring fills rather than after.  severity <= 1 opens the
-// throttle multiplicatively (kRecoverGain per tick, up to
+// throttle multiplicatively (kRecoverGain per snapshot, up to
 // max_write_rate); severity > 1 divides the rate by the severity
 // (floored at min_write_rate), so a 4x-over-target backlog cuts the
 // admitted write rate to a quarter in one step — multiplicative
@@ -26,39 +26,39 @@
 //
 // Enforcement is a token bucket on WRITES only: admit_write(n) takes n
 // tokens (capacity = rate * burst_seconds) and, when the bucket is dry,
-// waits a bounded max_wait_us on capped backoff before giving up.
+// refills it from the clock and retries for a bounded max_wait_us on
+// capped backoff before giving up.
 // Reads are never token-gated — they only shed, and only at a much
 // higher severity (read_shed_severity vs shed_severity): writes are
 // what feed the WAL and the retire lists, so writes throttle first and
 // reads keep flowing until the store is truly drowning.  A refused op
 // surfaces as kv::Overloaded at the API instead of silent latency.
 //
-// Threading: admit_read/admit_write are the hot path — one relaxed
-// flag load for reads, one CAS for writes — and may run from any
-// thread.  observe()/refill() mutate the law's state and run on the
-// controller's driver thread (or a test harness); they are single-
-// writer by contract.  Null-object discipline matches obs::KvMetrics:
-// a store with admission disabled holds no controller at all.
+// Threading: the controller has no thread of its own.  admit_read and
+// admit_write are the hot path — one relaxed flag load for reads, one
+// CAS for writes — and may run from any thread.  observe() runs on the
+// sampler's thread, once per snapshot (the hook KvStore hands
+// KvMetrics::start_sampler), and is single-writer by contract.  A write
+// that finds the bucket dry refills it itself (refill(): a CAS on the
+// last-refill stamp credits each interval to one writer), so no
+// throttled write waits for another thread to be scheduled.  Null-object
+// discipline matches obs::KvMetrics: a store with admission disabled
+// holds no controller at all.
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "obs/clock.hpp"
 #include "obs/registry.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "util/backoff.hpp"
 
 namespace wfe::admit {
 
-/// Multiplicative rate recovery per tick while severity <= 1.
+/// Multiplicative rate recovery per snapshot while severity <= 1.
 inline constexpr double kRecoverGain = 1.25;
 
 struct AdmitOptions {
@@ -85,10 +85,7 @@ struct AdmitOptions {
   double shed_read_severity = 16.0;
   /// EWMA weight of the newest severity sample (0..1].
   double severity_alpha = 0.5;
-  /// Driver cadence: token refill every tick; the law re-evaluates
-  /// whenever the sampler ring has a new snapshot.
-  std::uint32_t tick_ms = 10;
-  /// How long admit_write waits on a dry bucket before refusing.
+  /// How long admit_write retries a dry bucket before refusing.
   std::uint32_t max_wait_us = 2000;
 };
 
@@ -119,13 +116,11 @@ class AdmissionController {
         std::clamp(opt.min_write_rate, 1.0, opt.max_write_rate);
     opt.burst_seconds = std::max(1e-4, opt.burst_seconds);
     opt.severity_alpha = std::clamp(opt.severity_alpha, 1e-3, 1.0);
-    opt.tick_ms = std::max<std::uint32_t>(1, opt.tick_ms);
     rate_.store(opt.max_write_rate, std::memory_order_relaxed);
     tokens_.store(bucket_capacity(opt.max_write_rate),
                   std::memory_order_relaxed);
   }
 
-  ~AdmissionController() { stop(); }
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
@@ -139,8 +134,8 @@ class AdmissionController {
     return false;
   }
 
-  /// Takes `n` tokens (a multi-op batch is n writes); waits up to
-  /// max_wait_us on a dry bucket, then refuses.  A batch larger than
+  /// Takes `n` tokens (a multi-op batch is n writes); retries a dry
+  /// bucket for up to max_wait_us, then refuses.  A batch larger than
   /// the whole bucket costs the full bucket — it must not be
   /// unadmittable at any rate.
   bool admit_write(std::uint32_t n = 1) noexcept {
@@ -153,24 +148,26 @@ class AdmissionController {
                n, bucket_capacity(rate_.load(std::memory_order_relaxed))));
     if (try_take(want)) return true;
     // Dry bucket: this op is now throttle-bound.  Tag the episode for
-    // the slow-op trace, wait a bounded window on capped backoff for
-    // the driver's refill, then give up and shed.
+    // the slow-op trace, then refill from the clock and retry on capped
+    // backoff for a bounded window before giving up and shedding.
     obs::stall_note(obs::TraceCause::kAdmitThrottle);
     throttle_waits_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t deadline_ns =
         obs::now_ns() + std::uint64_t{opt.max_wait_us} * 1000;
     util::Backoff backoff;
     for (;;) {
-      backoff.pause();
-      if (shed_writes_.load(std::memory_order_relaxed)) break;
+      const std::uint64_t now = obs::now_ns();
+      refill(now);
       if (try_take(want)) return true;
-      if (obs::now_ns() >= deadline_ns) break;
+      if (now >= deadline_ns || shed_writes_.load(std::memory_order_relaxed))
+        break;
+      backoff.pause();
     }
     shed_write_ops_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
-  // ---- control law (driver thread, or a test harness; single writer) ----
+  // ---- control law (sampler thread, or a test harness; single writer) ----
 
   /// Feed one sample through the law: update severity, rate and the
   /// shed flags.  Pure state machine — no clock, no threads — so tests
@@ -195,62 +192,42 @@ class AdmissionController {
       r = std::min(opt.max_write_rate, r * kRecoverGain);
     } else {
       // Multiplicative decrease, capped so one wild sample cannot park
-      // the store; the EWMA plus repeated ticks reach any depth anyway.
+      // the store; the EWMA plus repeated snapshots reach any depth anyway.
       r = std::max(opt.min_write_rate, r / std::min(smoothed_, 16.0));
     }
     rate_.store(r, std::memory_order_relaxed);
+    credit(0, bucket_capacity(r));  // a rate cut shrinks the bucket at once
     shed_writes_.store(smoothed_ >= opt.shed_write_severity,
                        std::memory_order_relaxed);
     shed_reads_.store(smoothed_ >= opt.shed_read_severity,
                       std::memory_order_relaxed);
   }
 
-  /// Add dt seconds worth of tokens at the current rate, clamped to
-  /// the bucket capacity (which also clamps DOWN after a rate cut).
-  void refill(double dt_seconds) noexcept {
+  /// Credits the whole tokens earned at the current rate since the last
+  /// refill, clamped to the bucket; `now_ns` is obs::now_ns() on the
+  /// write path and explicit in tests.  Racing writers CAS the
+  /// last-refill stamp, so each interval is credited once, and the stamp
+  /// moves by exactly the time the credited tokens took, so a fraction of
+  /// a token carries over.  Only a dry bucket refills, so time it sat
+  /// full is credited too: after an idle spell the first dry write finds
+  /// up to one more bucket (a burst of at most twice the capacity).
+  void refill(std::uint64_t now_ns) noexcept {
+    std::uint64_t last = refilled_ns_.load(std::memory_order_relaxed);
+    if (now_ns <= last) return;
     const double r = rate_.load(std::memory_order_relaxed);
-    carry_ += r * std::max(0.0, dt_seconds);
-    const auto add = static_cast<std::int64_t>(carry_);
-    carry_ -= static_cast<double>(add);
     const std::int64_t cap = bucket_capacity(r);
-    std::int64_t cur = tokens_.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::int64_t next = std::min(cap, cur + add);
-      if (next == cur) break;
-      if (tokens_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed))
-        break;
+    const double earned = static_cast<double>(now_ns - last) * r / 1e9;
+    if (earned < 1) return;  // no whole token yet: the interval accrues
+    std::int64_t add = cap;
+    std::uint64_t upto = now_ns;
+    if (earned < static_cast<double>(cap)) {
+      add = static_cast<std::int64_t>(earned);
+      upto = last + static_cast<std::uint64_t>(static_cast<double>(add) *
+                                               1e9 / r);
     }
-  }
-
-  // ---- driver thread ----
-
-  /// Start the tick loop: refill every tick_ms, and run observe() on
-  /// every NEW snapshot the sampler ring produces (detected by its
-  /// capture timestamp).  `sampler` may be null (refill-only; tests);
-  /// `watchdog` heartbeats the driver so a wedged tick is reported.
-  void start(obs::Sampler* sampler, obs::Watchdog* watchdog = nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (running_) return;
-    stop_ = false;
-    running_ = true;
-    thread_ = std::thread([this, sampler, watchdog] {
-      loop(sampler, watchdog);
-    });
-  }
-
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!running_) return;
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      running_ = false;
-    }
+    if (refilled_ns_.compare_exchange_strong(last, upto,
+                                             std::memory_order_relaxed))
+      credit(add, cap);
   }
 
   // ---- introspection ----
@@ -299,6 +276,18 @@ class AdmissionController {
         1, static_cast<std::int64_t>(std::llround(rate * opt.burst_seconds)));
   }
 
+  /// tokens = min(cap, tokens + add); add 0 only clamps down.
+  void credit(std::int64_t add, std::int64_t cap) noexcept {
+    std::int64_t cur = tokens_.load(std::memory_order_relaxed);
+    for (;;) {
+      const std::int64_t next = std::min(cap, cur + add);
+      if (next == cur) break;
+      if (tokens_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
+                                        std::memory_order_relaxed))
+        break;
+    }
+  }
+
   bool try_take(std::int64_t n) noexcept {
     std::int64_t cur = tokens_.load(std::memory_order_relaxed);
     while (cur >= n) {
@@ -310,38 +299,6 @@ class AdmissionController {
     return false;
   }
 
-  void loop(obs::Sampler* sampler, obs::Watchdog* watchdog) {
-    const auto tick = std::chrono::milliseconds(opt.tick_ms);
-    auto last = std::chrono::steady_clock::now();
-    auto next = last + tick;
-    std::uint64_t seen_at_ns = 0;
-    const std::size_t hb =
-        watchdog != nullptr ? watchdog->acquire_slot() : obs::kNoSlot;
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      if (cv_.wait_until(lk, next, [this] { return stop_; })) break;
-      lk.unlock();
-      // Armed across the tick body only (never across the cv wait):
-      // a driver wedged in refill/observe reports as admit-driver.
-      if (hb != obs::kNoSlot) watchdog->arm(hb, obs::Site::kAdmitDriver);
-      const auto now = std::chrono::steady_clock::now();
-      refill(std::chrono::duration<double>(now - last).count());
-      last = now;
-      next += tick;
-      if (next <= now) next = now + tick;
-      if (sampler != nullptr) {
-        const obs::RegistrySnapshot s = sampler->latest();
-        if (s.at_ns != 0 && s.at_ns != seen_at_ns) {
-          seen_at_ns = s.at_ns;
-          observe(extract(s));
-        }
-      }
-      if (hb != obs::kNoSlot) watchdog->disarm(hb);
-      lk.lock();
-    }
-    if (hb != obs::kNoSlot) watchdog->release_slot(hb);
-  }
-
   // Hot-path state.
   std::atomic<std::int64_t> tokens_{0};
   std::atomic<bool> shed_writes_{false};
@@ -350,18 +307,14 @@ class AdmissionController {
   std::atomic<std::uint64_t> shed_read_ops_{0};
   std::atomic<std::uint64_t> throttle_waits_{0};
 
-  // Law state (driver-thread-only writes; atomics for readers).
+  /// obs::now_ns() up to which the bucket has been credited.
+  std::atomic<std::uint64_t> refilled_ns_{obs::now_ns()};
+
+  // Law state (sampler-thread-only writes; atomics for readers).
   std::atomic<double> rate_{0};
   std::atomic<double> severity_{0};
   double smoothed_ = 0;
   double last_p99_ = 0;
-  double carry_ = 0;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool running_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace wfe::admit

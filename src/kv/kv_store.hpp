@@ -24,13 +24,12 @@
 // per-bucket migration.  Each bucket's migration is the sequence
 //
 //   freeze(source bucket)  -> idempotent fetch_or walk (any thread)
-//   claim[bucket] 0 -> 1   -> CAS elects the ONE thread that migrates
+//   claim[bucket] CAS      -> kUnclaimed -> kClaimed elects the ONE migrator
 //   collect                -> pure read walk of the frozen list
 //   migrate_in(dest shard) -> node + cell allocated in the DEST domain
-//   migrated[bucket] = 1   -> waiters may proceed to the next table
+//   claim[bucket] = kCopied -> release: waiters may proceed to the next table
 //   drain(source bucket)   -> node + cell retired in the SOURCE domain
 //   ledger += bucket       -> atomic, exactly once per bucket
-//   claim[bucket] = 2      -> done
 //
 // and ANY thread may run it: the resizer freezes buckets ahead of its
 // migrate cursor (a fixed window of 8, kFreezeAhead) and claims them in
@@ -42,9 +41,9 @@
 // descheduled mid-migration, waiters finish its buckets (the
 // progress-restoring property this protocol exists for; the paper's
 // wait-free reclamation bounds are hollow if resizing reintroduces a
-// single-thread dependency).  The resizer waits for all claims to
-// close (ledger merged exactly-once per bucket via the claim word)
-// before promoting the destination table.
+// single-thread dependency).  The resizer waits until every bucket's
+// ledger is merged (exactly once per bucket via the claim word) before
+// promoting the destination table.
 //
 // Migration COPIES instead of re-linking because blocks are stamped and
 // scanned by the domain (tracker) that allocated them: a node re-linked
@@ -58,10 +57,10 @@
 // observes a freeze bit aborts session-cleanly (no state change), helps
 // or backs off OUTSIDE any tracker session, and re-executes against
 // table->next.  Each key freezes in exactly one source bucket and
-// becomes writable in the destination only after that bucket's flag is
-// set, so per-key linearizability survives the hop.  Ops block at most
-// for the copy of one bucket, and only when another thread is actively
-// copying it.
+// becomes writable in the destination only after that bucket's claim
+// word reads kCopied, so per-key linearizability survives the hop.  Ops
+// block at most for the copy of one bucket, and only when another
+// thread is actively copying it.
 //
 // Table reclamation is hazard-era-flavored, self-similar to the paper:
 // every op announces the current table EPOCH before loading the table
@@ -289,25 +288,27 @@ class KvStore {
       table_.store(tables_.back().get(), std::memory_order_release);
       epoch_.store(1, std::memory_order_release);
     }
-    // The controller is built before the sampler starts, since the
-    // sampler's gauge collector reads it through stats(); it starts
-    // after recovery replay (which must never be throttled) and after
-    // the sampler, so its first observation is real.
+    // The controller is built after recovery replay (which must never
+    // be throttled) and before the sampler starts: the sampler's gauge
+    // collector reads it through stats(), and every snapshot runs its
+    // law on the sampler's thread.
     if (cfg_.admission.enabled)
       admit_ = std::make_unique<admit::AdmissionController>(cfg_.admission);
-    if (metrics_) metrics_->start_sampler();
+    obs::Sampler::OnSample law;
     if (admit_)
-      admit_->start(metrics_ ? metrics_->sampler() : nullptr,
-                    metrics_ ? metrics_->watchdog() : nullptr);
+      law = [a = admit_.get()](const obs::RegistrySnapshot& s) {
+        a->observe(admit::AdmissionController::extract(s));
+      };
+    if (metrics_) metrics_->start_sampler(std::move(law));
   }
 
   // tables_ owns every table; shards flush their retire bursts before
   // their WAL streams close durably, trackers drain last.  The sampler must
-  // stop FIRST: its gauge collector walks live store state (stats()),
-  // and the WAL flushers still record fsync latency during teardown —
-  // which is why metrics_ is declared before tables_ (destroyed after).
+  // stop FIRST: its gauge collector walks live store state (stats()) and
+  // its hook runs the admission law, and the WAL flushers still record
+  // fsync latency during teardown — which is why metrics_ is declared
+  // before tables_ (destroyed after).
   ~KvStore() {
-    if (admit_) admit_->stop();  // its driver reads the sampler's ring
     if (metrics_) metrics_->stop_sampler();
   }
 
@@ -751,8 +752,9 @@ class KvStore {
       st.shard_count = t->mask + 1;
       st.resizes = history_;
     }
-    st.resize_epochs = resize_epochs_.load(std::memory_order_relaxed);
-    st.migrated_keys = migrated_keys_.load(std::memory_order_relaxed);
+    st.resize_epochs = st.resizes.size();
+    for (const ResizeRecord& r : st.resizes)
+      st.migrated_keys += r.migrated_keys;
     st.forwarded_ops = counters_.sum(kForwarded);
     st.helped_buckets = counters_.sum(kHelpedBuckets);
     st.help_conflicts = counters_.sum(kHelpConflicts);
@@ -846,14 +848,12 @@ class KvStore {
     /// points at it, and closes durably after the shard's teardown.
     std::vector<std::unique_ptr<persist::ShardWal>> wals;
     std::vector<std::unique_ptr<ShardT>> shards;
-    /// One flag per (shard, bucket): 1 = every live pair of that source
-    /// bucket is present in `next`; waiters proceed there.
-    std::vector<std::unique_ptr<std::atomic<std::uint8_t>[]>> migrated;
-    /// One claim word per (shard, bucket), the help protocol's core:
+    /// One migration word per (shard, bucket), the help protocol's core:
     /// kUnclaimed -> kClaimed by the CAS that elects the bucket's one
-    /// migrator (resizer or helper), kDone after its drain+ledger.
-    /// Exactly-once collect/copy/drain and exactly-once ledger merge
-    /// both hang off this word.
+    /// migrator (resizer or helper), kClaimed -> kCopied (release) once
+    /// every live pair of the bucket is present in `next`, where waiters
+    /// then proceed.  Exactly-once collect/copy/drain and exactly-once
+    /// ledger merge both hang off this word.
     std::vector<std::unique_ptr<std::atomic<std::uint8_t>[]>> claim;
     /// This table's OUTBOUND migration ledger, merged atomically from
     /// every thread that claimed one of its buckets; the resizer folds
@@ -863,7 +863,7 @@ class KvStore {
       std::atomic<std::uint64_t> nodes_retired{0};
       std::atomic<std::uint64_t> cells_retired{0};
       std::atomic<std::uint64_t> helped_buckets{0};
-      /// Buckets fully migrated (flag set, drained, ledger merged).
+      /// Buckets fully migrated (copied, drained, ledger merged).
       /// The release increment is each bucket's closing bracket; the
       /// resizer's acquire read of == total is the merge barrier.
       std::atomic<std::uint64_t> buckets_done{0};
@@ -871,7 +871,7 @@ class KvStore {
     std::atomic<Table*> next{nullptr};  ///< forwarding target while/after migration
   };
 
-  static constexpr std::uint8_t kUnclaimed = 0, kClaimed = 1, kDone = 2;
+  static constexpr std::uint8_t kUnclaimed = 0, kClaimed = 1, kCopied = 2;
   /// How many buckets the resizer freezes AHEAD of its migrate cursor.
   /// Frozen-but-unclaimed buckets are exactly what ops can help with,
   /// so this is the migration's parallelism window: 1 would recover the
@@ -909,19 +909,13 @@ class KvStore {
     t->mask = shards - 1;
     t->buckets = cfg_.buckets_per_shard;
     t->shards.reserve(shards);
-    t->migrated.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) {
       reclaim::TrackerConfig tc = cfg_.tracker;
       tc.domain_id = static_cast<unsigned>(i);
       t->shards.push_back(std::make_unique<ShardT>(tc, t->buckets));
-      auto flags = std::make_unique<std::atomic<std::uint8_t>[]>(t->buckets);
-      auto claims = std::make_unique<std::atomic<std::uint8_t>[]>(t->buckets);
-      for (std::size_t b = 0; b < t->buckets; ++b) {
-        flags[b].store(0, std::memory_order_relaxed);
-        claims[b].store(kUnclaimed, std::memory_order_relaxed);
-      }
-      t->migrated.push_back(std::move(flags));
-      t->claim.push_back(std::move(claims));
+      // Value-initialized: every word starts at kUnclaimed (0).
+      t->claim.push_back(
+          std::make_unique<std::atomic<std::uint8_t>[]>(t->buckets));
       attach_tracker_probe(t->shards.back()->tracker());
     }
     return t;
@@ -933,15 +927,16 @@ class KvStore {
   /// kv thread slot).
   void attach_wals(Table& t) {
     for (std::size_t i = 0; i <= t.mask; ++i) {
+      persist::WalProbes probes;
+      if (metrics_)
+        probes = {&metrics_->wal_fsync, &metrics_->wal_commit_wait,
+                  &metrics_->trace,
+                  static_cast<unsigned>(i) % cfg_.tracker.max_threads,
+                  metrics_->watchdog()};
       t.wals.push_back(std::make_unique<persist::ShardWal>(
           cfg_.persistence.dir, t.epoch, static_cast<unsigned>(i),
-          cfg_.persistence));
+          cfg_.persistence, probes));
       t.shards[i]->attach_wal(t.wals.back().get());
-      if (metrics_)
-        t.wals.back()->set_metrics(
-            &metrics_->wal_fsync, &metrics_->wal_commit_wait, &metrics_->trace,
-            static_cast<unsigned>(i) % cfg_.tracker.max_threads,
-            metrics_->watchdog());
     }
   }
 
@@ -1381,8 +1376,8 @@ class KvStore {
   /// other thread holds it.  Progress never depends on one specific
   /// thread being scheduled.
   void wait_bucket(Table& t, std::size_t s, std::size_t b, unsigned tid) {
-    auto& flag = t.migrated[s][b];
-    if (flag.load(std::memory_order_acquire) != 0) return;
+    auto& cl = t.claim[s][b];
+    if (cl.load(std::memory_order_acquire) == kCopied) return;
     // This op is now migration-bound; if we end up winning the claim,
     // migrate_bucket upgrades the tag to help-migration.  stall_note
     // also lands in the heartbeat slot, so a watchdog report on this
@@ -1394,7 +1389,7 @@ class KvStore {
     bool conflicted = false;
     for (;;) {
       if (migrate_bucket(t, s, b, tid, /*helper=*/true)) return;
-      if (flag.load(std::memory_order_acquire) != 0) return;
+      if (cl.load(std::memory_order_acquire) == kCopied) return;
       if (!conflicted) {  // one conflict per wait episode, not per round
         conflicted = true;
         counters_.inc(kHelpConflicts, tid);
@@ -1408,11 +1403,11 @@ class KvStore {
   /// migrator, which ensures its own freeze walk completed (helpers
   /// re-freeze — idempotent over the resizer's freeze-ahead; the
   /// resizer's cursor already passed the bucket), collects, copies
-  /// every live pair into the destination domain, publishes the
-  /// migrated flag, drains the source bucket and merges the bucket's
-  /// contribution into the table's ledger — each step under the claim,
-  /// so nothing is ever double-copied or double-counted.  False when
-  /// another thread holds (or finished) the claim.
+  /// every live pair into the destination domain, publishes kCopied,
+  /// drains the source bucket and merges the bucket's contribution into
+  /// the table's ledger — each step under the claim, so nothing is ever
+  /// double-copied or double-counted.  False when another thread holds
+  /// (or finished) the claim.
   bool migrate_bucket(Table& src, std::size_t s, std::size_t b, unsigned tid,
                       bool helper) {
     auto& cl = src.claim[s][b];
@@ -1440,7 +1435,7 @@ class KvStore {
     sh.collect_bucket(b, pairs, node_live);
     for (const auto& [k, v] : pairs)
       dst->shards[shard_index_in(*dst, k)]->migrate_in(k, v, tid);
-    src.migrated[s][b].store(1, std::memory_order_release);
+    cl.store(kCopied, std::memory_order_release);  // waiters may proceed
     const auto [nodes, cells] = sh.drain_bucket(b, tid, node_live);
     src.mig.migrated_keys.fetch_add(pairs.size(), std::memory_order_relaxed);
     src.mig.nodes_retired.fetch_add(nodes, std::memory_order_relaxed);
@@ -1454,7 +1449,6 @@ class KvStore {
       // the domain's scans until table teardown.
       sh.flush_retired(tid);
     }
-    cl.store(kDone, std::memory_order_release);
     // Closing bracket: the ledger adds above happen-before the
     // resizer's acquire read of buckets_done == total.
     src.mig.buckets_done.fetch_add(1, std::memory_order_release);
@@ -1546,7 +1540,7 @@ class KvStore {
       migrate_bucket(*src, m / src->buckets, m % src->buckets, tid,
                      /*helper=*/false);
     }
-    // Helpers may still be mid-bucket: wait for every claim to close
+    // Helpers may still be mid-bucket: wait for every bucket to finish
     // (bounded — each holder is actively copying one bucket) before
     // reading the merged ledger and promoting.
     util::Backoff backoff;
@@ -1574,8 +1568,6 @@ class KvStore {
 
     table_.store(dst, std::memory_order_seq_cst);  // promote
     epoch_.store(dst->epoch, std::memory_order_release);
-    migrated_keys_.fetch_add(rec.migrated_keys, std::memory_order_relaxed);
-    resize_epochs_.fetch_add(1, std::memory_order_relaxed);
     history_.push_back(rec);
     // Informational close bracket (recovery never depends on it: an
     // unfinished migration replays correctly from both epochs' logs).
@@ -1741,8 +1733,7 @@ class KvStore {
   /// branch.
   std::unique_ptr<obs::KvMetrics> metrics_;
   /// Admission controller (src/admit/); null when admission is off.
-  /// Started after recovery replay, stopped (dtor) before the sampler
-  /// its driver polls.
+  /// Built after recovery replay; the sampler runs its law.
   std::unique_ptr<admit::AdmissionController> admit_;
   std::atomic<Table*> table_{nullptr};
   std::atomic<std::uint64_t> epoch_{0};
@@ -1768,8 +1759,6 @@ class KvStore {
   util::PerThreadCounters<kLanes> counters_;
   /// Per-thread write ticks for the after-write cadence (owner-written).
   reclaim::detail::PerThread<unsigned> write_ticks_;
-  std::atomic<std::uint64_t> migrated_keys_{0};
-  std::atomic<std::uint64_t> resize_epochs_{0};
 
   // ---- durability state (inert when persistence is off) ----
   std::atomic<std::uint64_t> snapshots_written_{0};

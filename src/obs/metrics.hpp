@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/clock.hpp"
 #include "obs/export.hpp"
@@ -118,16 +119,18 @@ class KvMetrics {
     return now_ticks();
   }
 
-  void start_sampler() {
+  /// Starts the background sampler (unless opt.sampler is off).  Each
+  /// snapshot goes to the flight recorder and then to `consumer` (the
+  /// store's admission law), on the sampler's thread.
+  void start_sampler(Sampler::OnSample consumer = {}) {
     if (!opt.sampler) return;
-    sampler_.emplace(registry, opt.sample_interval_ms, opt.sample_ring);
-    sampler_->set_watchdog(watchdog_.get());
-    if (flight_) {
-      FlightRecorder* fl = flight_.get();
-      sampler_->set_on_sample([fl](const RegistrySnapshot& s) {
-        fl->record_snapshot(to_json_string(s));
-      });
-    }
+    sampler_.emplace(registry, opt.sample_interval_ms, opt.sample_ring,
+                     watchdog_.get(),
+                     [fl = flight_.get(), consumer = std::move(consumer)](
+                         const RegistrySnapshot& s) {
+                       if (fl != nullptr) fl->record_snapshot(to_json_string(s));
+                       if (consumer) consumer(s);
+                     });
     sampler_->start();
   }
 

@@ -2,24 +2,26 @@
 // Background sampler: snapshots a MetricsRegistry on a fixed interval
 // into a bounded time-series ring — the store's periodic dashboard view.
 //
-// The sampler thread only ever calls MetricsRegistry::snapshot() (which
+// The snapshot runs on an obs::PeriodicLoop (absolute deadlines, no
+// banked catch-up ticks), and each snapshot stamps its own capture time
+// (RegistrySnapshot::at_ns), so consumers always see when it was really
+// taken.  The tick only ever calls MetricsRegistry::snapshot() (which
 // takes the registry mutex and whatever the gauge collectors take — for
-// KvStore, its resize_mu_), so it is safe to run concurrently with
-// resizes, cooperative helpers and the WAL flusher; those paths never
-// block on the sampler.  History access is mutex-protected: this is the
-// cold read side, not a hot path.
+// KvStore, its resize_mu_) and the on_sample hook, so it is safe to run
+// concurrently with resizes, cooperative helpers and the WAL flusher;
+// those paths never block on the sampler.  History access is
+// mutex-protected: this is the cold read side, not a hot path.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/periodic.hpp"
 #include "obs/registry.hpp"
 #include "obs/watchdog.hpp"
 
@@ -27,42 +29,33 @@ namespace wfe::obs {
 
 class Sampler {
  public:
-  Sampler(MetricsRegistry& reg, std::uint32_t interval_ms,
-          std::size_t capacity)
-      : reg_(reg),
-        interval_ms_(interval_ms == 0 ? 1 : interval_ms),
-        capacity_(capacity == 0 ? 1 : capacity) {}
+  using OnSample = std::function<void(const RegistrySnapshot&)>;
 
-  ~Sampler() { stop(); }
+  /// `watchdog` (may be null) heartbeats each snapshot tick, so a gauge
+  /// collector wedged on store state (stats() takes resize_mu_) shows up
+  /// as a kSampler stall.  `on_sample` runs on the sampler's thread after
+  /// each snapshot, before it lands in the ring (the flight recorder and
+  /// the admission law consume it there).
+  Sampler(MetricsRegistry& reg, std::uint32_t interval_ms,
+          std::size_t capacity, Watchdog* watchdog = nullptr,
+          OnSample on_sample = {})
+      : reg_(reg),
+        interval_(interval_ms == 0 ? 1 : interval_ms),
+        capacity_(capacity == 0 ? 1 : capacity),
+        watchdog_(watchdog),
+        hb_(watchdog != nullptr ? watchdog->acquire_slot() : kNoSlot),
+        on_sample_(std::move(on_sample)) {}
+
+  ~Sampler() {
+    loop_.stop();
+    if (watchdog_ != nullptr) watchdog_->release_slot(hb_);
+  }
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  void start() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (running_) return;
-    stop_ = false;
-    running_ = true;
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!running_) return;
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      running_ = false;
-    }
-  }
-
-  bool running() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return running_;
-  }
+  void start() { loop_.start(interval_, [this] { tick(); }); }
+  void stop() { loop_.stop(); }
+  bool running() const { return loop_.running(); }
 
   std::uint64_t samples_taken() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -81,66 +74,31 @@ class Sampler {
     return ring_.empty() ? RegistrySnapshot{} : ring_.back();
   }
 
-  /// Heartbeat the sampler's snapshot tick: a gauge collector wedged on
-  /// store state (stats() takes resize_mu_) shows up as a kSampler
-  /// stall.  Set before start().
-  void set_watchdog(Watchdog* wd) noexcept { watchdog_ = wd; }
-
-  /// Called on the sampler thread after each snapshot lands in the ring
-  /// (the flight recorder serializes it into the black box).  Set before
-  /// start().
-  void set_on_sample(std::function<void(const RegistrySnapshot&)> fn) {
-    on_sample_ = std::move(fn);
-  }
-
  private:
-  void loop() {
-    // Absolute deadlines, not wait_for(interval): a relative wait makes
-    // the real period interval + snapshot cost, so the ring's time
-    // series drifts and anything consuming it (the admission
-    // controller's trend terms) sees a slower, jittery cadence.  Each
-    // snapshot stamps its own capture time (RegistrySnapshot::at_ns),
-    // so consumers always see when it was really taken.
-    const auto interval = std::chrono::milliseconds(interval_ms_);
-    auto next = std::chrono::steady_clock::now() + interval;
-    Watchdog* const wd = watchdog_;
-    const std::size_t hb = wd != nullptr ? wd->acquire_slot() : kNoSlot;
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      if (cv_.wait_until(lk, next, [this] { return stop_; })) break;
-      lk.unlock();
-      // Snapshot outside mu_ so history readers never wait on a slow
-      // gauge collector (stats() takes the store's resize mutex).
-      if (hb != kNoSlot) wd->arm(hb, Site::kSampler);
-      RegistrySnapshot s = reg_.snapshot();
-      if (on_sample_) on_sample_(s);
-      if (hb != kNoSlot) wd->disarm(hb);
-      lk.lock();
-      ring_.push_back(std::move(s));
-      if (ring_.size() > capacity_) ring_.pop_front();
-      ++taken_;
-      next += interval;
-      // A snapshot slower than the interval must not bank a burst of
-      // catch-up ticks: resume the cadence from now.
-      if (const auto now = std::chrono::steady_clock::now(); next <= now)
-        next = now + interval;
-    }
-    if (hb != kNoSlot) wd->release_slot(hb);
+  void tick() {
+    // Snapshot outside mu_ so history readers never wait on a slow
+    // gauge collector (stats() takes the store's resize mutex).
+    if (hb_ != kNoSlot) watchdog_->arm(hb_, Site::kSampler);
+    RegistrySnapshot s = reg_.snapshot();
+    if (on_sample_) on_sample_(s);
+    if (hb_ != kNoSlot) watchdog_->disarm(hb_);
+    std::lock_guard<std::mutex> lk(mu_);
+    ring_.push_back(std::move(s));
+    if (ring_.size() > capacity_) ring_.pop_front();
+    ++taken_;
   }
 
   MetricsRegistry& reg_;
-  const std::uint32_t interval_ms_;
+  const std::chrono::milliseconds interval_;
   const std::size_t capacity_;
-  Watchdog* watchdog_ = nullptr;
-  std::function<void(const RegistrySnapshot&)> on_sample_;
+  Watchdog* const watchdog_;
+  const std::size_t hb_;
+  const OnSample on_sample_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool running_ = false;
-  bool stop_ = false;
   std::deque<RegistrySnapshot> ring_;
   std::uint64_t taken_ = 0;
+  PeriodicLoop loop_;
 };
 
 }  // namespace wfe::obs

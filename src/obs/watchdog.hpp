@@ -1,11 +1,10 @@
 #pragma once
 // Liveness watchdog: per-thread heartbeat slots stamped at op entry
-// (KvStore ops, WAL flusher loop, resize driver, admission driver,
-// sampler), scanned by a background thread that turns "silently stuck"
-// into a structured stall report — pushed into the trace ring AND the
-// flight recorder — when any armed heartbeat exceeds a configurable
-// bound.  This is what makes the paper's bounded-wait claim an
-// observable, testable property.
+// (KvStore ops, WAL flusher loop, resize driver, sampler), scanned on an
+// obs::PeriodicLoop that turns "silently stuck" into a structured stall
+// report — pushed into the trace ring AND the flight recorder — when
+// any armed heartbeat exceeds a configurable bound.  This is what makes
+// the paper's bounded-wait claim an observable, testable property.
 //
 // Hot-path cost is deliberately timestamp-free: arm() bumps a per-slot
 // episode counter and stores site/shard (a handful of relaxed stores to
@@ -25,15 +24,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/clock.hpp"
 #include "obs/flight.hpp"
+#include "obs/periodic.hpp"
 #include "obs/trace.hpp"
 #include "util/cacheline.hpp"
 
@@ -44,7 +42,8 @@ enum class Site : std::uint8_t {
   kKvOp,           ///< a KvStore op entry point
   kWalFlusher,     ///< a ShardWal flusher iteration
   kResizeDriver,   ///< the thread driving resize_locked
-  kAdmitDriver,    ///< the admission controller's tick loop
+  kAdmitDriver,    ///< unused: admission has no thread; kept so the
+                   ///< stall frame's site byte keeps its numbering
   kSampler,        ///< the metrics sampler's snapshot tick
 };
 
@@ -131,8 +130,8 @@ inline void beat() noexcept {
 class Watchdog {
  public:
   /// `reserved_slots` are owned by kv thread slots (index == tid);
-  /// background threads (WAL flushers, sampler, admission driver) take
-  /// dynamic slots after them via acquire_slot().
+  /// background threads (WAL flushers, sampler) take dynamic slots after
+  /// them via acquire_slot().
   explicit Watchdog(const WatchdogOptions& options,
                     std::size_t reserved_slots,
                     std::size_t dynamic_slots = 64)
@@ -149,7 +148,6 @@ class Watchdog {
       slots_[i].taken.store(1, std::memory_order_relaxed);
   }
 
-  ~Watchdog() { stop(); }
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
@@ -199,30 +197,16 @@ class Watchdog {
 
   /// Start the scanner.  `trace` and `flight` may each be null; reports
   /// always land in the in-process report ring for tests/introspection.
+  /// The scan state lives in the loop's tick, so a restart scans fresh.
   void start(TraceRing* trace, FlightRecorder* flight) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (running_) return;
-    trace_ = trace;
-    flight_ = flight;
-    scan_.assign(slots_.size(), ScanState{});
-    stop_ = false;
-    running_ = true;
-    thread_ = std::thread([this] { loop(); });
+    loop_.start(std::chrono::milliseconds(opt.scan_interval_ms),
+                [this, trace, flight,
+                 scan = std::vector<ScanState>(slots_.size())]() mutable {
+                  scan_once(scan, trace, flight);
+                });
   }
 
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!running_) return;
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      running_ = false;
-    }
-  }
+  void stop() { loop_.stop(); }
 
   std::uint64_t stalls_detected() const noexcept {
     return stalls_.load(std::memory_order_relaxed);
@@ -243,18 +227,8 @@ class Watchdog {
     std::uint64_t reported_ns = 0;
   };
 
-  void loop() {
-    const auto interval = std::chrono::milliseconds(opt.scan_interval_ms);
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      if (cv_.wait_for(lk, interval, [this] { return stop_; })) break;
-      lk.unlock();
-      scan_once();
-      lk.lock();
-    }
-  }
-
-  void scan_once() {
+  void scan_once(std::vector<ScanState>& scan, TraceRing* trace,
+                 FlightRecorder* flight) {
     const std::uint64_t now = now_ns();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       HeartbeatSlot& s = slots_[i];
@@ -264,7 +238,7 @@ class Watchdog {
       // continuously armed episode, so idle threads can never trip it.
       const std::uint8_t site = s.site.load(std::memory_order_acquire);
       const std::uint64_t ep = s.episode.load(std::memory_order_acquire);
-      ScanState& st = scan_[i];
+      ScanState& st = scan[i];
       if (site == 0) {
         st.episode = ep;
         st.first_seen_ns = 0;
@@ -284,11 +258,12 @@ class Watchdog {
       // flooding the ring every scan tick.
       if (st.reported_ns != 0 && stalled < st.reported_ns * 2) continue;
       st.reported_ns = stalled;
-      emit(i, s, stalled);
+      emit(i, s, stalled, trace, flight);
     }
   }
 
-  void emit(std::size_t i, HeartbeatSlot& s, std::uint64_t stalled_ns) {
+  void emit(std::size_t i, HeartbeatSlot& s, std::uint64_t stalled_ns,
+            TraceRing* trace, FlightRecorder* flight) {
     StallReport r;
     r.slot = static_cast<std::uint32_t>(i);
     r.site = static_cast<Site>(s.site.load(std::memory_order_relaxed));
@@ -299,10 +274,10 @@ class Watchdog {
     stalls_.fetch_add(1, std::memory_order_relaxed);
     const std::uint32_t aux = (static_cast<std::uint32_t>(r.site) << 24) |
                               (r.slot & 0x00ffffffu);
-    if (trace_ != nullptr)
-      trace_->push(OpKind::kStall, r.shard, stalled_ns, r.cause, aux);
-    if (flight_ != nullptr)
-      flight_->record_stall(r.slot, static_cast<std::uint8_t>(r.site),
+    if (trace != nullptr)
+      trace->push(OpKind::kStall, r.shard, stalled_ns, r.cause, aux);
+    if (flight != nullptr)
+      flight->record_stall(r.slot, static_cast<std::uint8_t>(r.site),
                             static_cast<std::uint8_t>(r.cause), r.shard,
                             r.stall_ns, r.episode);
     std::lock_guard<std::mutex> lk(report_mu_);
@@ -315,19 +290,13 @@ class Watchdog {
 
   const std::size_t reserved_;
   std::vector<HeartbeatSlot> slots_;
-  std::vector<ScanState> scan_;  ///< scanner-thread-only
-  TraceRing* trace_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   std::atomic<std::uint64_t> stalls_{0};
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool running_ = false;
-  bool stop_ = false;
 
   mutable std::mutex report_mu_;
   std::vector<StallReport> reports_;
+  /// Declared last, so its thread is joined before the slots and
+  /// reports it scans are destroyed.
+  PeriodicLoop loop_;
 };
 
 /// RAII heartbeat for op entry points.  Null watchdog → complete no-op.

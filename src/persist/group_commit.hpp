@@ -73,17 +73,34 @@ struct CrashedTail {
   std::uint64_t appended_lsn = 0;   ///< last reserved LSN at the crash
 };
 
+/// A stream's latency probes (src/obs/), all null when the store runs
+/// without metrics: fsync duration, commit-wait duration, and the
+/// slow-op trace ring (ring-backpressure episodes push a real event
+/// there, not just a tls tag).  `lane` is a fixed histogram lane for
+/// the stream — the flusher thread has no kv thread slot, and
+/// per-stream lanes keep its records off the mutators' cache lines.
+/// `watchdog` heartbeats the flusher.
+struct WalProbes {
+  obs::LatencyHistogram* fsync = nullptr;
+  obs::LatencyHistogram* commit_wait = nullptr;
+  obs::TraceRing* trace = nullptr;
+  unsigned lane = 0;
+  obs::Watchdog* watchdog = nullptr;
+};
+
 class ShardWal {
  public:
   /// Opens (resuming) or creates the stream for (epoch, shard) in `dir`.
   /// Existing segments are scanned; a torn tail on the newest segment is
   /// truncated away and appending resumes at the next LSN.  Everything
-  /// already on disk is treated as durable (it is fsynced on open).
+  /// already on disk is treated as durable (it is fsynced on open).  The
+  /// flusher starts with `probes` attached.
   ShardWal(const std::string& dir, std::uint64_t epoch, unsigned shard,
-           const Options& opts)
+           const Options& opts, const WalProbes& probes = {})
       : dir_(dir),
         epoch_(epoch),
         shard_(shard),
+        probes_(probes),
         sync_(opts.sync),
         flush_idle_us_(opts.flush_idle_us == 0 ? 1 : opts.flush_idle_us),
         cap_(round_pow2(opts.ring_capacity == 0 ? 1024 : opts.ring_capacity)),
@@ -101,26 +118,6 @@ class ShardWal {
 
   std::uint64_t epoch() const noexcept { return epoch_; }
   unsigned shard() const noexcept { return shard_; }
-
-  /// Attaches latency probes (src/obs/): fsync duration, commit-wait
-  /// duration, and the slow-op trace ring (ring-backpressure episodes
-  /// push a real event there, not just a tls tag).  `lane` is a fixed
-  /// histogram lane for this stream — the flusher thread has no kv
-  /// thread slot, and per-stream lanes keep its records off the
-  /// mutators' cache lines.  Call before traffic; detaching (nullptr)
-  /// while appenders run is not supported.
-  void set_metrics(obs::LatencyHistogram* fsync_hist,
-                   obs::LatencyHistogram* commit_wait_hist,
-                   obs::TraceRing* trace, unsigned lane,
-                   obs::Watchdog* watchdog = nullptr) noexcept {
-    fsync_hist_ = fsync_hist;
-    commit_wait_hist_ = commit_wait_hist;
-    trace_ = trace;
-    metrics_lane_ = lane;
-    // Atomic: the flusher thread is already running when this is called
-    // (it starts in the constructor) and polls the pointer per iteration.
-    watchdog_.store(watchdog, std::memory_order_release);
-  }
 
   /// Appends and always waits for durability (control records such as
   /// RESIZE_BEGIN, regardless of the data sync mode).
@@ -359,17 +356,12 @@ class ShardWal {
     std::vector<unsigned char> buf;
     std::size_t buf_off = 0;
     std::uint64_t buf_last = consumed_;  // last LSN encoded into buf
-    // Heartbeat: this thread starts before set_metrics runs, so the
-    // watchdog is picked up lazily.  Armed per iteration (fresh episode
-    // each pass), disarmed across the idle waits — an idle stream is
-    // not a stalled one; a wedged write/fsync is.
-    obs::Watchdog* wd = nullptr;
-    std::size_t hb = obs::kNoSlot;
+    // Heartbeat: armed per iteration (fresh episode each pass), disarmed
+    // across the idle waits — an idle stream is not a stalled one; a
+    // wedged write/fsync is.
+    obs::Watchdog* const wd = probes_.watchdog;
+    const std::size_t hb = wd != nullptr ? wd->acquire_slot() : obs::kNoSlot;
     for (;;) {
-      if (wd == nullptr) {
-        wd = watchdog_.load(std::memory_order_acquire);
-        if (wd != nullptr) hb = wd->acquire_slot();
-      }
       if (hb != obs::kNoSlot) wd->arm(hb, obs::Site::kWalFlusher, shard_);
       if (flush_suppressed_.load(std::memory_order_acquire)) {
         // Parked by the test hook: consume nothing until it clears.
@@ -478,11 +470,11 @@ class ShardWal {
   /// counts in fsyncs() and marks the written bytes synced.
   bool sync_segment() {
     const std::uint64_t t0 =
-        fsync_hist_ != nullptr ? obs::now_ticks() : 0;
+        probes_.fsync != nullptr ? obs::now_ticks() : 0;
     const bool ok = ::fdatasync(fd_) == 0;
-    if (fsync_hist_ != nullptr)
-      fsync_hist_->record(obs::ticks_to_ns(obs::now_ticks() - t0),
-                          metrics_lane_);
+    if (probes_.fsync != nullptr)
+      probes_.fsync->record(obs::ticks_to_ns(obs::now_ticks() - t0),
+                            probes_.lane);
     if (ok) {
       fsyncs_.fetch_add(1, std::memory_order_relaxed);
       synced_bytes_ = written_bytes_;
@@ -585,10 +577,10 @@ class ShardWal {
       backoff.pause();
     } while (lsn - consumed_pub_.load(std::memory_order_acquire) > cap_);
     backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (trace_ != nullptr)
-      trace_->push(obs::OpKind::kWalAppend, shard_,
-                   obs::ticks_to_ns(obs::now_ticks() - t0),
-                   obs::TraceCause::kWalBackpressure);
+    if (probes_.trace != nullptr)
+      probes_.trace->push(obs::OpKind::kWalAppend, shard_,
+                          obs::ticks_to_ns(obs::now_ticks() - t0),
+                          obs::TraceCause::kWalBackpressure);
   }
 
   void wait_durable(std::uint64_t lsn) {
@@ -596,8 +588,8 @@ class ShardWal {
     // This op is now group-commit bound: tag it so a slow-op trace can
     // attribute the latency, and time the wait itself.
     const std::uint64_t t0 =
-        commit_wait_hist_ != nullptr ? obs::now_ticks() : 0;
-    if (commit_wait_hist_ != nullptr)
+        probes_.commit_wait != nullptr ? obs::now_ticks() : 0;
+    if (probes_.commit_wait != nullptr)
       obs::stall_note(obs::TraceCause::kWalBackpressure, shard_);
     {
       std::unique_lock<std::mutex> lk(mu_);
@@ -607,14 +599,15 @@ class ShardWal {
                crashed_.load(std::memory_order_acquire) || stop_;
       });
     }
-    if (commit_wait_hist_ != nullptr)
-      commit_wait_hist_->record(obs::ticks_to_ns(obs::now_ticks() - t0),
-                                metrics_lane_);
+    if (probes_.commit_wait != nullptr)
+      probes_.commit_wait->record(obs::ticks_to_ns(obs::now_ticks() - t0),
+                                  probes_.lane);
   }
 
   const std::string dir_;
   const std::uint64_t epoch_;
   const unsigned shard_;
+  const WalProbes probes_;
   const SyncMode sync_;
   const std::uint32_t flush_idle_us_;
   const std::uint64_t cap_;
@@ -629,15 +622,6 @@ class ShardWal {
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> backpressure_waits_{0};
 
-  // Latency probes (null when the store runs without metrics).
-  obs::LatencyHistogram* fsync_hist_ = nullptr;
-  obs::LatencyHistogram* commit_wait_hist_ = nullptr;
-  obs::TraceRing* trace_ = nullptr;
-  unsigned metrics_lane_ = 0;
-  /// Atomic unlike the probes above: the flusher polls it every
-  /// iteration, racing the set_metrics call that happens after the
-  /// thread is already running.
-  std::atomic<obs::Watchdog*> watchdog_{nullptr};
 
   // Flusher-owned (plus mu_-guarded shared bits).
   std::uint64_t consumed_ = 0;  ///< last LSN written to the file

@@ -1,19 +1,27 @@
 // Admission-controller contracts (src/admit/): the control law is a
-// pure state machine (observe()/refill() driven directly, no threads,
-// no clocks), so ramp-down, recovery, slope-triggered throttling and
-// the shed ladder are all deterministic here; the store-level tests
-// then pin the wiring — null object when disabled, kv::Overloaded on a
-// refused write, reads never token-gated.
+// pure state machine (observe() and refill() driven directly, with
+// explicit signals and timestamps), so ramp-down, recovery,
+// slope-triggered throttling, the shed ladder and the bucket's refill
+// arithmetic are all deterministic here; the store-level tests then pin
+// the wiring — null object when disabled, kv::Overloaded on a refused
+// write, reads never token-gated, the law fed by the live sampler, and
+// no thread of the controller's own.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
+#include <thread>
+#include <vector>
 
 #include "admit/controller.hpp"
 #include "core/wfe.hpp"
 #include "kv/kv_store.hpp"
 #include "txn/txn.hpp"
+#include "util/barrier.hpp"
 
 namespace {
 
@@ -123,12 +131,18 @@ TEST(AdmitLaw, ExtractReadsTheStoreSignalsByName) {
   EXPECT_DOUBLE_EQ(s.commit_wait_p99_ns, 4000);
 }
 
+constexpr std::uint64_t kSecond = 1'000'000'000;
+
+// Refills here come from explicit timestamps.  At 1 op/s the wall
+// clock's next token is a second away, so the refill a dry admit_write
+// runs itself credits nothing and every count below is exact.
 TEST(AdmitBucket, TokenBucketBoundsBurstAndRefills) {
   admit::AdmitOptions o = law_opts();
-  o.max_write_rate = 1000;
-  o.burst_seconds = 0.1;  // bucket capacity: 100 tokens
-  o.max_wait_us = 0;      // dry bucket refuses immediately (no wall clock)
+  o.max_write_rate = 1;
+  o.burst_seconds = 100;  // bucket capacity: 100 tokens
+  o.max_wait_us = 0;      // a dry bucket refuses after one refill
   admit::AdmissionController c(o);
+  const std::uint64_t t0 = obs::now_ns();  // within a second of its stamp
 
   EXPECT_TRUE(c.admit_write(60));
   EXPECT_TRUE(c.admit_write(40));  // exactly drains the bucket
@@ -136,16 +150,54 @@ TEST(AdmitBucket, TokenBucketBoundsBurstAndRefills) {
   EXPECT_GE(c.snapshot().throttle_waits, 1u);
   EXPECT_GE(c.snapshot().shed_writes, 1u);
 
-  c.refill(0.05);  // +50 tokens at 1000 ops/s
+  c.refill(t0 + 50 * kSecond);  // +50 tokens at 1 op/s
   EXPECT_TRUE(c.admit_write(50));
   EXPECT_FALSE(c.admit_write(1));
 
-  c.refill(10.0);  // clamps at the 100-token cap, not 10000
+  c.refill(t0 + 10'000 * kSecond);  // clamps at the 100-token cap
   EXPECT_EQ(c.tokens(), 100);
   // An over-bucket batch costs the whole bucket but is never
   // permanently unadmittable.
   EXPECT_TRUE(c.admit_write(100000));
   EXPECT_EQ(c.tokens(), 0);
+}
+
+// Writers that find the bucket dry refill it themselves, racing on the
+// same clock.  The CAS on the last-refill stamp must credit each
+// interval once and carry fractions of a token over, so four threads
+// refilling over the same timestamps add floor(rate x elapsed) tokens
+// in all, clamped to the capacity.
+TEST(AdmitBucket, ConcurrentRefillsCreditEachIntervalOnce) {
+  admit::AdmitOptions o = law_opts();
+  o.max_write_rate = 1000;  // one token per millisecond
+  o.burst_seconds = 1e4;    // capacity: 10^7 tokens
+  admit::AdmissionController c(o);
+  ASSERT_TRUE(c.admit_write(10'000'000));  // drains the bucket
+  // The base refill leaves the stamp less than one token short of
+  // `base`, so a race spanning whole tokens from `base` earns exactly
+  // that many.
+  const std::uint64_t base = obs::now_ns() + kSecond;
+  c.refill(base);
+  const auto race = [&c](std::uint64_t from, std::uint64_t step,
+                         unsigned steps) {
+    util::SpinBarrier start(4);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < 4; ++t)
+      ts.emplace_back([&c, &start, from, step, steps] {
+        start.arrive_and_wait();
+        for (unsigned k = 1; k <= steps; ++k) c.refill(from + k * step);
+      });
+    for (std::thread& th : ts) th.join();
+  };
+  // Four million steps of 3/8 of a token each, long enough for the
+  // threads to overlap: 1.5 million tokens, most of them earned across a
+  // step boundary.
+  const std::int64_t before = c.tokens();
+  race(base, 375'000, 4'000'000);
+  EXPECT_EQ(c.tokens() - before, 1'500'000);
+  // 20 steps of a million tokens: twice the capacity, clamped to it.
+  race(base + 1500 * kSecond, 1000 * kSecond, 20);
+  EXPECT_EQ(c.tokens(), 10'000'000);
 }
 
 kv::KvConfig store_cfg() {
@@ -222,6 +274,70 @@ TEST(AdmitStore, GenerousLimitsAdmitEverything) {
   EXPECT_EQ(st.admit_shed_writes, 0u);
   EXPECT_EQ(st.admit_shed_reads, 0u);
   EXPECT_GT(st.admit_write_rate, 0.0);
+}
+
+// The law runs on the live sampler's snapshots; nothing here hands it
+// Signals.  Replacing puts leave retired value cells waiting on the
+// retire lists (kv_unreclaimed), far above a backlog target of 0.01
+// blocks, so within a few sampler ticks severity passes the write-shed
+// threshold and writes throw kv::Overloaded.
+TEST(AdmitStore, LawRunsOnLiveSamplerSnapshots) {
+  kv::KvConfig cfg = store_cfg();
+  cfg.admission.enabled = true;
+  cfg.admission.retire_backlog_target = 0.01;
+  cfg.metrics.sample_interval_ms = 2;
+  Store store(cfg);
+  bool shed = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (std::uint64_t i = 0;
+       !shed && std::chrono::steady_clock::now() < deadline; ++i) {
+    try {
+      store.put(i % 64, i, 0);
+    } catch (const kv::Overloaded& o) {
+      shed = true;
+      EXPECT_TRUE(o.write);
+    }
+  }
+  EXPECT_TRUE(shed) << "the sampler never drove the law to shed writes";
+  const kv::KvStats st = store.stats();
+  EXPECT_GE(st.admit_severity, cfg.admission.shed_write_severity);
+  EXPECT_GE(st.admit_shed_writes, 1u);
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// The controller has no thread: a store with metrics, sampler and
+// watchdog on starts the same two background threads (the sampler and
+// the watchdog's scan) with admission on as with it off.
+TEST(AdmitStore, AdmissionStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  kv::KvConfig cfg = store_cfg();
+  cfg.shards = 4;
+  cfg.metrics.enabled = true;
+  cfg.metrics.watchdog.enabled = true;
+  // Threads an earlier test joined can linger in /proc for a moment.
+  std::size_t base = 0;
+  do {
+    base = thread_count();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (thread_count() != base);
+  Store off(cfg);
+  const std::size_t with_off = thread_count();
+  cfg.admission.enabled = true;
+  Store on(cfg);
+  ASSERT_NE(on.admission(), nullptr);
+  const std::size_t with_on = thread_count();
+  EXPECT_EQ(with_off - base, 2u);
+  EXPECT_EQ(with_on - with_off, with_off - base);
 }
 
 }  // namespace

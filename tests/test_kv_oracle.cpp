@@ -197,18 +197,21 @@ kv::KvConfig oracle_cfg() {
   c.tracker.cleanup_freq = 4;
   c.tracker.retire_batch = 4;
   // WFE_TEST_ADMIT=1 runs the whole oracle with the admission
-  // controller live (fast driver ticks, limits so generous nothing is
-  // ever shed): the sanitizer jobs then race gate_read/gate_write and
-  // the driver against every op shape, exercising the controller's
-  // concurrency rather than its control law.
+  // controller live: a 50-token bucket refilled at 500k writes/s, so
+  // concurrent writers find it dry and race its refill, under targets
+  // and a wait so generous nothing is ever shed.  The sanitizer jobs
+  // then race the gates, the refill and the sampler's law against every
+  // op shape, exercising the controller's concurrency rather than its
+  // control law.
   if (std::getenv("WFE_TEST_ADMIT") != nullptr) {
     c.admission.enabled = true;
-    c.admission.max_write_rate = 1e12;
+    c.admission.max_write_rate = 5e5;
+    c.admission.burst_seconds = 1e-4;
+    c.admission.max_wait_us = 1'000'000;
     c.admission.wal_lag_target = 1e12;
     c.admission.retire_backlog_target = 1e12;
     c.admission.commit_wait_p99_target_ns = 1e15;
     c.metrics.sample_interval_ms = 5;
-    c.admission.tick_ms = 2;
   }
   return c;
 }

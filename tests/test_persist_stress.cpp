@@ -81,17 +81,19 @@ kv::KvConfig stress_cfg(const std::string& dir) {
   if (const char* e = std::getenv("WFE_TEST_ADMIT");
       e != nullptr && *e != '\0' && *e != '0') {
     // Sanitizer knob: run the whole stress with the admission controller
-    // live (sampler + driver threads, per-op gates, token bucket) but
-    // with targets so high nothing ever sheds — this exercises the
-    // controller's concurrency, not its law, so every op still succeeds
-    // and the ledger checks stay exact.
+    // live (the sampler's law, per-op gates, and a 50-token bucket
+    // refilled at 500k writes/s that concurrent writers find dry and
+    // refill themselves) but with targets and a wait so generous nothing
+    // ever sheds — this exercises the controller's concurrency, not its
+    // law, so every op still succeeds and the ledger checks stay exact.
     c.admission.enabled = true;
-    c.admission.max_write_rate = 1e12;
+    c.admission.max_write_rate = 5e5;
+    c.admission.burst_seconds = 1e-4;
+    c.admission.max_wait_us = 1'000'000;
     c.admission.wal_lag_target = 1e12;
     c.admission.retire_backlog_target = 1e12;
     c.admission.commit_wait_p99_target_ns = 1e15;
     c.metrics.sample_interval_ms = 5;
-    c.admission.tick_ms = 2;
   }
   return c;
 }

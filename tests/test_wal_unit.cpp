@@ -268,8 +268,7 @@ TEST(WalWriter, BackpressureMakesBoundedProgressAndTracesEpisodes) {
   opts.sync = persist::SyncMode::kBatched;
   opts.ring_capacity = 8;  // tiny ring: backpressure within a few appends
   obs::TraceRing trace(64);
-  persist::ShardWal wal(td.path, 1, 0, opts);
-  wal.set_metrics(nullptr, nullptr, &trace, 0);
+  persist::ShardWal wal(td.path, 1, 0, opts, {.trace = &trace});
   wal.suppress_flush(true);  // park the flusher so the ring truly fills
   for (std::uint64_t i = 1; i <= 8; ++i) wal.append(RecordType::kPut, i, i);
   std::atomic<bool> done{false};
